@@ -6,14 +6,19 @@ generators and subgroup generators as cycle strings, representation
 specs built from those, and vertex-label tuples.
 
 Each workload is a fixed part (the paper's worked instances with their
-pinned answers) followed by a seeded part.  Seeded queries follow a
-fixed cycle of templates, so every prefix of the sequence has the same
-mix of query types and only the draws inside a template depend on the
-seed.  That keeps the per-run averages comparable across seeds.
+pinned answers) followed by a seeded part.  In edges, each seeded query
+is a vertex pair drawn uniformly from all pairs of the corpus
+polytopes.  In the other workloads the polytopes, groups and kinds of
+query take equal turns in a fixed cycle, so every run has the same mix,
+and the seed picks what is asked of each: subgroups, coset sums, subgroup
+orders, relabellings.  Where a few costly inputs would otherwise decide a
+run, the seeded part walks the whole list of inputs (_Walk) instead of
+drawing them independently.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import re
@@ -214,11 +219,6 @@ class _Group:
 # workloads
 
 
-def _random_pair(rng, order):
-    a, b = rng.sample(range(order), 2)
-    return [a, b]
-
-
 def _edges(rng, groups):
     corpus = ["g48", "s4", "d6", "q8", "a4", "z2^4", "klein", "klein-regular"]
     fixed = []
@@ -230,20 +230,21 @@ def _edges(rng, groups):
         for h in range(1, 4):
             fixed.append({"kind": "pair", "poly": name, "rep": natural(name),
                           "labels": [0, h], "pin": "edges-at-identity-" + name})
-    # main-example polytopes carry the weight the paper gives them.  A5
-    # and S5 pairs are left out: at 50-900 ms each, the few that fit in
-    # a run would decide its average
-    cycle = ["main1", "main2", "g48", "s4", "main1", "main2", "d6", "s4",
-             "q8", "a4", "main1", "main2", "g48", "s4", "main1", "main2",
-             "d6", "z2^4", "q8", "a4"]
-    specs = {"main1": MAIN1, "main2": MAIN2}
+    # Seeded pairs are drawn uniformly from all vertex pairs of these
+    # polytopes, so each polytope is drawn in proportion to its number of
+    # pairs.  A5 and S5 are left out: at 50-900 ms per pair, and with
+    # more pairs than the rest together, they would decide every run.
+    specs = [(name, natural(name)) for name in corpus]
+    specs[1:1] = [("main1", MAIN1), ("main2", MAIN2)]
+    orders = [ORDERS[spec["group"]] for _, spec in specs]
+    pair_counts = list(itertools.accumulate(n * (n - 1) // 2 for n in orders))
 
     def draw(i):
-        name = cycle[i % len(cycle)]
-        group = specs[name]["group"] if name in specs else name
-        return {"kind": "pair", "poly": name,
-                "rep": specs.get(name, natural(name)),
-                "labels": _random_pair(rng, ORDERS[group])}
+        k = rng.randrange(pair_counts[-1])
+        j = bisect.bisect_right(pair_counts, k)
+        name, spec = specs[j]
+        return {"kind": "pair", "poly": name, "rep": spec,
+                "labels": rng.sample(range(orders[j]), 2)}
 
     return corpus, fixed, draw, {}
 
@@ -264,8 +265,10 @@ def _census(rng, groups):
                   "point": [[0, "-1/2"], [1, "1/2"], [2, "1/2"], [3, "1/2"]],
                   "expect": {"index": 2, "volume": "1/3",
                              "membership": [True, True, True, False]}})
-    cycle = ["main1", "main2", "g48", "s4", "d6", "lattice", "main1",
-             "main2", "z2^4", "a4", "q8", "g48", "s4", "lattice"]
+    # Every polytope takes its turn in each round, and a lattice query on
+    # a fresh polytope ends the round.  Equal turns, rather than seeded
+    # picks, give every run the same mix; the seed picks the subgroups.
+    cycle = ["main1", "main2", "g48", "s4", "d6", "z2^4", "a4", "q8", "lattice"]
     lattice_reps = [KLEIN_REGULAR, KLEIN_DEGREE6, natural("z4"), natural("s3"),
                     natural("a4"), natural("s4"), natural("d6"),
                     natural("q8"), natural("klein")]
@@ -306,19 +309,36 @@ def _lattice_query(rng, spec):
             "expect": {"membership": membership}}
 
 
-def _coset_sum(rng, grp, cap, parts=None):
-    """Generators of 1-2 subgroups whose coset actions sum to a faithful
-    representation of degree at most cap."""
+def _faithful_sums(grp, cap):
+    """Every faithful sum of the coset actions on one or two subgroups
+    with degree at most cap, in a fixed order, as (generator strings of
+    each subgroup, element set of each subgroup)."""
     order = len(grp.elements)
     menu = [s for s in grp.subgroups() if order // len(s[1]) <= cap]
-    while True:
-        subs = [rng.choice(menu) for _ in range(parts or rng.randint(1, 2))]
-        degree = sum(order // len(s) for _, s, _ in subs)
-        common = frozenset(grp.elements)
-        for _, _, core in subs:
-            common &= core
-        if degree <= cap and len(common) == 1:
-            return [gens for gens, _, _ in subs], [s for _, s, _ in subs]
+    sums = []
+    for i, (gens_a, sub_a, core_a) in enumerate(menu):
+        if len(core_a) == 1:
+            sums.append(([gens_a], [sub_a]))
+        for gens_b, sub_b, core_b in menu[i:]:
+            if (order // len(sub_a) + order // len(sub_b) <= cap
+                    and len(core_a & core_b) == 1):
+                sums.append(([gens_a, gens_b], [sub_a, sub_b]))
+    return sums
+
+
+class _Walk:
+    """Draws from a list without replacement in a seeded order, pass
+    after pass, so that every run covers the list evenly: drawing
+    independently would let the share of the costly members, and with
+    it a run's percentiles, swing from seed to seed."""
+
+    def __init__(self, rng, items):
+        self.rng, self.items, self.left = rng, items, []
+
+    def next(self):
+        if not self.left:
+            self.left = self.rng.sample(self.items, len(self.items))
+        return self.left.pop()
 
 
 def _equivalence(rng, groups):
@@ -331,15 +351,19 @@ def _equivalence(rng, groups):
         {"kind": "stable", "group": "klein", "A": KLEIN_REGULAR,
          "B": KLEIN_DEGREE6, "expect": {"stable": True, "dims": [3, 3]}},
     ]
-    # the degree-16 sums of Z2 x Z2 x Z4 x Z3 take a fifth of the cycle,
-    # so the 90th percentile falls inside their narrow band
-    cycle = ["s4", "a4", "g48", "d6", "q8", "s4", "g48", "d6", "a4", "q8"]
+    # The groups take equal turns.  Even-numbered queries pair a sum with
+    # a reordering of itself, odd ones two independent sums; with five
+    # groups, each group gets both kinds in every ten queries.  Each
+    # group walks all its faithful sums up to its degree cap.
+    cycle = ["s4", "a4", "g48", "d6", "q8"]
+    walks = {name: _Walk(rng, _faithful_sums(groups[name], DEGREE_CAP[name]))
+             for name in cycle}
 
     def draw(i):
         name = cycle[i % len(cycle)]
-        grp = groups[name]
+        order = len(groups[name].elements)
         cap = DEGREE_CAP[name]
-        gens_a, subs_a = _coset_sum(rng, grp, cap)
+        gens_a, subs_a = walks[name].next()
         query = {"kind": "stable", "group": name,
                  "A": {"kind": "cosets", "group": name, "subgroups": gens_a}}
         if i % 2 == 0:
@@ -347,7 +371,6 @@ def _equivalence(rng, groups):
             # and add a trivial one or a repeat
             gens_b = list(gens_a)
             rng.shuffle(gens_b)
-            order = len(grp.elements)
             degree = sum(order // len(s) for s in subs_a)
             extra = rng.randrange(len(gens_a))
             if degree + order // len(subs_a[extra]) <= cap:
@@ -357,7 +380,7 @@ def _equivalence(rng, groups):
             query["B"] = {"kind": "cosets", "group": name, "subgroups": gens_b}
             query["expect"] = {"stable": True}
         else:
-            gens_b, _ = _coset_sum(rng, grp, cap)
+            gens_b, _ = walks[name].next()
             query["B"] = {"kind": "cosets", "group": name, "subgroups": gens_b}
         return query
 
@@ -386,23 +409,22 @@ def _search(rng, groups):
     for name, k in sorted(SUBGROUP_COUNTS):
         if name != "a6":
             subgroup_orders.setdefault(name, []).append(k)
-    # Searches over the 384 automorphisms of Z2 x Z2 x Z4 x Z3 take six
-    # tenths of the cycle, so the median and the 90th percentile both
-    # fall inside their band rather than between strata of other costs.
-    # Within a kind the groups take turns, so every run has the same mix
-    # of groups and the seed picks only what is asked of each.
-    cycle = ["abelian", "effective", "abelian", "auto", "abelian",
-             "abelian", "effective", "abelian", "subgroups", "abelian"]
+    # The three kinds of query take equal turns, and within a kind the
+    # groups take turns, so every run has the same mix and the seed picks
+    # only what is asked of each group.
+    cycle = ["auto", "subgroups", "effective"]
     turns = {"auto": ["s4", "a4", "d6", "q8", "a5", "s5", "g48"],
              "subgroups": sorted(subgroup_orders),
-             "effective": ["s4", "a4", "d6", "q8"]}
+             "effective": ["g48", "s4", "a4", "d6", "q8"]}
     taken = dict.fromkeys(turns, 0)
+    orders = {name: _Walk(rng, ks) for name, ks in subgroup_orders.items()}
     # RELABELLINGS point relabellings per group: B lives on a conjugate
     # permutation group, so its canonical element order, and with it how
     # far the search runs before a witness, differs from A's
     sigmas = {}
     extra = {}
-    for name in turns["effective"]:
+    relabelled = turns["effective"][1:]
+    for name in relabelled:
         gens, degree = GROUPS[name]
         for k in range(RELABELLINGS):
             sigma = list(range(degree))
@@ -410,53 +432,52 @@ def _search(rng, groups):
             alias = "%s~%d" % (name, k)
             sigmas[alias] = sigma
             extra[alias] = (tuple(relabel(s, sigma) for s in gens), degree)
+    aliases = {name: _Walk(rng, ["%s~%d" % (name, k) for k in range(RELABELLINGS)])
+               for name in relabelled}
     # The worker keeps the representations of effective queries across
     # queries, the way a REPL user keeps them in variables, so these
     # queries measure the isomorphism search rather than affine kernels.
-    # Each query pairs members of a seeded pool.
-    pools = {name: [_coset_sum(rng, groups[name], DEGREE_CAP[name])[0]
-                    for _ in range(POOL)] for name in turns["effective"]}
-    # every faithful sum of two coset actions of Z2 x Z2 x Z4 x Z3 of
-    # degree at most 16 (56 of them), grouped by kernel dimension; a pair
-    # with equal dimensions makes the search run until a witness or
-    # through all 384 maps
-    grp = groups["g48"]
-    subs = grp.subgroups()
+    # Each query takes the next member of a pool of POOL faithful sums:
+    # every k-th sum in order of degree from a seeded start, so that every
+    # pool spans the degrees alike.
+    pools = {}
+    for name in relabelled:
+        order = len(groups[name].elements)
+        sums = sorted(_faithful_sums(groups[name], DEGREE_CAP[name]),
+                      key=lambda s: sum(order // len(sub) for sub in s[1]))
+        step = len(sums) / min(POOL, len(sums))
+        start = rng.random() * step
+        pools[name] = _Walk(rng, [sums[int(start + k * step)][0]
+                                  for k in range(min(POOL, len(sums)))])
+    # every faithful sum of coset actions of Z2 x Z2 x Z4 x Z3 of degree
+    # at most 16 (56 of them, each on two subgroups), grouped by kernel
+    # dimension; a pair with equal dimensions makes the search run until
+    # a witness or through all 384 maps
     by_dim = {}
-    for i, (gens_a, sub_a, _) in enumerate(subs):
-        for gens_b, sub_b, _ in subs[i:]:
-            if (48 // len(sub_a) + 48 // len(sub_b) <= DEGREE_CAP["g48"]
-                    and len(sub_a & sub_b) == 1):
-                dim = _abelian_kernel_dim(48, (sub_a, sub_b))
-                by_dim.setdefault(dim, []).append([gens_a, gens_b])
-    # Queries walk all equal-dimension pairs in a seeded order, pass
-    # after pass: the few pairs with no witness cost ten times the rest,
-    # and drawing pairs independently would let their count, and with it
-    # the run's average, swing from seed to seed.
-    pairs = [pair for _, members in sorted(by_dim.items())
-             for pair in itertools.combinations(members, 2)]
-    walk = []
+    for gens, subs in _faithful_sums(groups["g48"], DEGREE_CAP["g48"]):
+        by_dim.setdefault(_abelian_kernel_dim(48, subs), []).append(gens)
+    # the few pairs with no witness cost ten times the rest
+    pairs = _Walk(rng, [pair for _, members in sorted(by_dim.items())
+                        for pair in itertools.combinations(members, 2)])
 
     def draw(i):
         kind = cycle[i % len(cycle)]
-        if kind in turns:
-            name = turns[kind][taken[kind] % len(turns[kind])]
-            taken[kind] += 1
+        name = turns[kind][taken[kind] % len(turns[kind])]
+        taken[kind] += 1
         if kind == "auto":
             return {"kind": "automorphisms", "group": name}
         if kind == "subgroups":
             return {"kind": "subgroups", "group": name,
-                    "order": rng.choice(subgroup_orders[name])}
-        if kind == "effective":
-            alias = "%s~%d" % (name, rng.randrange(RELABELLINGS))
-            gens_a = rng.choice(pools[name])
+                    "order": orders[name].next()}
+        if kind == "effective" and name != "g48":
+            alias = aliases[name].next()
+            gens_a = pools[name].next()
             gens_b = [[relabel(s, sigmas[alias]) for s in gens] for gens in gens_a]
             return {"kind": "effective", "expect": "witness",
                     "A": {"kind": "cosets", "group": name, "subgroups": gens_a},
                     "B": {"kind": "cosets", "group": alias, "subgroups": gens_b}}
-        if not walk:
-            walk.extend(rng.sample(pairs, len(pairs)))
-        gens_a, gens_b = walk.pop()
+        # the Z2 x Z2 x Z4 x Z3 turn takes the next equal-dimension pair
+        gens_a, gens_b = pairs.next()
         if rng.random() < 0.5:
             gens_a, gens_b = gens_b, gens_a
         return {"kind": "effective",
@@ -489,4 +510,4 @@ class Inputs:
         """The first count queries: the fixed part, then seeded draws."""
         out = list(self.fixed)
         out.extend(self.draw(i) for i in range(max(0, count - len(out))))
-        return out
+        return out[:count]

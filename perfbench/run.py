@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload edges --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload edges --seed 1 --seconds 10 --trace 0
 
 Workloads (closed loop, one client issuing library queries back to back
 in one process; see corpus.py for the inputs):
@@ -16,7 +16,10 @@ in one process; see corpus.py for the inputs):
                equivalence searches that run long or end in None
 
 Every measured run is its own fresh child process (worker.py), one at a
-time.  With --trace 0 the last output line reports the end-to-end
+time.  A run issues a fixed number of queries for its seed: the fixed
+part and RATE[workload] * --seconds seeded ones, sized so that the
+baseline takes about --seconds of query time at reference speed.  With
+--trace 0 the last output line reports the end-to-end
 metrics: verified queries per second of timed query time, per-query
 latency percentiles, set-up time (the median over several fresh
 processes of importing permpoly and building the corpus groups), the
@@ -52,10 +55,12 @@ WORKLOADS = ("edges", "census", "equivalence", "search")
 SETUP_SAMPLES = 5
 CHILD_TIMEOUT_S = 150
 
-# seeded queries per second of run time at the baseline; a traced run
-# takes half the run's seconds worth of queries, so that the untraced
-# and the traced pass over the same list fit the run together
-TRACE_RATE = {"edges": 60, "census": 80, "equivalence": 12, "search": 60}
+# Seeded queries per second of --seconds: about the baseline's query
+# rate at reference speed.  Every commit is timed on the same seeded list
+# of len(fixed) + RATE * seconds queries, so a faster commit finishes
+# sooner rather than running other queries.  A traced run takes half as
+# many, so that its untraced and traced passes fit the run together.
+RATE = {"edges": 57, "census": 115, "equivalence": 17, "search": 260}
 
 LAYERS = ("groups", "reps", "linalg", "intlinalg", "lp", "polytopes",
           "characters")
@@ -64,6 +69,10 @@ LAYERS = ("groups", "reps", "linalg", "intlinalg", "lp", "polytopes",
 def child(request):
     env = dict(os.environ, PYTHONPATH=os.path.abspath("src"),
                PYTHONHASHSEED="0")
+    # set-up times the import from cached bytecode, as a user's session
+    # sees it: the first child writes the cache under src/, the others
+    # read it, whatever the environment says
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(HERE, "worker.py"), json.dumps(request)],
         env=env, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
@@ -96,13 +105,18 @@ def metric(value, unit):
     return {"value": value, "unit": unit}
 
 
+def query_count(workload, seed, seconds):
+    return len(Inputs(workload, seed).fixed) + int(RATE[workload] * seconds)
+
+
 def end_to_end(workload, seed, seconds):
-    base = {"workload": workload, "seed": seed, "count": None, "trace": False}
+    base = {"workload": workload, "seed": seed, "trace": False}
     samples = []
     for _ in range(SETUP_SAMPLES):
-        setup = child(dict(base, mode="setup", seconds=None))
+        setup = child(dict(base, mode="setup", count=None))
         samples.append(setup["setup_s"] / setup["speed"])
-    run = child(dict(base, mode="run", seconds=seconds))
+    run = child(dict(base, mode="run",
+                     count=query_count(workload, seed, seconds)))
     samples.append(run["setup_s"] / run["speed"][0])
     lat = [t / s for t, s in zip(run["latencies"], run["speed"])]
     metrics = {
@@ -124,9 +138,8 @@ def end_to_end(workload, seed, seconds):
 
 
 def per_layer(workload, seed, seconds):
-    count = len(Inputs(workload, seed).fixed) + int(TRACE_RATE[workload] * seconds / 2)
-    base = {"workload": workload, "seed": seed, "mode": "run",
-            "seconds": None, "count": count}
+    count = query_count(workload, seed, seconds / 2)
+    base = {"workload": workload, "seed": seed, "mode": "run", "count": count}
     plain = child(dict(base, trace=False))
     run = child(dict(base, trace=True))
     trace = run["trace"]

@@ -84,6 +84,25 @@ def test_perturbed_functional_is_flagged(s4_poly):
                                    FaceResult(True, functional=(bent, beta))) != []
 
 
+def test_functional_of_the_wrong_length_is_flagged(s4_poly):
+    faces, _ = pair_results(s4_poly)
+    labels, res = faces[0]
+    a, beta = res.functional
+    # a truncated functional could otherwise pass on a prefix of each vertex
+    for short in (a[:-1], a[:len(a) // 2]):
+        assert verify.face_certificate(
+            s4_poly.vertices, labels, FaceResult(True, functional=(short, beta)))
+
+
+def test_counterexample_with_a_missing_vertex_is_flagged(s4_poly):
+    _, non_faces = pair_results(s4_poly)
+    labels, res = non_faces[0]
+    (g, w), *rest = res.counterexample
+    for bad in (s4_poly.vertex_count, -1):
+        wrong = FaceResult(False, counterexample=[(bad, w)] + rest)
+        assert verify.check_pair(s4_poly.rep, labels, wrong)
+
+
 def test_wrong_face_dimension_is_flagged(s4_poly):
     sub = sorted(s4_poly.group.point_stabilizer(4).elements)
     res = is_face(s4_poly, sub)
@@ -163,7 +182,7 @@ def worker(request):
 
 
 def test_traced_counters_repeat():
-    request = {"workload": "census", "seed": 3, "mode": "run", "seconds": None,
+    request = {"workload": "census", "seed": 3, "mode": "run",
                "count": 30, "trace": True}
     first, second = worker(request), worker(request)
     assert first["failed"] == 0 and first["problems"] == []

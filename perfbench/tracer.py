@@ -129,14 +129,14 @@ def _wrap_generator(tracer, name, fn):
     return traced
 
 
-def install(package="permpoly"):
-    """Wrap the traced layers of an imported package; returns the Tracer."""
+def install():
+    """Wrap the traced layers of the imported permpoly; returns the Tracer."""
     tracer = Tracer()
     modules = {name: mod for name, mod in sys.modules.items()
-               if name == package or name.startswith(package + ".")}
+               if name == "permpoly" or name.startswith("permpoly.")}
     replaced = {}
     for short in MODULES:
-        mod = modules[package + "." + short]
+        mod = modules["permpoly." + short]
         for attr, fn in list(vars(mod).items()):
             if (attr.startswith("_") or not inspect.isfunction(fn)
                     or fn.__module__ != mod.__name__):
@@ -150,7 +150,7 @@ def install(package="permpoly"):
             if inspect.isfunction(val) and val in replaced:
                 setattr(mod, attr, replaced[val])
     for short, cls_name, attr, name in METHODS:
-        cls = getattr(modules[package + "." + short], cls_name)
+        cls = getattr(modules["permpoly." + short], cls_name)
         raw = inspect.getattr_static(cls, attr)
         if isinstance(raw, classmethod):
             setattr(cls, attr, classmethod(_wrap(tracer, name, raw.__func__)))

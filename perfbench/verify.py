@@ -22,10 +22,14 @@ def face_certificate(vertices, labels, result):
     combination equal to the subset barycenter that puts positive weight
     outside the subset."""
     inside = set(labels)
+    n = len(vertices[0])
     if result.is_face:
         if result.functional is None:
             return ["face without a functional"]
         a, beta = result.functional
+        if len(a) != n:
+            return ["functional has %d coordinates, vertices have %d"
+                    % (len(a), n)]
         for g, v in enumerate(vertices):
             s = sum(Fraction(x) * y for x, y in zip(a, v) if x and y)
             if g in inside and s != beta:
@@ -36,11 +40,12 @@ def face_certificate(vertices, labels, result):
     weights = result.counterexample
     if not weights:
         return ["non-face without a convex combination"]
+    if any(not 0 <= g < len(vertices) for g, _ in weights):
+        return ["counterexample names a vertex that does not exist"]
     if any(w <= 0 for _, w in weights) or sum(w for _, w in weights) != 1:
         return ["counterexample weights are not a convex combination"]
     if sum(w for g, w in weights if g not in inside) <= 0:
         return ["counterexample puts no weight outside the subset"]
-    n = len(vertices[0])
     combo = [Fraction(0)] * n
     for g, w in weights:
         for k, x in enumerate(vertices[g]):

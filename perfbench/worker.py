@@ -3,14 +3,13 @@
 run.py starts this file as a child process with one JSON argument:
 
     {"workload": ..., "seed": ..., "mode": "setup" | "run",
-     "seconds": float or null, "count": int or null, "trace": bool}
+     "count": int or null, "trace": bool}
 
 and reads one JSON object from the last line of its output.  "setup"
 only imports permpoly and builds the corpus groups.  "run" then issues
-queries back to back: until the timed query time, at reference speed,
-reaches "seconds", or exactly "count" queries.  Each query is timed
-alone; its answer is checked afterwards, outside the timed region and
-with tracing paused.
+the first "count" queries of the seeded list back to back.  Each query
+is timed alone; its answer is checked afterwards, outside the timed
+region and with tracing paused.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import verify
 CALIBRATION_REFERENCE_S = 0.003
 CALIBRATION_EVERY_S = 0.025
 CALIBRATION_SETUP = 5
-RAW_LIMIT = 1.5
 # calibrations averaged for one query: this many on each side of it
 CALIBRATION_WINDOW = 2
 
@@ -311,32 +309,21 @@ def build_groups(lib, inputs):
             for name, (gens, degree) in inputs.groups.items()}
 
 
-def run_queries(session, inputs, seconds, count, tracer):
-    """Issue queries back to back until the timed total, at reference
-    speed, reaches seconds (or count queries), checking each answer
+def run_queries(session, inputs, count, tracer):
+    """Issue the first count queries back to back, checking each answer
     after its timer stops.  Between queries, outside the timed region,
     the calibration kernel runs each time another CALIBRATION_EVERY_S of
     query time has passed; calibrations records (queries done so far,
-    kernel seconds).  Counting reference seconds keeps the number of
-    queries, and so the weight of the fixed part, the same on a slow and
-    a fast machine; the raw time is capped at RAW_LIMIT times seconds."""
+    kernel seconds)."""
     out = {"latencies": [], "failed": 0, "problems": [], "check_s": 0.0,
            "calibrations": []}
     next_calibration = 0.0
     pins = {}
-    nfixed = len(inputs.fixed)
-    timed = reference = 0.0
-    speed = 1.0
-    i = 0
-    while not (count is not None and i >= count
-               or seconds is not None and i >= nfixed and (
-                   reference >= seconds or timed >= RAW_LIMIT * seconds)):
-        q = inputs.fixed[i] if i < nfixed else inputs.draw(i - nfixed)
-        i += 1
+    timed = 0.0
+    for i, q in enumerate(inputs.queries(count)):
         prep = session.prepare(q)
         if timed >= next_calibration:
-            out["calibrations"].append((i - 1, calibration_kernel()))
-            speed = out["calibrations"][-1][1] / CALIBRATION_REFERENCE_S
+            out["calibrations"].append((i, calibration_kernel()))
             next_calibration = timed + CALIBRATION_EVERY_S
         if tracer:
             tracer.active = True
@@ -350,11 +337,13 @@ def run_queries(session, inputs, seconds, count, tracer):
         if tracer:
             tracer.active = False
         timed += latency
-        reference += latency / speed
         out["latencies"].append(latency)
         if error is None:
             t1 = time.perf_counter()
-            found, value = session.check(q, prep, answer)
+            try:
+                found, value = session.check(q, prep, answer)
+            except Exception as exc:  # an answer the checks cannot read
+                found, value = ["check raised %s: %s" % (type(exc).__name__, exc)], None
             out["check_s"] += time.perf_counter() - t1
             if "pin" in q:
                 pins.setdefault(q["pin"], []).append(value)
@@ -362,8 +351,8 @@ def run_queries(session, inputs, seconds, count, tracer):
             found = [error]
         if found:
             out["failed"] += 1
-            out["problems"].append("query %d (%s): %s" % (i - 1, q["kind"], found[0]))
-    out["calibrations"].append((i, calibration_kernel()))
+            out["problems"].append("query %d (%s): %s" % (i, q["kind"], found[0]))
+    out["calibrations"].append((count, calibration_kernel()))
     pin_problems = check_pins(pins)
     out["failed"] += len(pin_problems)
     out["problems"] += pin_problems
@@ -395,8 +384,7 @@ def main():
         samples = [calibration_kernel() for _ in range(CALIBRATION_SETUP)]
         result["speed"] = statistics.fmean(samples) / CALIBRATION_REFERENCE_S
     if args["mode"] == "run":
-        out = run_queries(Session(lib, groups), inputs, args["seconds"],
-                          args["count"], tracer)
+        out = run_queries(Session(lib, groups), inputs, args["count"], tracer)
         problems += out["problems"]
         result.update({
             "latencies": out["latencies"],
