@@ -1,21 +1,37 @@
 """Geometry of permutation polytopes with exact rational arithmetic.
 
 The polytope of a representation is the convex hull of its vertex
-matrices.  All face tests run in affine-hull coordinates: expressing
-vertices in the reduced-echelon basis of span{M_g - M_e} turns each
-face decision into a small strict-separation LP (dimension dim+1, not
-degree^2), and the witness functional lifts back to ambient
-coordinates through the basis pivots.
+matrices.  A face test first takes the support closure of the vertex
+set S: every vertex whose 0/1 matrix has its ones only where some
+vertex of S has a one, i.e. the vertices on the smallest face of the
+Birkhoff polytope containing S.  Four routes then decide, each with a
+certificate that is checked exactly:
+
+* support: the closure is S, so S is a face; the indicator of S's
+  support, with offset degree, is the separating functional.
+* pair: S = {a, b} and the closure holds another vertex x; then
+  M_a + M_b - M_x is the vertex M_y of the complementary cycle product
+  (Guralnick and Perkinson, JCTA 2006), and x, y with weight 1/2 each
+  reach the barycenter of S.
+* barycenter: S and its closure have one barycenter (always so for a
+  subgroup, by orbit-stabilizer); the uniform combination over the
+  closure is the non-face certificate.
+* lp: otherwise, a strict-separation LP in affine-hull coordinates
+  (dimension dim+1, not degree^2) over the reduced-echelon basis of
+  span{M_g - M_e}; its witness functional lifts back to ambient
+  coordinates through the basis pivots, and a barycenter LP finds the
+  non-face combination.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial, isqrt
 
 from .intlinalg import determinant, hermite_form, saturation, smith_divisors, \
     solve_in_lattice
-from .linalg import F0, express_in_rowspace, rank
+from .linalg import F0, F1, express_in_rowspace, rank
 from .lp import maximize, strict_separation_lp
 from .reps import PermRep, difference_space
 
@@ -91,26 +107,98 @@ class FaceResult:
     with a.v = beta on the subset and a.v < beta off it.  For
     non-faces, counterexample lists (element, weight) pairs: a convex
     combination of vertices equal to the subset barycenter that puts
-    positive weight outside the subset.
+    positive weight outside the subset.  route names the step of
+    is_face that decided: "support", "pair", "barycenter" or "lp"; it
+    is None on a result built by hand.
     """
 
-    def __init__(self, is_face, functional=None, counterexample=None):
+    def __init__(self, is_face, functional=None, counterexample=None, *,
+                 route=None):
         self.is_face = is_face
         self.functional = functional
         self.counterexample = counterexample
+        self._route = route
+
+    @property
+    def route(self):
+        return self._route
 
     def __bool__(self):
         return self.is_face
 
 
-def is_face(poly: PermutationPolytope, subset) -> FaceResult:
-    """Decide whether the given vertex labels are exactly the vertex set
-    of a face (the full set counts: improper face)."""
+def _checked_labels(poly, subset):
+    """Sorted distinct labels of a nonempty set of the polytope's vertices."""
     labels = sorted(set(subset))
     if not labels:
         raise ValueError("empty vertex subset")
     if labels[0] < 0 or labels[-1] >= poly.vertex_count:
         raise ValueError("vertex label out of range")
+    return labels
+
+
+def is_face(poly: PermutationPolytope, subset) -> FaceResult:
+    """Decide whether the given vertex labels are exactly the vertex set
+    of a face (the full set counts: improper face).
+
+    Routes, in order, with F the support closure of the subset S:
+    "support" when F = S (functional: indicator of S's support, offset
+    degree); "pair" when |S| = 2 and F is larger (weight 1/2 on some x
+    in F - S and on the complementary vertex y = a + b - x); "barycenter"
+    when F is larger with the same barycenter (weight 1/|F| on each
+    vertex of F); "lp" otherwise (strict-separation LP, then a
+    barycenter LP for the non-face combination).
+    """
+    labels = _checked_labels(poly, subset)
+    action = poly.rep.action
+    n = poly.degree
+    # the images each column takes on S: the support of the smallest
+    # Birkhoff face containing S
+    allowed = [set() for _ in range(n)]
+    for g in labels:
+        for col, i in zip(allowed, action[g].images):
+            col.add(i)
+    closure = [x for x in range(poly.vertex_count)
+               if all(i in col for col, i in zip(allowed, action[x].images))]
+
+    if len(closure) == len(labels):
+        support = {i * n + j for j, col in enumerate(allowed) for i in col}
+        a = tuple(F1 if k in support else F0 for k in range(n * n))
+        return FaceResult(True, functional=(a, Fraction(n)), route="support")
+
+    if len(labels) == 2:
+        img_a, img_b = (action[g].images for g in labels)
+        x = next(g for g in closure if g not in labels)
+        # x follows a or b in each column; taking the other choice in
+        # every column gives the complementary cycle product
+        img_y = tuple(ib if ix == ia else ia
+                      for ia, ib, ix in zip(img_a, img_b, action[x].images))
+        y = next((g for g in closure if action[g].images == img_y), None)
+        if y is None:
+            raise RuntimeError("vertex pair %r: M_a + M_b - M_%d is not a "
+                               "vertex" % (tuple(labels), x))
+        half = Fraction(1, 2)
+        return FaceResult(False, counterexample=tuple(sorted(
+            ((x, half), (y, half)))), route="pair")
+
+    def column_counts(members):
+        return Counter((j, i) for g in members
+                       for j, i in enumerate(action[g].images))
+
+    m, f = len(labels), len(closure)
+    in_s = column_counts(labels)
+    if all(in_s[k] * f == c * m for k, c in column_counts(closure).items()):
+        w = Fraction(1, f)
+        return FaceResult(False, counterexample=tuple((g, w) for g in closure),
+                          route="barycenter")
+
+    return _is_face_lp(poly, labels)
+
+
+def _is_face_lp(poly: PermutationPolytope, labels) -> FaceResult:
+    """The LP face test on sorted distinct in-range labels: the general
+    fallback of is_face and the oracle its certificates are tested
+    against."""
     inside = [False] * poly.vertex_count
     for g in labels:
         inside[g] = True
@@ -129,7 +217,7 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
             a[p] = c
             shift += c * base[p]
         beta = witness[-1] + shift
-        return FaceResult(True, functional=(tuple(a), beta))
+        return FaceResult(True, functional=(tuple(a), beta), route="lp")
 
     # not separable: exhibit a representation of the subset barycenter
     # with positive weight outside the subset
@@ -146,7 +234,7 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
     if sol is None or sol[0] <= 0:
         raise RuntimeError("separation failed but barycenter LP found no witness")
     weights = [(g, w) for g, w in enumerate(sol[1]) if w]
-    return FaceResult(False, counterexample=tuple(weights))
+    return FaceResult(False, counterexample=tuple(weights), route="lp")
 
 
 class FaceCensusEntry:
@@ -180,12 +268,7 @@ def subgroup_face_census(rep: PermRep, order: int, node_cap=10_000_000,
     entries = []
     for sub in group.subgroups_of_order(order, node_cap=node_cap):
         res = is_face(poly, sub.elements)
-        fdim = None
-        if res.is_face:
-            base = sub.elements[0]
-            rows = [[a - b for a, b in zip(poly.coords[h], poly.coords[base])]
-                    for h in sub.elements[1:]]
-            fdim = rank(rows) if rows else 0
+        fdim = _subset_dim(poly, sub.elements) if res.is_face else None
         entries.append(FaceCensusEntry(sub.elements, res.is_face, fdim,
                                        res.functional))
     return entries
@@ -344,7 +427,7 @@ def shape_descriptor(poly: PermutationPolytope, subset=None) -> ShapeDescriptor:
     if subset is None:
         labels = list(range(poly.vertex_count))
     else:
-        labels = sorted(set(subset))
+        labels = _checked_labels(poly, subset)
     v = len(labels)
     d = _subset_dim(poly, labels) if subset is not None else poly.dim
     if v == d + 1:

@@ -39,6 +39,11 @@ def d4():
 
 
 @pytest.fixture(scope="session")
+def d6():
+    return build(["(1 2 3 4 5 6)", "(2 6)(3 5)"], 6, "d6")
+
+
+@pytest.fixture(scope="session")
 def q8():
     return build(["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], 8, "q8")
 

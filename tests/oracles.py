@@ -38,3 +38,20 @@ def brute_force_faces(poly):
         if not fresh:
             return faces
         faces |= fresh
+
+
+def indecomposable(rep, g):
+    """Guralnick and Perkinson's edge criterion by brute force: M_e and
+    M_g span an edge iff no product of a nonempty proper subset of the
+    cycles of g's permutation is the image of a group element."""
+    images = {p.images for p in rep.action}
+    cycles = rep.action[g].cycles()
+    for size in range(1, len(cycles)):
+        for chosen in itertools.combinations(cycles, size):
+            h = list(range(rep.degree))
+            for cyc in chosen:
+                for p, q in zip(cyc, cyc[1:] + cyc[:1]):
+                    h[p - 1] = q - 1
+            if tuple(h) in images:
+                return False
+    return True

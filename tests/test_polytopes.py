@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_faces
-from permpoly.groups import FiniteGroup
+from oracles import brute_force_faces, indecomposable
+from permpoly.groups import FiniteGroup, parse_cycles
 from permpoly.polytopes import (
     UnsupportedShapeError,
+    _is_face_lp,
     build_polytope,
     is_face,
     lattice_structure,
@@ -20,7 +21,7 @@ from permpoly.reps import PermRep
 
 
 def ambient_dot(a, v):
-    return sum(x * y for x, y in zip(a, v))
+    return sum(x * y for x, y in zip(a, v) if y)
 
 
 def verify_face_result(poly, subset, res):
@@ -42,12 +43,16 @@ def verify_face_result(poly, subset, res):
         m = len(inside)
         bary = [Fraction(sum(poly.vertices[g][k] for g in inside), m)
                 for k in range(n2)]
-        mix = [sum(w * poly.vertices[g][k] for g, w in weights.items())
-               for k in range(n2)]
+        mix = [Fraction(0)] * n2
+        for g, w in weights.items():
+            for k, x in enumerate(poly.vertices[g]):
+                if x:
+                    mix[k] += w * x
         assert mix == bary
 
 
 def test_face_tests_match_brute_force(small_polytopes):
+    routes = set()
     for poly in small_polytopes:
         expected = brute_force_faces(poly)
         n = poly.vertex_count
@@ -57,6 +62,59 @@ def test_face_tests_match_brute_force(small_polytopes):
                 assert res.is_face == (frozenset(subset) in expected), \
                     "disagreement on %r of %r" % (subset, poly)
                 verify_face_result(poly, subset, res)
+                routes.add(res.route)
+    assert routes == {"support", "pair", "barycenter", "lp"}
+
+
+def test_pair_routes_agree_with_lp_and_oracle(s4, d6, q8, a4, main_pair):
+    # every vertex pair of four natural polytopes, and the identity pairs
+    # of the two degree-16 representations; left multiplication by a^-1
+    # is a linear automorphism of the polytope taking {a, b} to
+    # {e, a^-1 b}, so the LP and the oracle run once per translate
+    cases = [(build_polytope(PermRep.natural(g)), True)
+             for g in (s4, d6, q8, a4)]
+    cases += [(build_polytope(rep), False) for rep in main_pair]
+    for poly, every_pair in cases:
+        group, n = poly.group, poly.vertex_count
+        lp = {h: _is_face_lp(poly, [0, h]).is_face for h in range(1, n)}
+        edge = {h: indecomposable(poly.rep, h) for h in range(1, n)}
+        if every_pair:
+            pairs = itertools.combinations(range(n), 2)
+        else:
+            pairs = [(0, h) for h in range(1, n)]
+        for a, b in pairs:
+            h = group.table[group.inverse[a]][b]
+            res = is_face(poly, (a, b))
+            assert res.route in ("support", "pair")
+            assert res.is_face == lp[h] == edge[h], (a, b, poly)
+            verify_face_result(poly, (a, b), res)
+
+
+def test_subgroup_faces_need_no_lp(s4, d6, main_pair):
+    for rep in (PermRep.natural(s4), PermRep.natural(d6), main_pair[0]):
+        poly = build_polytope(rep)
+        group = rep.group
+        for k in range(1, group.order + 1):
+            if group.order % k:
+                continue
+            for sub in group.subgroups_of_order(k):
+                res = is_face(poly, sub.elements)
+                assert res.route != "lp"
+                assert res.is_face == _is_face_lp(poly, sub.elements).is_face
+                verify_face_result(poly, sub.elements, res)
+    with pytest.raises(AttributeError):
+        res.route = "lp"
+
+
+def test_barycenters_matching_in_some_columns_go_to_the_lp(s4):
+    # a few columns of S carry the image counts of its support closure
+    # in proportion, the others do not: no combinatorial certificate
+    poly = build_polytope(PermRep.natural(s4))
+    subset = [s4.element_index(parse_cycles(c, 4))
+              for c in ("id", "(1 2)", "(1 2 3 4)", "(1 2 4 3)")]
+    res = is_face(poly, subset)
+    assert res.route == "lp" and not res.is_face
+    verify_face_result(poly, subset, res)
 
 
 def test_is_face_input_errors(small_polytopes):
@@ -145,6 +203,13 @@ def test_shape_descriptor(klein, z4, s3):
     # faces classify too: an edge of the square is a 1-simplex
     assert str(shape_descriptor(square, (0, 1))) == "simplex(1)"
     assert str(shape_descriptor(square, range(4))) == "product(1, 1)"
+
+
+@pytest.mark.parametrize("subset", [[999], [-1, 0], []])
+def test_shape_descriptor_rejects_bad_labels(klein, subset):
+    square = build_polytope(PermRep.natural(klein))
+    with pytest.raises(ValueError):
+        shape_descriptor(square, subset)
 
 
 def test_polytopes_equal(klein, z4, klein_pair):
