@@ -78,10 +78,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def fixed_points(self):
-        """1-based fixed points."""
-        return [i + 1 for i, j in enumerate(self.images) if i == j]
-
     def cycles(self):
         """Nontrivial cycles as tuples of 1-based points, canonical order."""
         seen = [False] * len(self.images)
@@ -329,9 +325,6 @@ class FiniteGroup:
     def class_of(self):
         self.conjugacy_classes()
         return self._class_of
-
-    def class_reps(self):
-        return [c[0] for c in self.conjugacy_classes()]
 
     def subgroup(self, gen_indices) -> "Subgroup":
         """Closure of the given element indices inside this group."""

@@ -19,39 +19,7 @@ def hermite_form(rows):
     m = _check_int_rows(rows)
     if not m:
         return []
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        # chain gcd row operations to leave a single nonzero entry in
-        # column c at row r
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, len(m)):
-            while m[i][c]:
-                q = m[r][c] // m[i][c]
-                m[r] = [a - q * b for a, b in zip(m[r], m[i])]
-                m[r], m[i] = m[i], m[r]
-        if m[r][c] < 0:
-            m[r] = [-a for a in m[r]]
-        for i in range(r):
-            q = m[i][c] // m[r][c]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r] if any(row)]
-
-
-def hnf_snf(rows):
-    """(hermite_form, smith_divisors) of an integer matrix."""
-    return hermite_form(rows), smith_divisors(rows)
+    return [row for row in _hermite_left_block(m, len(m[0])) if any(row)]
 
 
 def integer_kernel(rows):
@@ -78,6 +46,8 @@ def integer_kernel(rows):
 
 
 def _hermite_left_block(m, ncols):
+    """Row-style Hermite reduction of m in place, pivoting only in the
+    first ncols columns; rows past the rank end up zero there."""
     r = 0
     for c in range(ncols):
         pivot_row = None
@@ -88,6 +58,8 @@ def _hermite_left_block(m, ncols):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
+        # chain gcd row operations to leave a single nonzero entry in
+        # column c at row r
         for i in range(r + 1, len(m)):
             while m[i][c]:
                 q = m[r][c] // m[i][c]

@@ -27,34 +27,7 @@ def rref(rows):
     m = as_fraction_rows(rows)
     if not m:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = F1 / m[r][c]
-        if inv != 1:
-            m[r] = [x * inv for x in m[r]]
-        row_r = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                row_i = m[i]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_i[j] -= f * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return _rref(m, len(m[0]))
 
 
 def rref_with_transform(rows):
@@ -65,13 +38,15 @@ def rref_with_transform(rows):
     ncols = len(rows[0])
     aug = [list(row) + [F1 if j == i else F0 for j in range(n)]
            for i, row in enumerate(as_fraction_rows(rows))]
-    red, pivots = _rref_left_block(aug, ncols)
+    red, pivots = _rref(aug, ncols)
     reduced = [row[:ncols] for row in red]
     transform = [row[ncols:] for row in red]
     return reduced, pivots, transform
 
 
-def _rref_left_block(m, ncols):
+def _rref(m, ncols):
+    """Gauss-Jordan on m in place with pivots only in the first ncols
+    columns; later columns ride along.  Returns (nonzero rows, pivots)."""
     total = len(m[0])
     pivots = []
     r = 0
@@ -92,7 +67,8 @@ def _rref_left_block(m, ncols):
             if i != r and m[i][c]:
                 f = m[i][c]
                 row_i = m[i]
-                for j in range(total):
+                # the pivot row is zero left of column c
+                for j in range(c, total):
                     if row_r[j]:
                         row_i[j] -= f * row_r[j]
         pivots.append(c)
@@ -106,34 +82,15 @@ def rank(rows) -> int:
     return len(rref(rows)[0])
 
 
-def rank_and_kernel(rows):
+def kernel_sparse(rows):
     """Rank of the matrix and a canonical basis of {x : rows @ x = 0}.
 
     The kernel basis is the standard one read off the reduced echelon
     form: one vector per free column f, with entry 1 at f and the negated
     reduced-form entries at the pivot columns.  Vectors are ordered by
     free column, which makes the basis a canonical invariant of the row
-    space.
+    space.  Each vector is a sorted list of (index, value) pairs.
     """
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [F0] * ncols
-        v[f] = F1
-        for i, p in enumerate(pivots):
-            if red[i][f]:
-                v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
-def kernel_sparse(rows):
-    """Same kernel basis as rank_and_kernel, as lists of (index, value) pairs."""
     if not rows:
         return 0, []
     ncols = len(rows[0])

@@ -261,12 +261,8 @@ def subgroup_face_census(rep: PermRep, order: int, node_cap=10_000_000,
     a face; entries come back in canonical subgroup order."""
     if poly is None:
         poly = build_polytope(rep)
-    group = rep.group
-    if group.order % order:
-        raise ValueError("order %d does not divide the group order %d"
-                         % (order, group.order))
     entries = []
-    for sub in group.subgroups_of_order(order, node_cap=node_cap):
+    for sub in rep.group.subgroups_of_order(order, node_cap=node_cap):
         res = is_face(poly, sub.elements)
         fdim = _subset_dim(poly, sub.elements) if res.is_face else None
         entries.append(FaceCensusEntry(sub.elements, res.is_face, fdim,

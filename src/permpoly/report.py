@@ -86,9 +86,6 @@ class Report:
             "elapsed_ms": 0 if self.elapsed_ms is None else int(self.elapsed_ms),
         }
 
-    def json_text(self) -> str:
-        return canonical_json(self.payload())
-
 
 def canonical_json(payload) -> str:
     """Fixed-format serialization: parsing and re-serializing a report

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groups import FiniteGroup, GroupMap, Permutation, isomorphisms_iter
-from .linalg import (F0, F1, express_in_rowspace, kernel_sparse, rref,
+from .linalg import (F0, express_in_rowspace, kernel_sparse, rref,
                      rref_with_transform)
 
 
@@ -391,32 +391,9 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
                     dense, "kernel of the composed representation is larger")
         raise NotStablyEquivalentError((), "kernel dimensions differ")
 
-    # greedy maximal independent set of vertex matrices, canonical order
-    chosen = []
-    red = []
-    pivots = []
-    target_dim = repA.group.order - kA.dim  # dim span{M_g} = |G| - dim kernel
-    for g, v in enumerate(repA.vertices):
-        w = [Fraction(x) for x in v]
-        for row, p in zip(red, pivots):
-            if w[p]:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        p = next((j for j, x in enumerate(w) if x), None)
-        if p is None:
-            continue
-        inv = F1 / w[p]
-        if inv != 1:
-            w = [x * inv for x in w]
-        for i in range(len(red)):
-            if red[i][p]:
-                f = red[i][p]
-                red[i] = [a - f * b for a, b in zip(red[i], w)]
-        red.append(w)
-        pivots.append(p)
-        chosen.append(g)
-        if len(chosen) == target_dim:
-            break
+    # the pivot columns of the matrix whose columns are the vertices are
+    # the greedy first maximal independent set of vertex matrices
+    _, chosen = rref(list(zip(*repA.vertices)))
     basis_rows = [repA.vertices[g] for g in chosen]
     reduced, pivs, transform = rref_with_transform(basis_rows)
     emap = EquivariantMap(repA, repB, phi, chosen, reduced, pivs, transform)

@@ -55,3 +55,14 @@ def indecomposable(rep, g):
             if tuple(h) in images:
                 return False
     return True
+
+
+def first_independent(vectors):
+    """Indices of the greedy first maximal linearly independent subset:
+    keep each vector that raises the rank of those kept (rank by sympy)."""
+    chosen = []
+    for i, v in enumerate(vectors):
+        rows = [list(vectors[k]) for k in chosen] + [list(v)]
+        if sympy.Matrix(rows).rank() == len(rows):
+            chosen.append(i)
+    return chosen

@@ -96,9 +96,12 @@ def test_faces_square(tmp_path, capsys):
 
 
 def test_faces_rejects_bad_order(tmp_path, capsys):
-    assert cli.main(
-        ["faces", "--order", "5", spec_file(tmp_path, "g.json", KLEIN)]) == 2
-    assert "error:" in capsys.readouterr().err
+    path = spec_file(tmp_path, "g.json", KLEIN)
+    for order in ("5", "0", "-2"):
+        assert cli.main(["faces", "--order", order, path]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
 
 def test_lattice_square(tmp_path, capsys):

@@ -4,8 +4,7 @@ from fractions import Fraction
 import sympy
 
 from permpoly.linalg import (express_in_rowspace, is_zero_vector, kernel_sparse,
-                             mat_vec, rank, rank_and_kernel, rref,
-                             rref_with_transform)
+                             mat_vec, rank, rref, rref_with_transform)
 
 
 def rand_matrix(rng, nrows, ncols, lo=-4, hi=4):
@@ -56,14 +55,21 @@ def test_rowspace_preserved():
             assert express_in_rowspace(red, piv, row) is not None
 
 
+def dense(entries, ncols):
+    v = [Fraction(0)] * ncols
+    for idx, val in entries:
+        v[idx] = val
+    return v
+
+
 def test_kernel_annihilates_and_is_complete():
     rng = random.Random(7)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(2, 6))
-        r, basis = rank_and_kernel(m)
+        r, basis = kernel_sparse(m)
         assert r + len(basis) == len(m[0])
-        for v in basis:
-            assert is_zero_vector(mat_vec(m, v))
+        for entries in basis:
+            assert is_zero_vector(mat_vec(m, dense(entries, len(m[0]))))
         assert len(sympy.Matrix(m).nullspace()) == len(basis)
 
 
@@ -71,16 +77,21 @@ def test_kernel_sparse_matches_dense():
     rng = random.Random(9)
     for _ in range(25):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(2, 6))
-        r1, dense = rank_and_kernel(m)
-        r2, sparse = kernel_sparse(m)
-        assert r1 == r2
+        r, sparse = kernel_sparse(m)
+        assert r == sympy.Matrix(m).rank()
+        _, pivots = rref(m)
+        free = [c for c in range(len(m[0])) if c not in pivots]
         rebuilt = []
         for entries in sparse:
-            v = [Fraction(0)] * len(m[0])
-            for idx, val in entries:
-                v[idx] = val
-            rebuilt.append(tuple(v))
-        assert rebuilt == list(dense)
+            assert entries == sorted(entries)
+            rebuilt.append(dense(entries, len(m[0])))
+        # canonical: 1 at its own free column, 0 at the other free columns
+        assert [[v[c] for c in free] for v in rebuilt] == [
+            [int(c == f) for c in free] for f in free]
+        # sympy's nullspace is the same canonical basis, read off its rref
+        expected = [[Fraction(int(x.p), int(x.q)) for x in vec]
+                    for vec in sympy.Matrix(m).nullspace()]
+        assert rebuilt == expected
 
 
 def test_rref_with_transform_reconstructs():
@@ -88,6 +99,7 @@ def test_rref_with_transform_reconstructs():
     for _ in range(25):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         red, piv, t = rref_with_transform(m)
+        assert (red, piv) == rref(m)
         assert len(t) == len(red)
         for row, coeffs in zip(red, t):
             built = [sum(c * m[k][j] for k, c in enumerate(coeffs))

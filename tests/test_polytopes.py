@@ -142,6 +142,9 @@ def test_subgroup_face_census_square(klein, z4):
     assert census4[0].is_face and census4[0].face_dim == 1
     with pytest.raises(ValueError):
         subgroup_face_census(PermRep.natural(klein), 3)
+    for order in (0, -2):
+        with pytest.raises(ValueError):
+            subgroup_face_census(PermRep.natural(klein), order)
 
 
 def test_lattice_structure_klein_pair(klein_pair):

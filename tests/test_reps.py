@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import first_independent
 from permpoly.groups import FiniteGroup, GroupMap, parse_cycles
 from permpoly.linalg import express_in_rowspace
 from permpoly.reps import (
@@ -209,6 +210,23 @@ def test_build_equivariant_map(klein_pair):
     outside[0] = Fraction(1)
     with pytest.raises(ValueError):
         emap.apply(outside)
+
+
+def test_equivariant_map_basis_is_first_independent(klein_pair, z4_family, s4):
+    pairs = [(klein_pair, GroupMap.identity(klein_pair[0].group))]
+    for i, repA in enumerate(z4_family):
+        for repB in z4_family[i + 1:]:
+            phi = effectively_equivalent(repA, repB)
+            if phi is not None:
+                pairs.append(((repA, repB), phi))
+    natural = PermRep.natural(s4)
+    pairs.append(((natural, natural), GroupMap.identity(s4)))
+    assert len(pairs) == 12
+    for (repA, repB), phi in pairs:
+        emap = build_equivariant_map(repA, repB, phi)
+        assert emap.basis_elements == first_independent(repA.vertices)
+    # S4 spans 10 of 24 dimensions, so the choice is a proper subset
+    assert len(emap.basis_elements) == 10
 
 
 def test_equivariant_map_rejects_unequal_kernels(s3):
