@@ -20,8 +20,8 @@ from .groups import (CycleParseError, FiniteGroup, SizeCapError,
 from .polytopes import (build_polytope, lattice_structure, shape_descriptor,
                         subgroup_face_census)
 from .report import canonical_json
-from .reps import (PermRep, compose_with_map, effectively_equivalent,
-                   stably_equivalent_by_kernel)
+from .reps import (MAX_VERTEX_ENTRIES, PermRep, compose_with_map,
+                   effectively_equivalent, stably_equivalent_by_kernel)
 from .scenarios import SCENARIOS, run_scenario
 
 DEFAULT_CAP = 1000
@@ -73,6 +73,11 @@ def _group_from_spec(doc, cap: int, where: str) -> FiniteGroup:
     degree = doc.get("degree")
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise InputError("%s: degree must be a positive integer" % where)
+    if degree * degree > MAX_VERTEX_ENTRIES:
+        raise SizeCapError("%s: degree %d needs %d entries per vertex, over "
+                           "the cap of %d vertex entries"
+                           % (where, degree, degree * degree,
+                              MAX_VERTEX_ENTRIES))
     gens = doc.get("generators")
     if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
         raise InputError("%s: generators must be a list of cycle strings"

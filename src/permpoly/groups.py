@@ -2,10 +2,18 @@
 
 Groups are stored as the full element list in a canonical order (BFS
 layers from the identity under right multiplication by the generators,
-each layer sorted lexicographically by image tuple), with an eagerly
-built multiplication table over element indices.  Everything downstream
-(classes, subgroups, coset actions, isomorphism search) works on the
-table, so results are deterministic for a fixed input.
+each layer sorted lexicographically by image tuple).  Each group keeps
+one BFS spanning tree of its Cayley graph over the stored generators
+(every element's parent and generator position) and the generator
+columns x -> x*s.  The multiplication table is filled along that tree
+from the columns.  Everything downstream (classes, subgroups, coset
+actions, isomorphism search) works on the table, so results are
+deterministic for a fixed input.
+
+A map defined on a group is proved a homomorphism on generator edges
+only: if f(x*s) = f(x)*f(s) for every element x and every stored
+generator s, induction on word length gives f(x*y) = f(x)*f(y) for all
+x and y.
 
 Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 """
@@ -184,7 +192,12 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 
 class FiniteGroup:
-    """An element-complete permutation group with a multiplication table."""
+    """An element-complete permutation group with a multiplication table.
+
+    tree lists (element, parent, generator position) in BFS order from
+    the identity, each element being parent * gens[position];
+    gen_columns[k][x] is the index of x * gens[k].
+    """
 
     def __init__(self, degree, elements, gen_indices, label=None):
         self.degree = degree
@@ -195,11 +208,36 @@ class FiniteGroup:
             raise ValueError("element 0 must be the identity")
         self.gens = tuple(gen_indices)
         n = len(self.elements)
-        imgs = [p.images for p in self.elements]
         idx = self._index
-        table = []
-        for p in imgs:
-            table.append([idx[tuple(map(p.__getitem__, q))] for q in imgs])
+        columns = []
+        for s in self.gens:
+            q = self.elements[s].images
+            columns.append([idx[tuple(map(p.images.__getitem__, q))]
+                            for p in self.elements])
+        self.gen_columns = tuple(columns)
+        seen = bytearray(n)
+        seen[0] = 1
+        tree = []
+        order = [0]
+        for x in order:
+            for pos, col in enumerate(columns):
+                y = col[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    order.append(y)
+                    tree.append((y, x, pos))
+        if len(order) != n:
+            raise ValueError("the stored generators reach %d of %d elements"
+                             % (len(order), n))
+        self.tree = tuple(tree)
+        # column y of the table is x -> x*y; column y*s is column y
+        # followed by the generator column of s
+        cols = [None] * n
+        cols[0] = list(range(n))
+        for y, x, pos in tree:
+            col = columns[pos]
+            cols[y] = [col[c] for c in cols[x]]
+        table = [list(row) for row in zip(*cols)]
         self.table = table
         self.inverse = [row.index(0) for row in table]
         orders = [1] * n
@@ -611,16 +649,8 @@ class GroupMap:
         return GroupMap(self.target, self.source, out)
 
     def validate(self) -> bool:
-        """Exhaustive homomorphism check over all pairs."""
-        t1, t2 = self.source.table, self.target.table
-        im = self.images
-        n = self.source.order
-        for a in range(n):
-            ra, rb = t1[a], t2[im[a]]
-            for b in range(n):
-                if im[ra[b]] != rb[im[b]]:
-                    return False
-        return True
+        """Homomorphism check on the source's generator edges."""
+        return _respects_generators(self.source, self.target, self.images)
 
     def __eq__(self, other):
         return (isinstance(other, GroupMap) and other.source is self.source
@@ -633,42 +663,40 @@ class GroupMap:
         return "<GroupMap on %d elements>" % len(self.images)
 
 
-def _hom_from_gen_images(g1: FiniteGroup, gens, g2: FiniteGroup, imgs):
-    """Extend gens -> imgs to a homomorphism, or None on inconsistency.
+def _respects_generators(g1: FiniteGroup, g2: FiniteGroup, f) -> bool:
+    """Does f(x*s) = f(x)*f(s) hold for every x in g1 and every stored
+    generator s?  That makes f a homomorphism, by induction on word
+    length; each generator edge is one whole-column comparison."""
+    t2 = g2.table
+    for s, col in zip(g1.gens, g1.gen_columns):
+        fs = f[s]
+        if [f[c] for c in col] != [t2[y][fs] for y in f]:
+            return False
+    return True
 
-    BFS over the Cayley graph checks the defining edges exhaustively, so
-    a returned image array is a genuine homomorphism.
+
+def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
+    """Extend g1.gens -> imgs to a homomorphism, or None on inconsistency.
+
+    The images are filled in along g1's spanning tree and then proved
+    on every generator edge, so a returned image array is a genuine
+    homomorphism.
     """
-    t1, t2 = g1.table, g2.table
-    known = [-1] * g1.order
-    known[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = known[x]
-            r1, r2 = t1[x], t2[fx]
-            for a, b in zip(gens, imgs):
-                y = r1[a]
-                w = r2[b]
-                if known[y] < 0:
-                    known[y] = w
-                    nxt.append(y)
-                elif known[y] != w:
-                    return None
-        frontier = nxt
-    if any(v < 0 for v in known):
-        return None  # gens do not generate g1
-    return known
+    t2 = g2.table
+    f = [0] * g1.order
+    for y, x, pos in g1.tree:
+        f[y] = t2[f[x]][imgs[pos]]
+    return f if _respects_generators(g1, g2, f) else None
 
 
 def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CAP):
     """Yield all isomorphisms g1 -> g2 in a canonical order.
 
     Backtracking over generator images, candidates filtered by element
-    order and conjugacy-class size, leaves verified by exhaustive
-    homomorphism extension.  Deterministic: generators in stored order,
-    candidate images in ascending element index.
+    order and conjugacy-class size; each leaf is extended along g1's
+    spanning tree and proved a homomorphism on the generator edges.
+    Deterministic: generators in stored order, candidate images in
+    ascending element index.
     """
     if g1.order != g2.order:
         return
@@ -692,7 +720,7 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     def descend(depth):
         nonlocal nodes
         if depth == len(gens):
-            hom = _hom_from_gen_images(g1, gens, g2, chosen)
+            hom = _hom_from_gen_images(g1, g2, chosen)
             if hom is not None and len(set(hom)) == g2.order:
                 yield GroupMap(g1, g2, hom)
             return
@@ -701,14 +729,11 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
             nodes += 1
             if nodes > node_cap:
                 raise SizeCapError("isomorphism search exceeded %d nodes" % node_cap)
+            # ab and ba are conjugate, so one order comparison per
+            # earlier generator suffices
             ok = True
             for j in range(depth):
-                b = gens[j]
-                x = chosen[j]
-                if g1.orders[t1[b][a]] != g2.orders[t2[x][y]]:
-                    ok = False
-                    break
-                if g1.orders[t1[a][b]] != g2.orders[t2[y][x]]:
+                if g1.orders[t1[gens[j]][a]] != g2.orders[t2[chosen[j]][y]]:
                     ok = False
                     break
             if not ok:
@@ -725,7 +750,7 @@ def generator_correspondence(g1: FiniteGroup, g2: FiniteGroup):
     to an isomorphism."""
     if len(g1.gens) != len(g2.gens) or g1.order != g2.order:
         return None
-    images = _hom_from_gen_images(g1, g1.gens, g2, list(g2.gens))
+    images = _hom_from_gen_images(g1, g2, g2.gens)
     if images is None:
         return None
     phi = GroupMap(g1, g2, images)

@@ -16,9 +16,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import FiniteGroup, GroupMap, Permutation, isomorphisms_iter
+from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
+                     isomorphisms_iter)
 from .linalg import (F0, express_in_rowspace, kernel_sparse, rref,
                      rref_with_transform)
+
+
+# bound on |G| * degree^2, the entries of all vertices together; checked
+# before anything of that size is allocated
+MAX_VERTEX_ENTRIES = 10_000_000
 
 
 class NotFaithfulError(ValueError):
@@ -49,6 +55,12 @@ class PermRep:
         self.degree = self.action[0].degree
         if any(p.degree != self.degree for p in self.action):
             raise ValueError("action images have mixed degrees")
+        entries = group.order * self.degree ** 2
+        if entries > MAX_VERTEX_ENTRIES:
+            raise SizeCapError(
+                "%d vertices of degree %d need %d entries, over the cap of "
+                "%d vertex entries"
+                % (group.order, self.degree, entries, MAX_VERTEX_ENTRIES))
         if check:
             self._validate()
         n = self.degree
@@ -63,21 +75,22 @@ class PermRep:
         self._diff = None
 
     def _validate(self):
-        table = self.group.table
+        """The action must respect every generator edge,
+        act[a*s] = act[a]*act[s], which makes it a homomorphism, and
+        must be faithful."""
+        group = self.group
         act = self.action
-        n = self.group.order
+        for s, col in zip(group.gens, group.gen_columns):
+            ps = act[s].images
+            for a, y in enumerate(col):
+                if act[y].images != tuple(map(act[a].images.__getitem__, ps)):
+                    raise ValueError(
+                        "images are inconsistent at element %d times "
+                        "generator %d" % (a, s))
         ident = Permutation.identity(self.degree)
-        kernel = tuple(g for g in range(n) if act[g] == ident)
+        kernel = tuple(g for g in range(group.order) if act[g] == ident)
         if len(kernel) != 1:
             raise NotFaithfulError(kernel)
-        for a in range(n):
-            row = table[a]
-            pa = act[a]
-            for b in range(n):
-                if act[row[b]].images != (pa * act[b]).images:
-                    raise ValueError(
-                        "images do not define a homomorphism at pair (%d, %d)"
-                        % (a, b))
 
     @classmethod
     def natural(cls, group: FiniteGroup) -> "PermRep":
@@ -86,29 +99,21 @@ class PermRep:
 
     @classmethod
     def from_generator_images(cls, group: FiniteGroup, images) -> "PermRep":
-        """Extend generator images to the whole group, checking consistency."""
+        """Extend generator images along the group's spanning tree; the
+        constructor then checks consistency on the generator edges."""
         images = list(images)
         if len(images) != len(group.gens):
             raise ValueError("need one image per generator")
-        deg = images[0].degree
-        table = group.table
         act = [None] * group.order
-        act[0] = Permutation.identity(deg)
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                fx = act[x]
-                for a, b in zip(group.gens, images):
-                    y = table[x][a]
-                    w = fx * b
-                    if act[y] is None:
-                        act[y] = w
-                        nxt.append(y)
-                    elif act[y].images != w.images:
-                        raise ValueError(
-                            "generator images are inconsistent at element %d" % y)
-            frontier = nxt
+        act[0] = Permutation.identity(images[0].degree)
+        for y, x, pos in group.tree:
+            act[y] = act[x] * images[pos]
+        # the tree reaches each generator through its own image, except
+        # the trivial group's generator, the identity
+        for s, b in zip(group.gens, images):
+            if act[s] != b:
+                raise ValueError(
+                    "generator images are inconsistent at element %d" % s)
         return cls(group, act)
 
     @classmethod
@@ -403,10 +408,12 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
         if emap.apply(repA.vertices[g]) != tuple(
                 Fraction(x) for x in repB.vertices[phi.images[g]]):
             raise RuntimeError("vertex image mismatch despite equal kernels")
-    # exhaustive equivariance on basis vectors: map(h . u) == phi(h) . map(u)
+    # equivariance on basis vectors, map(h . u) == phi(h) . map(u), for
+    # generators h: the span is closed under left multiplication, so
+    # equivariance for generators gives it for every product of them
     nB = repB.degree
     tableA = repA.group.table
-    for h in range(repA.group.order):
+    for h in repA.group.gens:
         act_h = repB.action[phi.images[h]]
         hinv = act_h.inverse().images
         for g in chosen:

@@ -228,9 +228,13 @@ def scenario_main_example(cap=DEFAULT_ORDER_CAP, node_cap=DEFAULT_NODE_CAP):
               stably_equivalent_by_characters(rep1, rep2, table))
     autos = isomorphisms(g, g, node_cap=node_cap)
     rep.check("automorphism-count", 384, len(autos))
-    composed = {phi.compose(psi).images for phi in autos for psi in autos}
+    # an automorphism is determined by its generator images, so the
+    # closure is compared on those
+    gen_images = [tuple(phi.images[s] for s in g.gens) for phi in autos]
+    composed = {tuple(phi.images[t] for t in tup)
+                for phi in autos for tup in gen_images}
     rep.check("automorphisms-closed-under-composition", True,
-              composed == {phi.images for phi in autos})
+              composed == set(gen_images))
     rep.check("effective-witness", None,
               effectively_equivalent(rep1, rep2, node_cap=node_cap))
     return rep

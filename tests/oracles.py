@@ -66,3 +66,58 @@ def first_independent(vectors):
         if sympy.Matrix(rows).rank() == len(rows):
             chosen.append(i)
     return chosen
+
+
+def all_pairs_table(group):
+    """The multiplication table from all |G|^2 permutation products."""
+    index = {p.images: i for i, p in enumerate(group.elements)}
+    return [[index[(p * q).images] for q in group.elements]
+            for p in group.elements]
+
+
+def is_homomorphism_all_pairs(group, images):
+    """Does images[a*b] == images[a] * images[b] hold on all pairs?
+
+    images holds one permutation per element of group; a*b is found
+    from the permutation product, not from the group's table."""
+    index = {p.images: i for i, p in enumerate(group.elements)}
+    for a, pa in enumerate(group.elements):
+        for b, pb in enumerate(group.elements):
+            if images[index[(pa * pb).images]] != images[a] * images[b]:
+                return False
+    return True
+
+
+def brute_force_isomorphisms(g1, g2):
+    """Image arrays of all isomorphisms g1 -> g2, by brute force.
+
+    Every tuple of generator images is tried in lexicographic order; the
+    map it defines on words (one BFS word per element, built from
+    permutation products) is kept when it is bijective and passes the
+    all-pairs homomorphism check."""
+    ident = g1.elements[0]
+    gens = [g1.elements[s] for s in g1.gens]
+    words = {ident.images: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for pos, s in enumerate(gens):
+                q = p * s
+                if q.images not in words:
+                    words[q.images] = words[p.images] + (pos,)
+                    nxt.append(q)
+        frontier = nxt
+    order = [words[p.images] for p in g1.elements]
+    out = []
+    for imgs in itertools.product(range(g2.order), repeat=len(gens)):
+        perms = []
+        for word in order:
+            p = g2.elements[0]
+            for pos in word:
+                p = p * g2.elements[imgs[pos]]
+            perms.append(p)
+        if (len(set(perms)) == g2.order
+                and is_homomorphism_all_pairs(g1, perms)):
+            out.append(tuple(g2.element_index(p) for p in perms))
+    return out

@@ -178,6 +178,35 @@ def test_bad_spec_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oversize_degree_is_capped_before_allocation(tmp_path, capsys,
+                                                    monkeypatch):
+    import permpoly.groups
+
+    def no_parsing(text, degree):
+        raise AssertionError("parsed a degree-%d permutation" % degree)
+
+    # parsing is where a degree-n spec first allocates n entries, so the
+    # cap must be decided before it
+    monkeypatch.setattr(permpoly.groups, "parse_cycles", no_parsing)
+    for degree in (20000, 10 ** 9):
+        spec = spec_file(tmp_path, "big.json",
+                         {"degree": degree, "generators": ["(1 2)"]})
+        assert cli.main(["dim", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap" in err
+        assert "Traceback" not in err and "internal error" not in err
+
+
+def test_vertex_storage_is_capped(tmp_path, capsys):
+    # degree 3000 passes the per-vertex bound, but two vertices of
+    # 3000^2 entries do not
+    spec = spec_file(tmp_path, "wide.json",
+                     {"degree": 3000, "generators": ["(1 2)"]})
+    assert cli.main(["dim", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap" in err
+
+
 def test_cap_resolution(tmp_path, capsys, monkeypatch):
     spec = spec_file(tmp_path, "g.json", KLEIN)
     monkeypatch.setenv("PPT_CAP", "2")

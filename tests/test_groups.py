@@ -4,6 +4,8 @@ import pytest
 from sympy.combinatorics import Permutation as SPerm
 from sympy.combinatorics import PermutationGroup
 
+from oracles import (all_pairs_table, brute_force_isomorphisms,
+                     is_homomorphism_all_pairs)
 from permpoly.groups import (
     CycleParseError,
     FiniteGroup,
@@ -237,6 +239,75 @@ def test_generator_correspondence(z4, klein, s3):
     assert generator_correspondence(s3, s3) is not None
 
 
+def test_generator_correspondence_needs_a_homomorphism(klein):
+    # (1 2) -> (1 2 3 4), (3 4) -> (1 3)(2 4) fills in bijectively along
+    # the spanning tree, but (1 2)^2 = id while (1 2 3 4)^2 is not
+    z4 = FiniteGroup.from_cycle_strings(["(1 2 3 4)", "(1 3)(2 4)"], 4)
+    assert len(z4.gens) == 2
+    assert generator_correspondence(klein, z4) is None
+
+
 def test_order_cap():
     with pytest.raises(SizeCapError):
         FiniteGroup.from_cycle_strings(["(1 2 3 4 5)", "(3 4 5)"], 5, cap=30)
+
+
+def corpus_extras():
+    return [FiniteGroup.from_cycle_strings(gens, degree, label=label)
+            for gens, degree, label in (
+                (["(1 2 3 4 5)", "(1 2)"], 5, "s5"),
+                (["(1 2 3 4 5)", "(4 5 6)"], 6, "a6"),
+                (["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11, "g48"))]
+
+
+def test_table_matches_all_pairs_oracle(klein, z4, s3, s4, a4, d4, d6, q8, a5):
+    for group in [klein, z4, s3, s4, a4, d4, d6, q8, a5] + corpus_extras():
+        assert group.table == all_pairs_table(group), group.label
+
+
+def test_spanning_tree(s4, q8, a5):
+    for group in (s4, q8, a5):
+        n = group.order
+        for s, col in zip(group.gens, group.gen_columns):
+            assert col == [group.mult(x, s) for x in range(n)]
+        children = [y for y, _, _ in group.tree]
+        assert sorted(children) == list(range(1, n))
+        placed = {0}
+        for y, x, pos in group.tree:
+            assert x in placed  # parents come before their children
+            assert group.mult(x, group.gens[pos]) == y
+            placed.add(y)
+
+
+def test_generators_must_reach_every_element(s3):
+    transposition = next(i for i in range(6) if s3.orders[i] == 2)
+    with pytest.raises(ValueError, match="reach"):
+        FiniteGroup(3, s3.elements, [transposition])
+
+
+def test_isomorphisms_match_brute_force(s3, s4, d6, q8, a4, klein):
+    for group in (s3, s4, d6, q8, a4, klein):
+        found = [phi.images for phi in isomorphisms(group, group)]
+        assert found == brute_force_isomorphisms(group, group), group.label
+
+
+def swapped(images, i, j):
+    out = list(images)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+def test_group_map_validate_matches_oracle_on_swaps(s3, q8, a4, klein):
+    verdicts = set()
+    for group in (s3, q8, a4, klein):
+        for phi in automorphisms(group)[:2]:
+            n = group.order
+            for i in range(n):
+                for j in range(i + 1, n):
+                    images = swapped(phi.images, i, j)
+                    expected = is_homomorphism_all_pairs(
+                        group, [group.elements[k] for k in images])
+                    assert GroupMap(group, group, images).validate() \
+                        == expected
+                    verdicts.add(expected)
+    assert verdicts == {True, False}

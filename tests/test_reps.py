@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import first_independent
-from permpoly.groups import FiniteGroup, GroupMap, parse_cycles
+from oracles import first_independent, is_homomorphism_all_pairs
+from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
+                             parse_cycles)
 from permpoly.linalg import express_in_rowspace
 from permpoly.reps import (
+    MAX_VERTEX_ENTRIES,
     NotFaithfulError,
     NotStablyEquivalentError,
     PermRep,
@@ -73,6 +75,45 @@ def test_generator_images_inconsistent(klein):
     images = [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)(2 4)", 4)]
     with pytest.raises(ValueError, match="inconsistent"):
         PermRep.from_generator_images(klein, images)
+
+
+def test_validate_matches_oracle_on_swaps(s3, q8, a4, klein, klein_pair):
+    verdicts = set()
+    for rep in (PermRep.natural(s3), regular(s3), PermRep.natural(q8),
+                PermRep.natural(a4), PermRep.natural(klein), klein_pair[1]):
+        n = rep.group.order
+        ident = Permutation.identity(rep.degree)
+        for i in range(n):
+            for j in range(i + 1, n):
+                action = list(rep.action)
+                action[i], action[j] = action[j], action[i]
+                expected = (is_homomorphism_all_pairs(rep.group, action)
+                            and action.count(ident) == 1)
+                try:
+                    PermRep(rep.group, action)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_trivial_group_generator_image():
+    trivial = FiniteGroup.generate([], degree=2)
+    rep = PermRep.from_generator_images(trivial, [parse_cycles("id", 2)])
+    assert rep.action == (Permutation.identity(2),)
+    with pytest.raises(ValueError, match="inconsistent"):
+        PermRep.from_generator_images(trivial, [parse_cycles("(1 2)", 2)])
+
+
+def test_vertex_entry_cap(z4):
+    # 4 * 1582^2 is just over the cap; the check precedes the vertices
+    degree = 1582
+    assert z4.order * degree ** 2 > MAX_VERTEX_ENTRIES
+    with pytest.raises(SizeCapError):
+        PermRep.from_generator_images(
+            z4, [parse_cycles("(1 2 3 4)", degree)])
 
 
 def test_orbit_count(s3, klein):
