@@ -54,6 +54,7 @@ class CharacterTable:
         self.values = tuple([first] + rows)
         self.degrees = tuple(self._row_degree(row) for row in self.values)
         self._indicators = None
+        self._reals = None
 
     @staticmethod
     def _row_degree(row) -> int:
@@ -543,7 +544,12 @@ class RealIrreducible:
 
 
 def real_irreducibles(table: CharacterTable):
-    """Real irreducible characters, canonically ordered (trivial first)."""
+    """Real irreducible characters, canonically ordered (trivial first).
+
+    Computed once per table and stored on it.
+    """
+    if table._reals is not None:
+        return table._reals
     r = table.count
     used = [False] * r
     items = []
@@ -572,7 +578,8 @@ def real_irreducibles(table: CharacterTable):
     trivial = next(k for k, it in enumerate(items) if it.is_trivial)
     first = items.pop(trivial)
     items.sort(key=lambda it: (it.degree, tuple(v.key() for v in it.values)))
-    return tuple([first] + items)
+    table._reals = tuple([first] + items)
+    return table._reals
 
 
 class Constituents:

@@ -59,7 +59,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc.strerror or exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable UTF-8, integers past Python's
+        # digit limit and too deeply nested arrays
         raise InputError("%s is not valid JSON: %s" % (path, exc))
 
 

@@ -122,13 +122,16 @@ class Permutation:
         return "Permutation(%r)" % (list(self.images),)
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation: "id", "()", or a product of cycles.
 
     Cycles are parenthesized runs of whitespace-separated 1-based
-    integers, e.g. "(1 2 3 4)(5 6)".  A point may appear at most once in
-    the whole expression; out-of-range and malformed input raise
-    CycleParseError with the offending position.
+    integers in ASCII digits, e.g. "(1 2 3 4)(5 6)".  A point may appear
+    at most once in the whole expression; out-of-range and malformed
+    input raise CycleParseError with the offending position.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -160,12 +163,18 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         i = skip_ws(i + 1)
         points = []
         while i < n and text[i] != ")":
-            if not text[i].isdigit():
+            if text[i] not in _DIGITS:
                 raise CycleParseError("expected integer or ')'", i)
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
-            val = int(text[start:i])
+            # a run with more significant digits than the degree is out
+            # of range; rejecting it here keeps int() off long input
+            digits = text[start:i].lstrip("0")
+            if len(digits) > len(str(degree)):
+                raise CycleParseError(
+                    "point out of range 1..%d" % degree, start)
+            val = int(digits or "0")
             if val < 1 or val > degree:
                 raise CycleParseError(
                     "point %d out of range 1..%d" % (val, degree), start)

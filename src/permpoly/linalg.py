@@ -1,21 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense lists of rows, entries fractions.Fraction (ints are
-coerced).  Everything here is deterministic: row echelon forms pick the
-first usable pivot, kernels are emitted in ascending free-column order,
-so equal subspaces always produce identical bases.
+Matrices are dense lists of rows with int or fractions.Fraction entries.
+Row reduction runs fraction-free on primitive integer rows and emits
+Fractions only at the end; every result entry is a Fraction.  Everything
+here is deterministic: row echelon forms pick the first usable pivot,
+kernels are emitted in ascending free-column order, so equal subspaces
+always produce identical bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def as_fraction_rows(rows):
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
 
 
 def rref(rows):
@@ -24,10 +23,9 @@ def rref(rows):
     Returns (reduced_rows, pivot_columns); zero rows are dropped, pivot
     entries are 1 and are the only nonzero entries in their columns.
     """
-    m = as_fraction_rows(rows)
-    if not m:
+    if not rows:
         return [], []
-    return _rref(m, len(m[0]))
+    return _rref(rows, len(rows[0]))
 
 
 def rref_with_transform(rows):
@@ -36,17 +34,39 @@ def rref_with_transform(rows):
     if n == 0:
         return [], [], []
     ncols = len(rows[0])
-    aug = [list(row) + [F1 if j == i else F0 for j in range(n)]
-           for i, row in enumerate(as_fraction_rows(rows))]
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
+           for i, row in enumerate(rows)]
     red, pivots = _rref(aug, ncols)
     reduced = [row[:ncols] for row in red]
     transform = [row[ncols:] for row in red]
     return reduced, pivots, transform
 
 
-def _rref(m, ncols):
-    """Gauss-Jordan on m in place with pivots only in the first ncols
-    columns; later columns ride along.  Returns (nonzero rows, pivots)."""
+def _integer_row(row):
+    """row (ints and Fractions) scaled by the lcm of its denominators."""
+    scale = 1
+    for x in row:
+        if x.denominator != 1:
+            scale = lcm(scale, x.denominator)
+    if scale == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _rref(rows, ncols):
+    """Gauss-Jordan with pivots only in the first ncols columns; later
+    columns ride along.  Returns (nonzero rows as Fractions, pivots).
+
+    The caller's rows are left alone.  Each row is scaled to integers
+    and elimination is fraction-free, as in Bareiss (Math. Comp. 1968),
+    but kept small by gcds instead of his exact divisions: with pivot p
+    and entry a = row_i[c], g = gcd(p, a), row_i becomes
+    (p/g)*row_i - (a/g)*row_r, and a row scaled by p/g != 1 is divided
+    by its content.  Each final row is a nonzero multiple of its row in
+    the rational reduced form, which is unique, so dividing by the
+    pivot gives exactly that form.
+    """
+    m = [_integer_row(row) for row in rows]
     total = len(m[0])
     pivots = []
     r = 0
@@ -59,23 +79,34 @@ def _rref(m, ncols):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = F1 / m[r][c]
-        if inv != 1:
-            m[r] = [x * inv for x in m[r]]
         row_r = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                row_i = m[i]
-                # the pivot row is zero left of column c
-                for j in range(c, total):
-                    if row_r[j]:
-                        row_i[j] -= f * row_r[j]
+        p = row_r[c]
+        # the pivot row is zero left of column c
+        support = [(j, row_r[j]) for j in range(c, total) if row_r[j]]
+        for i, row_i in enumerate(m):
+            a = row_i[c]
+            if not a or i == r:
+                continue
+            g = gcd(p, a)
+            pg, ag = p // g, a // g
+            if pg != 1:
+                row_i = [x * pg for x in row_i]
+            for j, x in support:
+                row_i[j] -= ag * x
+            if pg != 1:
+                content = gcd(*row_i)
+                if content > 1:
+                    row_i = [x // content for x in row_i]
+                m[i] = row_i
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        out.append([Fraction(x, p) if x else F0 for x in row])
+    return out, pivots
 
 
 def rank(rows) -> int:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used by the test suite only."""
 
 import itertools
+from fractions import Fraction
 
 import sympy
 
@@ -55,6 +56,66 @@ def indecomposable(rep, g):
             if tuple(h) in images:
                 return False
     return True
+
+
+def fraction_rref(rows, ncols=None):
+    """Reference Gauss-Jordan in Fraction arithmetic: pivots only in the
+    first ncols columns (default all), the first nonzero entry at or
+    below the current row as pivot, each pivot row divided by its pivot
+    before it clears its column.  Returns (nonzero rows, pivots)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    total = len(m[0])
+    ncols = total if ncols is None else ncols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        if inv != 1:
+            m[r] = [x * inv for x in m[r]]
+        row_r = m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                row_i = m[i]
+                for j in range(c, total):
+                    if row_r[j]:
+                        row_i[j] -= f * row_r[j]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def fraction_rref_with_transform(rows):
+    """fraction_rref on [A | I], split into (reduced, pivots, transform)."""
+    if not rows:
+        return [], [], []
+    ncols = len(rows[0])
+    aug = [list(row) + [int(j == i) for j in range(len(rows))]
+           for i, row in enumerate(rows)]
+    red, pivots = fraction_rref(aug, ncols)
+    return [r[:ncols] for r in red], pivots, [r[ncols:] for r in red]
+
+
+def fraction_kernel(reduced, pivots, ncols):
+    """Rank and the kernel basis read off a reduced form: per free column
+    f, 1 at f and the negated reduced entries at the pivots, as sorted
+    (index, value) pairs."""
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            entries = [(f, Fraction(1))] + [(p, -reduced[i][f])
+                                            for i, p in enumerate(pivots)
+                                            if reduced[i][f]]
+            basis.append(sorted(entries))
+    return len(pivots), basis
 
 
 def first_independent(vectors):

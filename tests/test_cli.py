@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -164,6 +165,12 @@ def test_bad_spec_files(tmp_path, capsys):
         {"degree": 4, "generators": ["(1 2)"], "extra": 1},
         {"degree": 4, "generators": ["(1 2)"], "label": 7},
         ["not", "an", "object"],
+        # only ASCII digits are points: a superscript two is no integer,
+        # and a fullwidth one must not be read as 1
+        {"degree": 4, "generators": ["(1 \u00b2)"]},
+        {"degree": 4, "generators": ["(\uff11 2)"]},
+        # out of range without converting 5,000 digits
+        {"degree": 4, "generators": ["(1 " + "9" * 5000 + ")"]},
     ]
     for i, doc in enumerate(cases):
         path = spec_file(tmp_path, "bad%d.json" % i, doc)
@@ -218,6 +225,130 @@ def test_cap_resolution(tmp_path, capsys, monkeypatch):
     assert cli.main(["dim", "--cap", "0", spec]) == 2
     assert cli.main(["dim", spec]) == 0
     capsys.readouterr()
+
+
+# characters parse_cycles rejects everywhere in a cycle string (never
+# "i" or "d", which could start "id"); some are digits outside ASCII
+FOREIGN = "x-+.,;/[]{}\u00b2\uff11\u0663\u00bd\u00e9\u2070"
+
+
+def bad_cycle_string(rng, degree):
+    """A cycle string parse_cycles must reject: a valid product of cycles
+    on points 1..degree with one defect put in."""
+    points = [str(p) for p in rng.sample(range(1, degree + 1), degree)]
+    cycles = []
+    while len(points) >= 2:
+        k = rng.randint(2, len(points))
+        cycles.append(points[:k])
+        points = points[k:]
+    kind = rng.randrange(7)
+    if kind == 0:  # a point out of range, possibly thousands of digits
+        i = rng.randrange(len(cycles))
+        j = rng.randrange(len(cycles[i]))
+        cycles[i][j] = rng.choice(
+            ["0", "00", str(degree + rng.randint(1, 50)),
+             "0" * rng.randint(1, 9) + str(degree + 1),
+             "9" * rng.randint(5, 6000)])
+    elif kind == 1:  # a point repeated as a one-cycle
+        cycles.append([rng.choice(cycles[0])])
+    text = "".join("(" + " ".join(c) + ")" for c in cycles)
+    if kind == 2:  # a foreign character anywhere
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(FOREIGN) + text[i:]
+    elif kind in (3, 4):  # one parenthesis dropped
+        ch = "()"[kind - 3]
+        i = rng.choice([k for k, c in enumerate(text) if c == ch])
+        text = text[:i] + text[i + 1:]
+    elif kind == 5:  # an empty cycle next to a nonempty one
+        i = rng.choice([k for k, c in enumerate(text) if c == "("])
+        text = text[:i] + "()" + text[i:]
+    elif kind == 6:  # nothing but whitespace
+        text = rng.choice(["", " ", "\t", "  \n "])
+    return text
+
+
+def bad_spec(rng):
+    """A group spec document _group_from_spec must reject."""
+    degree = rng.randint(2, 8)
+    good = ["(1 2)"]
+    kind = rng.randrange(5)
+    if kind == 0:
+        gens = good + [bad_cycle_string(rng, degree)]
+        rng.shuffle(gens)
+        return {"degree": degree, "generators": gens}
+    if kind == 1:
+        return {"degree": rng.choice(
+                    ["4", 4.0, 4.5, None, [4], {"n": 4}, True, False, 0,
+                     -rng.randint(1, 10)]),
+                "generators": good}
+    if kind == 2:
+        return {"degree": degree, "generators": rng.choice(
+            ["(1 2)", None, 7, {"a": "(1 2)"}, [1, 2], good + [None],
+             [good], [True]])}
+    if kind == 3:
+        doc = {"degree": degree, "generators": good}
+        doc[rng.choice(["label", "extra", "Degree", "generator"])] = \
+            rng.choice([7, ["x"], {"x": 1}, True])
+        if "label" in doc and rng.random() < 0.5:
+            del doc["degree"]  # a required field missing
+        return doc
+    return rng.choice([["not", "an", "object"], "(1 2)", 4, None, {}])
+
+
+def test_cli_fuzz_rejects_bad_input(tmp_path, capsys, monkeypatch):
+    """Seeded malformed specs, pair files and caps: each exits 2 with an
+    error line and never reaches the internal-error handler."""
+    import permpoly.groups
+
+    rng = random.Random(20261018)
+    path = tmp_path / "input.json"
+
+    def expect_input_error(argv):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), (argv, err)
+        assert "Traceback" not in err and "internal error" not in err
+
+    def run(command, doc, *flags):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        expect_input_error(command + list(flags) + [str(path)])
+
+    spec_commands = [["dim"], ["chartable"], ["lattice"],
+                     ["faces", "--order", "2"]]
+    for _ in range(200):
+        run(rng.choice(spec_commands), bad_spec(rng))
+    # pair files: a bad member, or keys other than first and second
+    for _ in range(60):
+        command = [rng.choice(["stable", "effective"])]
+        good = {"degree": 4, "generators": ["(1 2)"]}
+        kind = rng.randrange(3)
+        if kind == 0:
+            pair = {"first": good, "second": bad_spec(rng)}
+            if rng.random() < 0.5:
+                pair = {"first": pair["second"], "second": good}
+        elif kind == 1:
+            pair = rng.choice([{}, {"first": good}, {"second": good},
+                               {"first": good, "second": good, "third": 1},
+                               {"first": good, "Second": good}])
+        else:
+            pair = rng.choice([[good, good], "pair", None, 2])
+        run(command, pair)
+    # files that are no JSON document at all
+    for raw in (b"", b"{not json", b'{"degree": 4', b"\xff\xfe{}",
+                b"[" * 100000, b'{"degree": ' + b"9" * 5000 + b"}"):
+        path.write_bytes(raw)
+        expect_input_error(["dim", str(path)])
+    # an order over the cap: the closure stops at the cap
+    s5 = {"degree": 5, "generators": ["(1 2 3 4 5)", "(1 2)"]}
+    for _ in range(10):
+        run(["dim"], s5, "--cap", str(rng.choice([rng.randint(1, 119), 0,
+                                                  -rng.randint(1, 9)])))
+    # a degree over the vertex-entry cap, decided before any parsing
+    monkeypatch.setattr(permpoly.groups, "parse_cycles", None)
+    for _ in range(10):
+        degree = rng.choice([3163, rng.randint(3163, 10 ** 6),
+                             10 ** rng.randint(7, 40)])
+        run(["dim"], {"degree": degree, "generators": ["(1 2)"]})
 
 
 def test_missing_subcommand_is_a_usage_error():

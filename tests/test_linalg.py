@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import sympy
+from oracles import (fraction_kernel, fraction_rref,
+                     fraction_rref_with_transform)
 
+from permpoly import FiniteGroup, PermRep
 from permpoly.linalg import (express_in_rowspace, is_zero_vector, kernel_sparse,
                              mat_vec, rank, rref, rref_with_transform)
 
@@ -111,3 +114,76 @@ def test_express_in_rowspace_rejects_outside():
     red, piv = rref([[1, 0, 0], [0, 1, 0]])
     assert express_in_rowspace(red, piv, [2, 3, 0]) == [2, 3]
     assert express_in_rowspace(red, piv, [0, 0, 1]) is None
+
+
+def oracle_matrices(rng, count):
+    """Seeded matrices for the integer core: 0/1, signed and large ints,
+    Fractions and mixtures; zero rows, all-zero matrices, negative
+    pivots; tall, square and wide shapes."""
+    for k in range(count):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        kind = k % 6
+        if kind == 0:
+            draw = lambda: rng.randint(0, 1)
+        elif kind == 1:
+            draw = lambda: rng.randint(-9, 9)
+        elif kind == 2:
+            draw = lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 9))
+        elif kind == 3:
+            draw = lambda: rng.choice([0, 0, 0, rng.randint(-10**12, 10**12)])
+        elif kind == 4:
+            draw = lambda: rng.choice([0, rng.randint(-3, 3),
+                                       Fraction(rng.randint(-3, 3), 7)])
+        else:
+            draw = lambda: 0
+        m = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+        if kind != 5 and rng.random() < 0.3:
+            m[rng.randrange(nrows)] = [0] * ncols
+        if rng.random() < 0.3:
+            m[0][0] = -rng.randint(1, 5)  # a negative first pivot
+        yield m
+
+
+def check_against_oracle(m):
+    snapshot = [list(row) for row in m]
+    reduced = fraction_rref(m)
+    expected = (reduced, fraction_rref_with_transform(m),
+                fraction_kernel(*reduced, len(m[0])))
+    for rows in (m, tuple(tuple(row) for row in m)):
+        red, piv = rref(rows)
+        full = rref_with_transform(rows)
+        rank_, basis = kernel_sparse(rows)
+        assert ((red, piv), full, (rank_, basis)) == expected
+        emitted = [x for row in red + full[0] + full[2] for x in row]
+        emitted += [x for entries in basis for _, x in entries]
+        assert all(type(x) is Fraction for x in emitted)
+        # the caller's rows are never touched
+        assert [list(row) for row in m] == snapshot
+        assert all(type(x) is type(y) for row, old in zip(m, snapshot)
+                   for x, y in zip(row, old))
+
+
+def test_integer_core_matches_fraction_oracle():
+    rng = random.Random(1968)
+    for m in oracle_matrices(rng, 3000):
+        check_against_oracle(m)
+    check_against_oracle([[0, 0, 0], [0, 0, 0]])
+
+
+def test_integer_core_matches_oracle_on_group_systems():
+    """Affine-kernel constraint rows and difference rows of natural A5,
+    S5, A6 and the order-48 group Z2 x Z2 x Z4 x Z3."""
+    specs = [(["(1 2 3 4 5)", "(3 4 5)"], 5), (["(1 2 3 4 5)", "(1 2)"], 5),
+             (["(1 2 3 4 5)", "(4 5 6)"], 6),
+             (["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11)]
+    for gens, degree in specs:
+        rep = PermRep.natural(FiniteGroup.from_cycle_strings(gens, degree))
+        verts = rep.vertices
+        constraints = [[1] * len(verts)] + [[v[k] for v in verts]
+                                            for k in range(degree ** 2)]
+        differences = [[a - b for a, b in zip(v, verts[0])]
+                       for v in verts[1:]]
+        for m in (constraints, differences):
+            reduced = fraction_rref(m)
+            assert rref(m) == reduced
+            assert kernel_sparse(m) == fraction_kernel(*reduced, len(m[0]))
