@@ -14,12 +14,23 @@ group exponent.  Tables are canonically ordered (trivial character
 first, the rest by degree then value key) and checked against the
 orthogonality relations before use, so downstream equivalence tests do
 not depend on which route produced the table.
+
+Constituents of a permutation character pi are found with Python ints.
+Character values are algebraic integers, so their power-basis
+coordinates are integers: each table keeps, for every irreducible chi
+and coordinate k, the column of coordinate k of size_j * conj(chi(g_j))
+over the classes j, and the coordinates of |G| <pi, chi> are the dot
+products of pi with these columns.  The result must be rational (its
+coordinates past the first vanish), a nonnegative multiple of |G|, and
+consistent with the action's degree and orbit count; anything else
+raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 from .cyclotomic import Cyclotomic, cyclo, cyclo_rational, root_log, root_order
 from .groups import FiniteGroup, SizeCapError
@@ -55,6 +66,7 @@ class CharacterTable:
         self.degrees = tuple(self._row_degree(row) for row in self.values)
         self._indicators = None
         self._reals = None
+        self._coordinate_columns = None
 
     @staticmethod
     def _row_degree(row) -> int:
@@ -602,27 +614,61 @@ def permutation_character(rep: PermRep, table: CharacterTable):
     return out
 
 
+def _coordinate_columns(table: CharacterTable):
+    """Integer coordinate columns of the inner products.
+
+    Column i * phi(m) + k lists, over the classes j, coordinate k of
+    size_j * conj(chi_i(g_j)) in the power basis of Q(zeta_m).
+    Character values are algebraic integers, so these coordinates are
+    integers; a value with a fractional coordinate raises.  Computed
+    once per table and stored on it.
+    """
+    if table._coordinate_columns is None:
+        columns = []
+        for values in table.values:
+            coords = []
+            for j, size in enumerate(table.sizes):
+                value = values[table.inverse_class[j]]
+                if any(c.denominator != 1 for c in value.coeffs):
+                    raise RuntimeError(
+                        "character value %s is not an algebraic integer" % value)
+                coords.append([size * c.numerator for c in value.coeffs])
+            columns.extend(zip(*coords))
+        table._coordinate_columns = tuple(columns)
+    return table._coordinate_columns
+
+
 def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constituents:
+    """Multiplicities <pi, chi> of every irreducible in the permutation
+    character pi of rep.
+
+    |G| <pi, chi_i> is the sum over classes j of pi_j * size_j *
+    conj(chi_i(g_j)); its coordinates are the integer dot products of pi
+    with the table's coordinate columns for chi_i.  Raises RuntimeError
+    unless every coordinate past the first is 0 (the inner product is
+    rational), the first is a nonnegative multiple of |G|, the degrees
+    sum to the action degree, and the trivial multiplicity is the orbit
+    count.
+    """
     if table is None:
         table = character_table(rep.group)
     if table.group is not rep.group and table.group.elements != rep.group.elements:
         raise ValueError("table belongs to a different group")
     pi = permutation_character(rep, table)
     n = rep.group.order
-    m = table.conductor
+    acc = [sum(map(mul, pi, column)) for column in _coordinate_columns(table)]
+    width = len(table.values[0][0].coeffs)
+    totals = acc[::width]
+    del acc[::width]
+    if any(acc):
+        raise RuntimeError("inner product is not rational")
     mults = []
-    for row in table.values:
-        s = cyclo_rational(m, 0)
-        for j, size in enumerate(table.sizes):
-            if pi[j]:
-                s = s + (size * pi[j]) * row[table.inverse_class[j]]
-        val = s.is_rational()
-        if val is None:
-            raise RuntimeError("inner product is not rational")
-        mult = val / n
-        if mult.denominator != 1 or mult < 0:
-            raise RuntimeError("multiplicity %s is not a nonnegative integer" % mult)
-        mults.append(int(mult))
+    for total in totals:
+        mult, rem = divmod(total, n)
+        if rem or mult < 0:
+            raise RuntimeError("multiplicity %s is not a nonnegative integer"
+                               % Fraction(total, n))
+        mults.append(mult)
     cons = Constituents(mults, pi)
     if sum(mv * d for mv, d in zip(mults, table.degrees)) != rep.degree:
         raise RuntimeError("constituent degrees do not sum to the action degree")
@@ -640,6 +686,25 @@ def stably_equivalent_by_characters(repA: PermRep, repB: PermRep,
         table = character_table(repA.group)
     return (constituents(repA, table).nontrivial
             == constituents(repB, table).nontrivial)
+
+
+def predicted_dimension(rep: PermRep, table: CharacterTable):
+    """(sum of schur_fraction * degree^2, reals) over the nontrivial real
+    irreducibles meeting pi; raises if only one of a conjugate pair does."""
+    cons = constituents(rep, table)
+    occurring = []
+    for real in real_irreducibles(table):
+        if real.is_trivial:
+            continue
+        present = [i in cons.nontrivial for i in real.complex_indices]
+        if any(present) != all(present):
+            raise RuntimeError("conjugate constituents occur asymmetrically")
+        if all(present):
+            occurring.append(real)
+    dim = sum(real.schur_fraction * real.degree ** 2 for real in occurring)
+    if dim.denominator != 1:
+        raise RuntimeError("predicted dimension is not an integer")
+    return int(dim), occurring
 
 
 class IsotypeReport:
@@ -666,21 +731,7 @@ def verify_isotype(rep: PermRep, table: CharacterTable | None = None) -> Isotype
     """
     if table is None:
         table = character_table(rep.group)
-    cons = constituents(rep, table)
-    occurring = []
-    for real in real_irreducibles(table):
-        if real.is_trivial:
-            continue
-        present = [i in cons.nontrivial for i in real.complex_indices]
-        if any(present) != all(present):
-            raise RuntimeError("conjugate constituents occur asymmetrically")
-        if all(present):
-            occurring.append(real)
-    dim_pred = sum((real.schur_fraction * real.degree * real.degree
-                    for real in occurring), Fraction(0))
-    if dim_pred.denominator != 1:
-        raise RuntimeError("predicted dimension is not an integer")
-    dim_pred = int(dim_pred)
+    dim_pred, occurring = predicted_dimension(rep, table)
     space = difference_space(rep)
     if space.dim != dim_pred:
         raise RuntimeError("span dimension %d differs from predicted %d"

@@ -53,12 +53,23 @@ def _resolve_cap(args) -> int:
     return cap
 
 
+def _unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError("duplicate key %r" % key)
+        doc[key] = value
+    return doc
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except InputError as exc:
+        raise InputError("%s: %s" % (path, exc))
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, undecodable UTF-8, integers past Python's
         # digit limit and too deeply nested arrays

@@ -73,21 +73,15 @@ class PermutationPolytope:
 
 def build_polytope(rep: PermRep, table=None) -> PermutationPolytope:
     """Polytope model of a representation; when a character table is
-    supplied the rank-based dimension is cross-checked against the sum
-    of schur_fraction * degree^2 over nontrivial real constituents."""
+    supplied the rank-based dimension is cross-checked against
+    characters.predicted_dimension."""
     poly = PermutationPolytope(rep)
     if table is not None:
-        from .characters import constituents, real_irreducibles
-        cons = constituents(rep, table)
-        pred = Fraction(0)
-        for real in real_irreducibles(table):
-            if real.is_trivial:
-                continue
-            if any(i in cons.nontrivial for i in real.complex_indices):
-                pred += real.schur_fraction * real.degree * real.degree
+        from .characters import predicted_dimension
+        pred = predicted_dimension(rep, table)[0]
         if pred != poly.dim:
             raise RuntimeError(
-                "rank dimension %d disagrees with character prediction %s"
+                "rank dimension %d disagrees with character prediction %d"
                 % (poly.dim, pred))
     return poly
 

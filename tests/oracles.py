@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import sympy
 
+from permpoly.characters import permutation_character
+from permpoly.cyclotomic import cyclo_rational
+
 
 def brute_force_faces(poly):
     """All nonempty vertex sets of faces, as frozensets of labels.
@@ -182,3 +185,26 @@ def brute_force_isomorphisms(g1, g2):
                 and is_homomorphism_all_pairs(g1, perms)):
             out.append(tuple(g2.element_index(p) for p in perms))
     return out
+
+
+def cyclotomic_constituents(rep, table):
+    """(multiplicities, character) by inner products summed in Q(zeta_m):
+    |G| <pi, chi> = sum over classes j of size_j * pi_j * chi(g_j^-1),
+    with Cyclotomic arithmetic and no integer coordinates."""
+    pi = permutation_character(rep, table)
+    n = rep.group.order
+    m = table.conductor
+    mults = []
+    for row in table.values:
+        s = cyclo_rational(m, 0)
+        for j, size in enumerate(table.sizes):
+            if pi[j]:
+                s = s + (size * pi[j]) * row[table.inverse_class[j]]
+        val = s.is_rational()
+        if val is None:
+            raise RuntimeError("inner product is not rational")
+        mult = val / n
+        if mult.denominator != 1 or mult < 0:
+            raise RuntimeError("multiplicity %s is not a nonnegative integer" % mult)
+        mults.append(int(mult))
+    return tuple(mults), tuple(pi)

@@ -1,3 +1,5 @@
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,11 @@ from permpoly.characters import (
     stably_equivalent_by_characters,
     verify_isotype,
 )
-from permpoly.cyclotomic import cyclo_rational
+from permpoly.cyclotomic import cyclo, cyclo_rational
 from permpoly.groups import FiniteGroup, parse_cycles
-from permpoly.reps import PermRep, stably_equivalent_by_kernel
+from permpoly.reps import NotFaithfulError, PermRep, stably_equivalent_by_kernel
+
+from oracles import cyclotomic_constituents
 
 
 def build(gens, degree):
@@ -187,6 +191,76 @@ def test_constituents(s3, a5, klein):
     assert len(cons.nontrivial) == 2
     with pytest.raises(ValueError):
         constituents(PermRep.natural(s3), character_table(klein))
+
+
+def test_constituents_match_cyclotomic_oracle(s3, s4, a4, d4, d6, q8, a5,
+                                              klein_pair, main_pair,
+                                              z4_family):
+    s5 = build(["(1 2 3 4 5)", "(1 2)"], 5)
+    a6 = build(["(1 2 3 4 5)", "(4 5 6)"], 6)
+    groups = [s3, s4, a4, d4, d6, q8,
+              build(["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8),
+              build(["(1 2 3)", "(4 5 6)"], 6), a5, s5, a6]
+    # the trivial group acting on no points has pi = 0
+    reps = list(klein_pair) + list(main_pair) + list(z4_family) \
+        + [PermRep.natural(build([], 0))]
+    for group in groups:
+        reps.append(PermRep.natural(group))
+        if group is a6:
+            # the regular rep would need 360^3 vertex entries, over the
+            # cap; act on the cosets of a subgroup of order 9 instead
+            sub = a6.subgroup([a6.element_index(parse_cycles(c, 6))
+                               for c in ("(1 2 3)", "(4 5 6)")])
+        else:
+            sub = group.subgroup([])
+        reps.append(PermRep.from_coset_actions(
+            group, [group.coset_action(sub)]))
+    g48 = main_pair[0].group
+    rng = random.Random(48)
+    sums = 0
+    while sums < 12:
+        subs = [g48.subgroup(rng.sample(range(g48.order), rng.randint(1, 2)))
+                for _ in range(rng.randint(1, 3))]
+        try:
+            reps.append(PermRep.from_coset_actions(
+                g48, [g48.coset_action(h) for h in subs]))
+        except NotFaithfulError:
+            continue
+        sums += 1
+    for rep in reps:
+        table = character_table(rep.group)
+        cons = constituents(rep, table)
+        assert (cons.multiplicities, cons.character) \
+            == cyclotomic_constituents(rep, table)
+
+
+def corrupted(table, i, j, value):
+    """A copy of a verified table with chi_i(g_j) replaced by value."""
+    bad = copy.copy(table)
+    rows = [list(row) for row in table.values]
+    rows[i][j] = value
+    bad.values = tuple(tuple(row) for row in rows)
+    bad._coordinate_columns = None
+    return bad
+
+
+def test_constituents_reject_corrupted_tables(s3, q8, a5):
+    for group in (s3, q8, a5):
+        rep = PermRep.natural(group)
+        table = character_table(group)
+        m = table.conductor
+        constituents(rep, table)
+        for i in range(1, table.count):
+            # pi is nonzero at the identity class, whose inverse is itself
+            value = table.values[i][0]
+            with pytest.raises(RuntimeError, match="not rational"):
+                constituents(rep, corrupted(table, i, 0, value * cyclo(m)))
+            with pytest.raises(RuntimeError, match="not an algebraic integer"):
+                constituents(rep, corrupted(table, i, 0,
+                                            value + cyclo(m) * Fraction(1, 2)))
+        # the corrupted copies left the verified table's columns alone
+        assert constituents(rep, table).multiplicities \
+            == cyclotomic_constituents(rep, table)[0]
 
 
 def test_stable_equivalence_by_characters(s3, z4, klein, klein_pair):

@@ -179,6 +179,19 @@ def test_bad_spec_files(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")
     assert cli.main(["dim", str(broken)]) == 2
+    # a repeated key is ambiguous, not "the last one wins"
+    duplicate = tmp_path / "duplicate.json"
+    duplicate.write_text('{"degree": 4, "generators": ["(1 2)"], '
+                         '"label": "x", "degree": 5}', encoding="utf-8")
+    assert cli.main(["dim", str(duplicate)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate key 'degree'" in err
+    duplicate.write_text('{"first": {"degree": 4, "generators": ["(1 2)"], '
+                         '"generators": ["(3 4)"]}, "second": %s}'
+                         % json.dumps(KLEIN), encoding="utf-8")
+    assert cli.main(["stable", str(duplicate)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate key 'generators'" in err
     assert cli.main(["dim", str(tmp_path / "missing.json")]) == 2
     assert cli.main(
         ["stable", spec_file(tmp_path, "pair.json", {"first": KLEIN})]) == 2
@@ -338,6 +351,22 @@ def test_cli_fuzz_rejects_bad_input(tmp_path, capsys, monkeypatch):
                 b"[" * 100000, b'{"degree": ' + b"9" * 5000 + b"}"):
         path.write_bytes(raw)
         expect_input_error(["dim", str(path)])
+    # a key given twice, even with the same value, in a spec or a pair
+    for _ in range(10):
+        again = rng.choice(['"degree": 4', '"generators": ["(1 2)"]',
+                            '"label": "x"'])
+        spec = '{"label": "x", "degree": 4, "generators": ["(1 2)"], %s}' \
+            % again
+        if rng.random() < 0.5:
+            path.write_text(spec, encoding="utf-8")
+            expect_input_error(["dim", str(path)])
+        else:
+            members = [spec, json.dumps(KLEIN)]
+            rng.shuffle(members)
+            path.write_text('{"first": %s, "second": %s}' % tuple(members),
+                            encoding="utf-8")
+            expect_input_error([rng.choice(["stable", "effective"]),
+                                str(path)])
     # an order over the cap: the closure stops at the cap
     s5 = {"degree": 5, "generators": ["(1 2 3 4 5)", "(1 2)"]}
     for _ in range(10):
