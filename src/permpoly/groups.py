@@ -15,6 +15,12 @@ only: if f(x*s) = f(x)*f(s) for every element x and every stored
 generator s, induction on word length gives f(x*y) = f(x)*f(y) for all
 x and y.
 
+A FiniteGroup is immutable, so its two exhaustive searches are kept on
+it once they complete: the automorphisms (as generator images, refilled
+along the spanning tree on replay) and the subgroups of each order.
+Each is computed once per group; a replay honours node_cap exactly as a
+fresh search would, and a search stopped early keeps nothing.
+
 Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 """
 
@@ -259,6 +265,11 @@ class FiniteGroup:
         self.orders = orders
         self._classes = None
         self._class_of = None
+        # exhaustive searches, kept once complete (see isomorphisms_iter
+        # and subgroups_of_order): ((nodes, generator images) per
+        # automorphism, total nodes), and order -> (subgroups, nodes)
+        self._automorphisms = None
+        self._subgroups = {}
 
     @classmethod
     def generate(cls, gens, degree=None, cap=DEFAULT_ORDER_CAP, label=None):
@@ -405,6 +416,12 @@ class FiniteGroup:
         k are grown one generator at a time, trying one representative
         per double coset and aborting closures that outgrow k.  Raises
         SizeCapError past node_cap closure attempts.
+
+        A completed search is kept on the group with its node count, so
+        each order is searched once per group; a later call returns a
+        new list of the same subgroups, and raises SizeCapError exactly
+        when the kept count exceeds its node_cap, as a fresh search
+        would.
         """
         n = self.order
         if k < 1 or n % k:
@@ -412,6 +429,12 @@ class FiniteGroup:
         trivial = Subgroup(self, (0,), ())
         if k == 1:
             return [trivial]
+        if k in self._subgroups:
+            subs, nodes = self._subgroups[k]
+            if nodes > node_cap:
+                raise SizeCapError(
+                    "subgroup search exceeded %d nodes" % node_cap)
+            return list(subs)
         table = self.table
         orders = self.orders
         usable = [g for g in range(1, n) if k % orders[g] == 0]
@@ -453,7 +476,9 @@ class FiniteGroup:
                     found[key] = cand
                 else:
                     queue.append(cand)
-        return [found[key] for key in sorted(found)]
+        subs = tuple(found[key] for key in sorted(found))
+        self._subgroups[k] = (subs, nodes)
+        return list(subs)
 
     def coset_action(self, sub: "Subgroup") -> "CosetAction":
         """Left-multiplication action on left cosets of sub.
@@ -684,6 +709,16 @@ def _respects_generators(g1: FiniteGroup, g2: FiniteGroup, f) -> bool:
     return True
 
 
+def _fill_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
+    """The image array f with f(x*s) = f(x)*imgs[s] along g1's spanning
+    tree, unchecked."""
+    t2 = g2.table
+    f = [0] * g1.order
+    for y, x, pos in g1.tree:
+        f[y] = t2[f[x]][imgs[pos]]
+    return f
+
+
 def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
     """Extend g1.gens -> imgs to a homomorphism, or None on inconsistency.
 
@@ -691,10 +726,7 @@ def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
     on every generator edge, so a returned image array is a genuine
     homomorphism.
     """
-    t2 = g2.table
-    f = [0] * g1.order
-    for y, x, pos in g1.tree:
-        f[y] = t2[f[x]][imgs[pos]]
+    f = _fill_from_gen_images(g1, g2, imgs)
     return f if _respects_generators(g1, g2, f) else None
 
 
@@ -706,7 +738,26 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     spanning tree and proved a homomorphism on the generator edges.
     Deterministic: generators in stored order, candidate images in
     ascending element index.
+
+    Automorphisms (g1 is g2) are enumerated once per group: a search
+    that runs to completion keeps each map's generator images, with
+    the node count at which it was found and the search's total, on
+    the group.  A later call replays them, filling each map along the
+    spanning tree from its generator images (the search proved it on
+    every generator edge).  node_cap behaves as for a fresh search:
+    the maps found within node_cap nodes are yielded, then SizeCapError
+    is raised if the search took more.  A search stopped early (a
+    caller's break, a close, or SizeCapError) keeps nothing.
     """
+    if g1 is g2 and g1._automorphisms is not None:
+        found, total = g1._automorphisms
+        for nodes, imgs in found:
+            if nodes > node_cap:
+                break
+            yield GroupMap(g1, g1, _fill_from_gen_images(g1, g1, imgs))
+        if total > node_cap:
+            raise SizeCapError("isomorphism search exceeded %d nodes" % node_cap)
+        return
     if g1.order != g2.order:
         return
     if sorted(g1.orders) != sorted(g2.orders):
@@ -725,12 +776,14 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     nodes = 0
     t1, t2 = g1.table, g2.table
     chosen = [0] * len(gens)
+    found = []
 
     def descend(depth):
         nonlocal nodes
         if depth == len(gens):
             hom = _hom_from_gen_images(g1, g2, chosen)
             if hom is not None and len(set(hom)) == g2.order:
+                found.append((nodes, tuple(chosen)))
                 yield GroupMap(g1, g2, hom)
             return
         a = gens[depth]
@@ -751,6 +804,8 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
             yield from descend(depth + 1)
 
     yield from descend(0)
+    if g1 is g2:
+        g1._automorphisms = (tuple(found), nodes)
 
 
 def generator_correspondence(g1: FiniteGroup, g2: FiniteGroup):

@@ -227,17 +227,22 @@ def _lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
     """Does sum over (g, c) in lam of c * M_rep(phi(g)) vanish?
 
     lam is a sparse integer vector over the source group; phi defaults
-    to the identity correspondence.
+    to the identity correspondence.  Column j of the sum holds c at row
+    images[j] for each term, so the columns are summed one at a time
+    and the first nonzero one rejects; the answer is True only when
+    every entry of every column vanishes.
     """
+    action = rep.action
+    f = phi.images if phi is not None else range(len(action))
+    terms = [(action[f[g]].images, c) for g, c in lam]
     n = rep.degree
-    acc = {}
-    for g, c in lam:
-        h = phi.images[g] if phi is not None else g
-        imgs = rep.action[h].images
-        for j in range(n):
-            key = imgs[j] * n + j
-            acc[key] = acc.get(key, 0) + c
-    return all(v == 0 for v in acc.values())
+    for j in range(n):
+        col = [0] * n
+        for images, c in terms:
+            col[images[j]] += c
+        if any(col):
+            return False
+    return True
 
 
 class DifferenceSpace:

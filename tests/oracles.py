@@ -7,6 +7,8 @@ import sympy
 
 from permpoly.characters import permutation_character
 from permpoly.cyclotomic import cyclo_rational
+from permpoly.groups import GroupMap
+from permpoly.reps import PermRep
 
 
 def brute_force_faces(poly):
@@ -208,3 +210,21 @@ def cyclotomic_constituents(rep, table):
             raise RuntimeError("multiplicity %s is not a nonnegative integer" % mult)
         mults.append(int(mult))
     return tuple(mults), tuple(pi)
+
+
+def dict_lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
+    """Does sum over (g, c) in lam of c * M_rep(phi(g)) vanish?
+
+    lam is a sparse integer vector over the source group; phi defaults
+    to the identity correspondence.  Every matrix entry is accumulated
+    in a dict before any is compared.
+    """
+    n = rep.degree
+    acc = {}
+    for g, c in lam:
+        h = phi.images[g] if phi is not None else g
+        imgs = rep.action[h].images
+        for j in range(n):
+            key = imgs[j] * n + j
+            acc[key] = acc.get(key, 0) + c
+    return all(v == 0 for v in acc.values())

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import permpoly.characters as characters
 from permpoly.characters import (
+    Constituents,
     character_table,
     constituents,
     invariant_factors,
     order_profile,
     permutation_character,
+    predicted_dimension,
     real_irreducibles,
     stably_equivalent_by_characters,
     verify_isotype,
@@ -261,6 +264,26 @@ def test_constituents_reject_corrupted_tables(s3, q8, a5):
         # the corrupted copies left the verified table's columns alone
         assert constituents(rep, table).multiplicities \
             == cyclotomic_constituents(rep, table)[0]
+
+
+def test_conjugate_constituents_must_occur_together(monkeypatch):
+    for gens, degree in ((["(1 2 3)"], 3), (["(1 2 3 4)"], 4)):
+        group = build(gens, degree)
+        rep = PermRep.from_coset_actions(
+            group, [group.coset_action(group.subgroup([]))])
+        table = character_table(group)
+        assert predicted_dimension(rep, table)[0] == group.order - 1
+        pair = next(real.complex_indices for real in real_irreducibles(table)
+                    if len(real.complex_indices) == 2)
+        found = constituents(rep, table)
+        for dropped in pair:
+            mults = list(found.multiplicities)
+            mults[dropped] = 0
+            monkeypatch.setattr(characters, "constituents",
+                                lambda *args: Constituents(mults, found.character))
+            with pytest.raises(RuntimeError, match="asymmetrically"):
+                predicted_dimension(rep, table)
+            monkeypatch.undo()
 
 
 def test_stable_equivalence_by_characters(s3, z4, klein, klein_pair):

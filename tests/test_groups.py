@@ -15,6 +15,7 @@ from permpoly.groups import (
     automorphisms,
     generator_correspondence,
     isomorphisms,
+    isomorphisms_iter,
     parse_cycles,
 )
 
@@ -311,3 +312,127 @@ def test_group_map_validate_matches_oracle_on_swaps(s3, q8, a4, klein):
                         == expected
                     verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+# fresh copies of the memo-test groups: the session fixtures keep their
+# searches, so a fresh search needs a newly built group
+MEMO_GROUPS = {
+    "s3": (["(1 2)", "(1 2 3)"], 3),
+    "s4": (["(1 2)", "(1 2 3 4)"], 4),
+    "d6": (["(1 2 3 4 5 6)", "(2 6)(3 5)"], 6),
+    "q8": (["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], 8),
+    "a4": (["(1 2 3)", "(2 3 4)"], 4),
+    "klein": (["(1 2)", "(3 4)"], 4),
+    "a5": (["(1 2 3 4 5)", "(3 4 5)"], 5),
+    "s5": (["(1 2 3 4 5)", "(1 2)"], 5),
+    "g48": (["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11),
+}
+# the groups whose automorphisms brute_force_isomorphisms checks
+ORACLE_CHECKED = ("s3", "s4", "d6", "q8", "a4", "klein")
+
+
+def fresh(name):
+    gens, degree = MEMO_GROUPS[name]
+    return FiniteGroup.from_cycle_strings(gens, degree, label=name)
+
+
+def capped_automorphisms(group, cap):
+    """The images yielded under node_cap=cap, and whether it raised."""
+    out = []
+    try:
+        for phi in isomorphisms_iter(group, group, node_cap=cap):
+            out.append(phi.images)
+    except SizeCapError:
+        return out, True
+    return out, False
+
+
+def test_automorphism_replay_repeats_the_search():
+    for name in MEMO_GROUPS:
+        group = fresh(name)
+        first = [phi.images for phi in isomorphisms(group, group)]
+        assert group._automorphisms is not None, name
+        again = isomorphisms(group, group)
+        assert [phi.images for phi in again] == first, name
+        assert all(phi.source is group and phi.target is group
+                   for phi in again)
+        if name in ORACLE_CHECKED:
+            assert first == brute_force_isomorphisms(group, group), name
+
+
+def test_automorphism_replay_honours_node_cap():
+    for name in ("s3", "q8", "a4", "s4", "g48"):
+        kept = fresh(name)
+        full = [phi.images for phi in isomorphisms(kept, kept)]
+        total = kept._automorphisms[1]
+        caps = sorted({0, 1, 2, 3, 5, 8, total // 3, total // 2, total - 1,
+                       total, total + 1, 10 * total})
+        for cap in caps:
+            expected = capped_automorphisms(fresh(name), cap)
+            assert capped_automorphisms(kept, cap) == expected, (name, cap)
+            assert expected[1] == (cap < total)
+            if cap >= total:
+                assert expected[0] == full
+        # a capped replay keeps the memo whole
+        assert [phi.images for phi in isomorphisms(kept, kept)] == full
+
+
+def test_partial_automorphism_search_keeps_nothing():
+    for name in ORACLE_CHECKED:
+        oracle = brute_force_isomorphisms(fresh(name), fresh(name))
+        # a consumer that stops after the first map
+        group = fresh(name)
+        it = isomorphisms_iter(group, group)
+        next(it)
+        it.close()
+        assert group._automorphisms is None
+        assert [phi.images for phi in isomorphisms(group, group)] == oracle
+        # a search stopped by its node cap
+        group = fresh(name)
+        assert capped_automorphisms(group, 2)[1]
+        assert group._automorphisms is None
+        assert [phi.images for phi in isomorphisms(group, group)] == oracle
+
+
+def test_subgroup_memo_matches_a_fresh_search():
+    for name in ("s4", "a4", "q8", "s5", "g48"):
+        kept = fresh(name)
+        orders = [k for k in range(1, kept.order + 1) if kept.order % k == 0]
+        first = {k: [s.elements for s in kept.subgroups_of_order(k)]
+                 for k in orders}
+        for k in orders:
+            subs = kept.subgroups_of_order(k)
+            assert [s.elements for s in subs] == first[k]
+            assert [s.elements for s in fresh(name).subgroups_of_order(k)] \
+                == first[k], (name, k)
+            assert all(s.parent is kept and s.order == k for s in subs)
+            # the returned list is the caller's own
+            subs.clear()
+            assert [s.elements for s in kept.subgroups_of_order(k)] == first[k]
+            if k == 1:
+                continue
+            total = kept._subgroups[k][1]
+            for cap in sorted({0, 1, total // 2, total - 1, total, total + 1}):
+                try:
+                    fresh(name).subgroups_of_order(k, node_cap=cap)
+                    raised = False
+                except SizeCapError:
+                    raised = True
+                assert raised == (cap < total), (name, k, cap)
+                if raised:
+                    with pytest.raises(SizeCapError):
+                        kept.subgroups_of_order(k, node_cap=cap)
+                else:
+                    assert [s.elements for s in kept.subgroups_of_order(
+                        k, node_cap=cap)] == first[k]
+
+
+def test_node_caps_hold_after_full_search():
+    s4 = fresh("s4")
+    assert len(s4.subgroups_of_order(4)) == 7
+    with pytest.raises(SizeCapError):
+        s4.subgroups_of_order(4, node_cap=1)
+    q8 = fresh("q8")
+    assert len(isomorphisms(q8, q8)) == 24
+    with pytest.raises(SizeCapError):
+        isomorphisms(q8, q8, node_cap=1)

@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import first_independent, is_homomorphism_all_pairs
+from oracles import (dict_lambda_annihilates, first_independent,
+                     is_homomorphism_all_pairs)
 from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
-                             parse_cycles)
+                             isomorphisms, parse_cycles)
 from permpoly.linalg import express_in_rowspace
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
     NotFaithfulError,
     NotStablyEquivalentError,
     PermRep,
+    _lambda_annihilates,
     affine_kernel,
     build_equivariant_map,
     compose_with_map,
@@ -299,3 +301,52 @@ def test_equivariant_map_argument_errors(s3, klein, klein_pair):
     collapse = GroupMap(repA.group, repA.group, [0, 0, 0, 0])
     with pytest.raises(ValueError):
         build_equivariant_map(repA, repB, collapse)
+
+
+def first_moved(rep, h):
+    """The first point rep(h) moves: the first column in which
+    M_e - M_h is nonzero."""
+    return next(j for j, i in enumerate(rep.action[h].images) if i != j)
+
+
+def plus(lam, g, h):
+    """lam + e_g - e_h as a sorted sparse vector."""
+    acc = dict(lam)
+    acc[g] = acc.get(g, 0) + 1
+    acc[h] = acc.get(h, 0) - 1
+    return sorted((i, c) for i, c in acc.items() if c)
+
+
+def test_column_check_matches_dict_oracle(main_pair, klein_pair, z4_family, s4):
+    """_lambda_annihilates agrees with the dict-accumulating oracle on
+    every kernel basis vector of both reps of a pair, tested against
+    either rep under every isomorphism, and on vectors that fail only
+    from a late column on."""
+    pairs = [main_pair, klein_pair, (PermRep.natural(s4), regular(s4))]
+    pairs += [(a, b) for i, a in enumerate(z4_family) for b in z4_family[i:]]
+    verdicts = set()
+    for pair in pairs:
+        for src in pair:
+            order = src.group.order
+            kernels = [list(lam) for rep in pair if rep.group is src.group
+                       for lam in affine_kernel(rep).sparse_int]
+            # e_e - e_h vanishes on the columns before rep(h)'s first
+            # moved point; take every h on small groups, else the latest
+            late = max(range(1, order), key=lambda h: first_moved(src, h))
+            moved = range(1, order) if order <= 24 else [late]
+            failing = [plus([], 0, h) for h in moved]
+            failing.append(plus(kernels[0] if kernels else [], 0, late))
+            for lam in failing:
+                assert _lambda_annihilates(src, lam) is False
+            for dst in pair:
+                for phi in isomorphisms(src.group, dst.group):
+                    for lam in kernels + failing:
+                        got = _lambda_annihilates(dst, lam, phi)
+                        assert got == dict_lambda_annihilates(dst, lam, phi)
+                        verdicts.add(got)
+    assert verdicts == {True, False}
+    # the main pair's latest failures start in column 12 of 16, the
+    # natural S4 rep's in column 2 of 4
+    latest = [max(first_moved(rep, h) for h in range(1, rep.group.order))
+              for rep in (main_pair[0], main_pair[1], pairs[2][0])]
+    assert latest == [12, 12, 2]
