@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Matrices are dense lists of rows with int or fractions.Fraction entries.
-Row reduction runs fraction-free on primitive integer rows and emits
-Fractions only at the end; every result entry is a Fraction.  Everything
-here is deterministic: row echelon forms pick the first usable pivot,
-kernels are emitted in ascending free-column order, so equal subspaces
-always produce identical bases.
+Row reduction runs fraction-free in one integer core, _rref_int, which
+returns primitive integer rows with their pivots.  rref divides those
+rows by their pivots and emits Fractions; kernel_sparse and rank read
+the integer rows directly.  Every result entry is a Fraction.
+Everything here is deterministic: row echelon forms pick the first
+usable pivot, kernels are emitted in ascending free-column order, so
+equal subspaces always produce identical bases.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ def _integer_row(row):
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _rref(rows, ncols):
+def _rref_int(rows, ncols):
     """Gauss-Jordan with pivots only in the first ncols columns; later
-    columns ride along.  Returns (nonzero rows as Fractions, pivots).
+    columns ride along.  Returns (nonzero integer rows, pivots).
 
     The caller's rows are left alone.  Each row is scaled to integers
     and elimination is fraction-free, as in Bareiss (Math. Comp. 1968),
@@ -102,6 +104,12 @@ def _rref(rows, ncols):
         r += 1
         if r == len(m):
             break
+    return m[:r], pivots
+
+
+def _rref(rows, ncols):
+    """_rref_int with each row divided by its pivot, as Fractions."""
+    m, pivots = _rref_int(rows, ncols)
     out = []
     for row, c in zip(m, pivots):
         p = row[c]
@@ -110,7 +118,10 @@ def _rref(rows, ncols):
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    """Rank, counted as the pivots of the integer core."""
+    if not rows:
+        return 0
+    return len(_rref_int(rows, len(rows[0]))[1])
 
 
 def kernel_sparse(rows):
@@ -125,16 +136,16 @@ def kernel_sparse(rows):
     if not rows:
         return 0, []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    red, pivots = _rref_int(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
         entries = [(f, F1)]
-        for i, p in enumerate(pivots):
-            if red[i][f]:
-                entries.append((p, -red[i][f]))
+        for row, p in zip(red, pivots):
+            if row[f]:
+                entries.append((p, Fraction(-row[f], row[p])))
         entries.sort()
         basis.append(entries)
     return len(pivots), basis

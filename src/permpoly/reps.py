@@ -10,11 +10,21 @@ vectors lambda over the group with sum(lambda) = 0 and
 sum(lambda_g M_g) = 0.  Two representations of one group are stably
 equivalent iff their affine kernels coincide; effective equivalence
 additionally allows precomposing one side with a group isomorphism.
+
+Entry (i, j) of M_g is 1 exactly for g in the incidence set S_ij, the
+elements sending j to i, and only a few distinct sets occur among the
+degree^2 entries.  The affine kernel eliminates the all-ones row and one
+row per distinct nonempty set; the difference space span{M_g - M_e}
+eliminates one column per distinct set and copies each reduced column
+back to its entries.  Dropping zero and repeated rows keeps the row
+space, and a repeated column is never a pivot and reduces like its
+first copy, so both reduced forms equal those of the full systems.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                      isomorphisms_iter)
@@ -166,16 +176,25 @@ class PermRep:
 class AffineKernel:
     """Canonical basis of the affine kernel of a representation.
 
-    basis rows are in reduced echelon form over Q^|G| (one vector per
-    free column of the constraint system); sparse_int holds the same
-    vectors scaled to integers for fast membership tests.
+    The kernel is {lambda : sum(lambda) = 0, lambda . row(S) = 0 for each
+    distinct nonempty incidence set S}, eliminated on the all-ones row
+    and one 0/1 row per distinct set (see _incidence_sets): zero and
+    repeated rows of the degree^2-row system leave its row space, hence
+    its unique reduced echelon form, unchanged.  basis rows are the
+    kernel vectors over Q^|G|, one per free column of that form;
+    sparse_int holds the same vectors scaled to integers for fast
+    membership tests.  pivots are the pivot columns: the greedy first
+    independent vertices, since the vertices satisfy the same linear
+    relations (each matrix column sums to 1, so the all-ones row is
+    implied).
     """
 
-    def __init__(self, dim, basis, sparse_int, rank):
+    def __init__(self, dim, basis, sparse_int, rank, pivots):
         self.dim = dim
         self.basis = basis
         self.sparse_int = sparse_int
         self.rank = rank
+        self.pivots = pivots
 
     def __eq__(self, other):
         if not isinstance(other, AffineKernel):
@@ -186,41 +205,73 @@ class AffineKernel:
         return hash(tuple(self.basis))
 
 
-def _constraint_rows(rep: PermRep):
-    """The (degree^2 + 1) x |G| stacked system: all-ones row, then one
-    row per matrix entry."""
+def _incidence_sets(rep: PermRep):
+    """The distinct nonempty incidence sets and each entry's set.
+
+    Entry (i, j), flattened to k = i*degree + j, has the incidence set
+    S_k = {g : rep(g) sends j to i}, so M_g[k] = [g in S_k].  Returns
+    (sets, cls): sets are the distinct nonempty S_k as ascending tuples
+    of elements, numbered in order of their first entry; cls[k] is the
+    number of S_k, or -1 when no element covers entry k.  One pass over
+    the action images, O(|G| * degree).
+
+    affine_kernel eliminates one row per set in place of the degree^2
+    entry rows, which only adds zero and repeated rows; difference_space
+    eliminates one column per set, and a repeated column is never a
+    pivot and reduces like its first copy.  So neither reduced form
+    changes.
+    """
     n = rep.degree
-    order = rep.group.order
-    rows = [[1] * order]
-    for k in range(n * n):
-        rows.append([v[k] for v in rep.vertices])
-    return rows
+    members = {}
+    for g, p in enumerate(rep.action):
+        for j, i in enumerate(p.images):
+            k = i * n + j
+            if k in members:
+                members[k].append(g)
+            else:
+                members[k] = [g]
+    index = {}
+    cls = [-1] * (n * n)
+    for k in sorted(members):
+        key = tuple(members[k])
+        c = index.get(key)
+        if c is None:
+            c = index[key] = len(index)
+        cls[k] = c
+    return list(index), cls
+
 
 def affine_kernel(rep: PermRep) -> AffineKernel:
     if rep._kernel is not None:
         return rep._kernel
-    rows = _constraint_rows(rep)
-    rank, sparse = kernel_sparse(rows)
     order = rep.group.order
+    sets, _ = _incidence_sets(rep)
+    rows = [[1] * order]
+    for elems in sets:
+        row = [0] * order
+        for g in elems:
+            row[g] = 1
+        rows.append(row)
+    rank, sparse = kernel_sparse(rows)
     dense = []
     sparse_int = []
+    free = set()
     for entries in sparse:
         vec = [F0] * order
         denom = 1
         for i, c in entries:
             vec[i] = c
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = lcm(denom, c.denominator)
         dense.append(tuple(vec))
-        sparse_int.append([(i, int(c * denom)) for i, c in entries])
-    kernel = AffineKernel(len(sparse), dense, sparse_int, rank)
+        sparse_int.append([(i, c.numerator * (denom // c.denominator))
+                           for i, c in entries])
+        # a vector's free column is its last entry: reduced rows vanish
+        # left of their pivots
+        free.add(entries[-1][0])
+    pivots = [g for g in range(order) if g not in free]
+    kernel = AffineKernel(len(sparse), dense, sparse_int, rank, pivots)
     rep._kernel = kernel
     return kernel
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
@@ -255,14 +306,30 @@ class DifferenceSpace:
 
 
 def difference_space(rep: PermRep) -> DifferenceSpace:
+    """Reduced-echelon basis of span{M_g - M_e : g != e}.
+
+    Column k of the rows M_g - M_e is [g in S_k] - [e in S_k], so the
+    rows are eliminated over one column per distinct incidence set and
+    each reduced column is copied back to every entry with that set;
+    entries no element covers stay zero.
+    """
     if rep._diff is not None:
         return rep._diff
-    base = rep.vertices[0]
-    rows = []
-    for v in rep.vertices[1:]:
-        rows.append([a - b for a, b in zip(v, base)])
+    sets, cls = _incidence_sets(rep)
+    # row g-1 is M_g - M_e on the distinct columns: -1 where the set
+    # holds the identity, +1 for g, the two cancelling when both hold
+    base = [-1 if elems[0] == 0 else 0 for elems in sets]
+    rows = [list(base) for _ in range(rep.group.order - 1)]
+    for c, elems in enumerate(sets):
+        for g in elems:
+            if g:
+                rows[g - 1][c] += 1
     reduced, pivots = rref(rows)
-    space = DifferenceSpace([tuple(r) for r in reduced], list(pivots))
+    first = {}
+    for k, c in enumerate(cls):
+        first.setdefault(c, k)
+    basis = [tuple(row[c] if c >= 0 else F0 for c in cls) for row in reduced]
+    space = DifferenceSpace(basis, [first[c] for c in pivots])
     rep._diff = space
     return space
 
@@ -401,9 +468,9 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
                     dense, "kernel of the composed representation is larger")
         raise NotStablyEquivalentError((), "kernel dimensions differ")
 
-    # the pivot columns of the matrix whose columns are the vertices are
-    # the greedy first maximal independent set of vertex matrices
-    _, chosen = rref(list(zip(*repA.vertices)))
+    # the kernel's pivot columns are the greedy first maximal
+    # independent set of vertex matrices
+    chosen = kA.pivots
     basis_rows = [repA.vertices[g] for g in chosen]
     reduced, pivs, transform = rref_with_transform(basis_rows)
     emap = EquivariantMap(repA, repB, phi, chosen, reduced, pivs, transform)

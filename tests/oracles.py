@@ -2,12 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import sympy
 
 from permpoly.characters import permutation_character
 from permpoly.cyclotomic import cyclo_rational
 from permpoly.groups import GroupMap
+from permpoly.linalg import F0, kernel_sparse, rref
 from permpoly.reps import PermRep
 
 
@@ -228,3 +230,44 @@ def dict_lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> b
             key = imgs[j] * n + j
             acc[key] = acc.get(key, 0) + c
     return all(v == 0 for v in acc.values())
+
+
+def constraint_rows(rep: PermRep):
+    """The (degree^2 + 1) x |G| stacked system: all-ones row, then one
+    row per matrix entry."""
+    n = rep.degree
+    order = rep.group.order
+    rows = [[1] * order]
+    for k in range(n * n):
+        rows.append([v[k] for v in rep.vertices])
+    return rows
+
+
+def dense_affine_kernel(rep: PermRep):
+    """(dim, rank, basis, sparse_int) of the affine kernel, eliminated on
+    every row of constraint_rows, zero and repeated rows included."""
+    rows = constraint_rows(rep)
+    rank, sparse = kernel_sparse(rows)
+    order = rep.group.order
+    dense = []
+    sparse_int = []
+    for entries in sparse:
+        vec = [F0] * order
+        denom = 1
+        for i, c in entries:
+            vec[i] = c
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+        dense.append(tuple(vec))
+        sparse_int.append([(i, int(c * denom)) for i, c in entries])
+    return len(sparse), rank, dense, sparse_int
+
+
+def dense_difference_space(rep: PermRep):
+    """(basis, pivots) of span{M_g - M_e}, eliminated on the |G| - 1
+    dense degree^2-long rows M_g - M_e."""
+    base = rep.vertices[0]
+    rows = []
+    for v in rep.vertices[1:]:
+        rows.append([a - b for a, b in zip(v, base)])
+    reduced, pivots = rref(rows)
+    return [tuple(r) for r in reduced], list(pivots)

@@ -1,17 +1,21 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from oracles import (dict_lambda_annihilates, first_independent,
+from oracles import (dense_affine_kernel, dense_difference_space,
+                     dict_lambda_annihilates, first_independent,
                      is_homomorphism_all_pairs)
 from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                              isomorphisms, parse_cycles)
-from permpoly.linalg import express_in_rowspace
+from permpoly.linalg import express_in_rowspace, rref
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
     NotFaithfulError,
     NotStablyEquivalentError,
     PermRep,
+    _incidence_sets,
     _lambda_annihilates,
     affine_kernel,
     build_equivariant_map,
@@ -21,6 +25,7 @@ from permpoly.reps import (
     stably_equivalent_by_kernel,
     u_action_trace,
 )
+from permpoly.scenarios import alt6_reps
 
 
 def regular(group):
@@ -350,3 +355,102 @@ def test_column_check_matches_dict_oracle(main_pair, klein_pair, z4_family, s4):
     latest = [max(first_moved(rep, h) for h in range(1, rep.group.order))
               for rep in (main_pair[0], main_pair[1], pairs[2][0])]
     assert latest == [12, 12, 2]
+
+
+def coset_sums(group, max_degree=12):
+    """Every faithful coset sum of group with one or two summands and
+    degree at most max_degree, each followed by the same sum with its
+    first summand repeated and with the trivial summand (the action on
+    the cosets of the whole group) appended."""
+    subs = [sub for k in range(1, group.order + 1) if group.order % k == 0
+            for sub in group.subgroups_of_order(k)]
+    actions = [group.coset_action(sub) for sub in subs]
+    trivial = actions[-1]
+    assert trivial.degree == 1
+    combos = [(a,) for a in actions]
+    combos += itertools.combinations_with_replacement(actions, 2)
+    out = []
+    for combo in combos:
+        if sum(a.degree for a in combo) > max_degree:
+            continue
+        try:
+            rep = PermRep.from_coset_actions(group, list(combo))
+        except NotFaithfulError:
+            continue
+        out.append(rep)
+        for extra in (combo[0], trivial):
+            out.append(PermRep.from_coset_actions(group, list(combo) + [extra]))
+    return out
+
+
+def check_against_dense(rep, vertex_pivots=True):
+    """The affine kernel and difference space from the distinct
+    incidence sets equal those eliminated on the dense systems."""
+    kern = affine_kernel(rep)
+    assert (kern.dim, kern.rank, kern.basis, kern.sparse_int) == \
+        dense_affine_kernel(rep)
+    if vertex_pivots:
+        # the kernel's pivots are those of the matrix whose columns are
+        # the vertices, which build_equivariant_map eliminated before
+        assert kern.pivots == rref(list(zip(*rep.vertices)))[1]
+    space = difference_space(rep)
+    assert (space.basis, space.pivots) == dense_difference_space(rep)
+    assert space.dim == len(space.basis)
+
+
+@pytest.fixture(scope="module")
+def small_reps(s3, s4, d6, q8, a4, klein, a5):
+    return [rep for g in (s3, s4, d6, q8, a4, klein, a5)
+            for rep in (PermRep.natural(g), regular(g))]
+
+
+def test_incidence_sets_reconstruct_vertices(small_reps, main_pair):
+    for rep in small_reps + list(main_pair):
+        sets, cls = _incidence_sets(rep)
+        n2 = rep.degree ** 2
+        assert len(cls) == n2
+        assert len(set(sets)) == len(sets)
+        assert all(list(s) == sorted(s) and s for s in sets)
+        # numbered in order of their first entry
+        firsts = [cls.index(c) for c in range(len(sets))]
+        assert firsts == sorted(firsts)
+        for g, v in enumerate(rep.vertices):
+            assert v == tuple(int(c >= 0 and g in sets[c]) for c in cls)
+
+
+def test_kernel_and_difference_space_match_dense_on_small_groups(small_reps):
+    for rep in small_reps:
+        check_against_dense(rep)
+        kern = affine_kernel(rep)
+        # the rank of the vertex matrix with a ones column appended
+        if rep.group.order * rep.degree ** 2 <= 15_000:
+            ones = sympy.Matrix([list(v) + [1] for v in rep.vertices])
+            assert kern.rank == ones.rank()
+        assert kern.dim == rep.group.order - kern.rank
+
+
+def test_kernel_and_difference_space_match_dense_on_coset_sums(s4, a4, d6, q8):
+    counts = []
+    for g in (s4, a4, d6, q8):
+        reps = coset_sums(g)
+        counts.append(len(reps))
+        for i, rep in enumerate(reps):
+            # vertex pivots on the plain sums, sympy ranks on the smallest
+            check_against_dense(rep, vertex_pivots=i % 3 == 0)
+            if rep.degree <= 5:
+                ones = sympy.Matrix([list(v) + [1] for v in rep.vertices])
+                assert affine_kernel(rep).rank == ones.rank()
+        # a repeated summand adds entries but no set, the trivial
+        # summand at most the set of all elements
+        everything = tuple(range(g.order))
+        for rep, dup, triv in zip(reps[::3], reps[1::3], reps[2::3]):
+            sets = _incidence_sets(rep)[0]
+            assert _incidence_sets(dup)[0] == sets
+            assert set(_incidence_sets(triv)[0]) == set(sets) | {everything}
+    assert counts == [3 * 174, 3 * 50, 3 * 94, 3 * 6]
+
+
+def test_kernel_and_difference_space_match_dense_on_scenario_pairs(main_pair):
+    _, _, _, _, a6_1, a6_2 = alt6_reps()
+    for rep in (*main_pair, a6_1, a6_2):
+        check_against_dense(rep)
