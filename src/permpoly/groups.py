@@ -16,16 +16,18 @@ generator s, induction on word length gives f(x*y) = f(x)*f(y) for all
 x and y.
 
 A FiniteGroup is immutable, so its two exhaustive searches are kept on
-it once they complete: the automorphisms (as generator images, refilled
-along the spanning tree on replay) and the subgroups of each order.
-Each is computed once per group; a replay honours node_cap exactly as a
-fresh search would, and a search stopped early keeps nothing.
+it once they complete: the automorphisms (each as its full image array,
+an array('H') or, past 65,535 elements, an array('I'), copied into a
+tuple on replay) and the subgroups of each order.  Each is computed
+once per group; a replay honours node_cap exactly as a fresh search
+would, and a search stopped early keeps nothing.
 
 Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import gcd
 
 DEFAULT_ORDER_CAP = 1000
@@ -266,7 +268,7 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         # exhaustive searches, kept once complete (see isomorphisms_iter
-        # and subgroups_of_order): ((nodes, generator images) per
+        # and subgroups_of_order): ((nodes, image array) per
         # automorphism, total nodes), and order -> (subgroups, nodes)
         self._automorphisms = None
         self._subgroups = {}
@@ -709,24 +711,17 @@ def _respects_generators(g1: FiniteGroup, g2: FiniteGroup, f) -> bool:
     return True
 
 
-def _fill_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
-    """The image array f with f(x*s) = f(x)*imgs[s] along g1's spanning
-    tree, unchecked."""
+def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
+    """Extend g1.gens -> imgs to a homomorphism, or None on inconsistency.
+
+    The images are filled in along g1's spanning tree, f(x*s) =
+    f(x)*imgs[s], and then proved on every generator edge, so a returned
+    image array is a genuine homomorphism.
+    """
     t2 = g2.table
     f = [0] * g1.order
     for y, x, pos in g1.tree:
         f[y] = t2[f[x]][imgs[pos]]
-    return f
-
-
-def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
-    """Extend g1.gens -> imgs to a homomorphism, or None on inconsistency.
-
-    The images are filled in along g1's spanning tree and then proved
-    on every generator edge, so a returned image array is a genuine
-    homomorphism.
-    """
-    f = _fill_from_gen_images(g1, g2, imgs)
     return f if _respects_generators(g1, g2, f) else None
 
 
@@ -740,21 +735,22 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     ascending element index.
 
     Automorphisms (g1 is g2) are enumerated once per group: a search
-    that runs to completion keeps each map's generator images, with
-    the node count at which it was found and the search's total, on
-    the group.  A later call replays them, filling each map along the
-    spanning tree from its generator images (the search proved it on
-    every generator edge).  node_cap behaves as for a fresh search:
-    the maps found within node_cap nodes are yielded, then SizeCapError
-    is raised if the search took more.  A search stopped early (a
-    caller's break, a close, or SizeCapError) keeps nothing.
+    that runs to completion keeps each map's full image array (an
+    array('H'), or array('I') past 65,535 elements), with the node
+    count at which it was found and the search's total, on the group.
+    A later call replays them, each map's images copied from its array
+    (the search proved it on every generator edge).  node_cap behaves
+    as for a fresh search: the maps found within node_cap nodes are
+    yielded, then SizeCapError is raised if the search took more.  A
+    search stopped early (a caller's break, a close, or SizeCapError)
+    keeps nothing.
     """
     if g1 is g2 and g1._automorphisms is not None:
         found, total = g1._automorphisms
-        for nodes, imgs in found:
+        for nodes, images in found:
             if nodes > node_cap:
                 break
-            yield GroupMap(g1, g1, _fill_from_gen_images(g1, g1, imgs))
+            yield GroupMap(g1, g1, images)
         if total > node_cap:
             raise SizeCapError("isomorphism search exceeded %d nodes" % node_cap)
         return
@@ -777,13 +773,15 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     t1, t2 = g1.table, g2.table
     chosen = [0] * len(gens)
     found = []
+    typecode = "H" if g1.order <= 65_535 else "I"
 
     def descend(depth):
         nonlocal nodes
         if depth == len(gens):
             hom = _hom_from_gen_images(g1, g2, chosen)
             if hom is not None and len(set(hom)) == g2.order:
-                found.append((nodes, tuple(chosen)))
+                if g1 is g2:
+                    found.append((nodes, array(typecode, hom)))
                 yield GroupMap(g1, g2, hom)
             return
         a = gens[depth]

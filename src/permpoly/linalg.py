@@ -169,24 +169,9 @@ def express_in_rowspace(reduced, pivots, vec):
     return coeffs
 
 
-def mat_vec(rows, vec):
-    out = []
-    for row in rows:
-        s = F0
-        for a, b in zip(row, vec):
-            if a and b:
-                s += a * b
-        out.append(s)
-    return out
-
-
 def dot(u, v):
     s = F0
     for a, b in zip(u, v):
         if a and b:
             s += a * b
     return s
-
-
-def is_zero_vector(vec) -> bool:
-    return all(not x for x in vec)

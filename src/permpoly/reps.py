@@ -11,6 +11,16 @@ sum(lambda_g M_g) = 0.  Two representations of one group are stably
 equivalent iff their affine kernels coincide; effective equivalence
 additionally allows precomposing one side with a group isomorphism.
 
+The cycle divisors D(g) of an element are the divisors of the cycle
+lengths of rep(g).  The span of the powers of a permutation matrix P has
+dimension sum(phi(d) for d in D), the degree of the minimal polynomial
+of P, and stable equivalence restricts to subgroups: the affine kernel
+of A restricted to <g> is its affine kernel meet Q^<g>, which is fixed
+by the Q-irreducibles of <g> occurring in A, indexed by D_A(g).  So an
+isomorphism phi can witness effective equivalence only if D_A(g) =
+D_B(phi(g)) for every g, and two representations whose multisets
+{(order g, D(g))} differ are not effectively equivalent.
+
 Entry (i, j) of M_g is 1 exactly for g in the incidence set S_ij, the
 elements sending j to i, and only a few distinct sets occur among the
 degree^2 entries.  The affine kernel eliminates the all-ones row and one
@@ -23,6 +33,7 @@ first copy, so both reduced forms equal those of the full systems.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -83,6 +94,7 @@ class PermRep:
         self.vertices = verts
         self._kernel = None
         self._diff = None
+        self._divisors = None
 
     def _validate(self):
         """The action must respect every generator edge,
@@ -140,6 +152,21 @@ class PermRep:
             combined.append(Permutation(imgs))
         return cls(group, combined)
 
+    def cycle_divisors(self):
+        """D(g) for each element g, as one bitmask int: bit d is set when
+        d divides the length of some cycle of rep(g).  Cached."""
+        if self._divisors is None:
+            out = []
+            for p in self.action:
+                mask = 2  # 1 divides every cycle length, fixed points too
+                for length in {len(c) for c in p.cycles()}:
+                    for d in range(2, length + 1):
+                        if length % d == 0:
+                            mask |= 1 << d
+                out.append(mask)
+            self._divisors = tuple(out)
+        return self._divisors
+
     def orbit_count(self) -> int:
         seen = [False] * self.degree
         count = 0
@@ -171,6 +198,11 @@ class PermRep:
 
     def __repr__(self):
         return "<PermRep: order %d on %d points>" % (self.group.order, self.degree)
+
+
+def divisors_of_mask(mask):
+    """The ascending tuple of the d with bit d set in mask."""
+    return tuple(d for d in range(mask.bit_length()) if mask >> d & 1)
 
 
 class AffineKernel:
@@ -376,6 +408,29 @@ def stably_equivalent_by_kernel(repA: PermRep, repB: PermRep) -> bool:
     return all(_lambda_annihilates(repB, lam) for lam in kA.sparse_int)
 
 
+def cycle_divisor_obstruction(repA: PermRep, repB: PermRep):
+    """None when the multisets {(order g, D_A(g))} and {(order g, D_B(g))}
+    agree; otherwise (order, divisors, count_a, count_b) for the greatest
+    (order, D) key whose counts differ, D compared as its bitmask and
+    given as its ascending divisors: count_a elements of rep_A against
+    count_b of rep_B.  Taking the greatest names the highest element
+    order at which the two part, as the paper's argument by constituent
+    orders does.
+
+    A witness phi of effective equivalence keeps element orders and has
+    D_A(g) = D_B(phi(g)) (see the module docstring), so an obstruction
+    certifies that no isomorphism is a witness.  O(|G| * degree), with no
+    elimination.
+    """
+    count_a, count_b = (Counter(zip(rep.group.orders, rep.cycle_divisors()))
+                        for rep in (repA, repB))
+    if count_a == count_b:
+        return None
+    key = max(k for k in count_a.keys() | count_b.keys()
+              if count_a[k] != count_b[k])
+    return key[0], divisors_of_mask(key[1]), count_a[key], count_b[key]
+
+
 def effectively_equivalent(repA: PermRep, repB: PermRep,
                            node_cap=10_000_000) -> GroupMap | None:
     """First isomorphism phi with rep_A stably equivalent to rep_B o phi.
@@ -383,12 +438,25 @@ def effectively_equivalent(repA: PermRep, repB: PermRep,
     Isomorphisms are enumerated in the canonical backtracking order, so
     the returned witness is deterministic; None when no isomorphism
     works (or the groups are not isomorphic).
+
+    The cycle-divisor invariant runs first: when
+    cycle_divisor_obstruction finds one, the answer is None with no
+    affine kernel and no search, so no SizeCapError is raised whatever
+    node_cap is.  In the search, a map phi is tested on the kernel only
+    if D_B(phi(g)) = D_A(g) for every g; every witness passes, so the
+    first witness found is the same as without the filter.
     """
+    if cycle_divisor_obstruction(repA, repB) is not None:
+        return None
     kA = affine_kernel(repA)
     kB = affine_kernel(repB)
     if kA.dim != kB.dim:
         return None
+    dA = repA.cycle_divisors()
+    dB = repB.cycle_divisors()
     for phi in isomorphisms_iter(repA.group, repB.group, node_cap=node_cap):
+        if tuple(map(dB.__getitem__, phi.images)) != dA:
+            continue
         if all(_lambda_annihilates(repB, lam, phi) for lam in kA.sparse_int):
             return phi
     return None

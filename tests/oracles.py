@@ -8,9 +8,9 @@ import sympy
 
 from permpoly.characters import permutation_character
 from permpoly.cyclotomic import cyclo_rational
-from permpoly.groups import GroupMap
+from permpoly.groups import GroupMap, isomorphisms_iter
 from permpoly.linalg import F0, kernel_sparse, rref
-from permpoly.reps import PermRep
+from permpoly.reps import PermRep, _lambda_annihilates, affine_kernel
 
 
 def brute_force_faces(poly):
@@ -123,6 +123,21 @@ def fraction_kernel(reduced, pivots, ncols):
                                             if reduced[i][f]]
             basis.append(sorted(entries))
     return len(pivots), basis
+
+
+def mat_vec(rows, vec):
+    out = []
+    for row in rows:
+        s = F0
+        for a, b in zip(row, vec):
+            if a and b:
+                s += a * b
+        out.append(s)
+    return out
+
+
+def is_zero_vector(vec) -> bool:
+    return all(not x for x in vec)
 
 
 def first_independent(vectors):
@@ -271,3 +286,17 @@ def dense_difference_space(rep: PermRep):
         rows.append([a - b for a, b in zip(v, base)])
     reduced, pivots = rref(rows)
     return [tuple(r) for r in reduced], list(pivots)
+
+
+def exhaustive_effectively_equivalent(repA: PermRep, repB: PermRep):
+    """First isomorphism phi with rep_A stably equivalent to rep_B o phi,
+    found by testing every isomorphism's kernel in the canonical order,
+    with no cycle-divisor invariant; None when none works."""
+    kA = affine_kernel(repA)
+    kB = affine_kernel(repB)
+    if kA.dim != kB.dim:
+        return None
+    for phi in isomorphisms_iter(repA.group, repB.group):
+        if all(_lambda_annihilates(repB, lam, phi) for lam in kA.sparse_int):
+            return phi
+    return None

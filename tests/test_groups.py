@@ -1,4 +1,6 @@
+import hashlib
 import random
+from array import array
 
 import pytest
 from sympy.combinatorics import Permutation as SPerm
@@ -18,6 +20,7 @@ from permpoly.groups import (
     isomorphisms_iter,
     parse_cycles,
 )
+from permpoly.scenarios import _closed_under_composition
 
 
 def sympy_twin(group):
@@ -436,3 +439,78 @@ def test_node_caps_hold_after_full_search():
     assert len(isomorphisms(q8, q8)) == 24
     with pytest.raises(SizeCapError):
         isomorphisms(q8, q8, node_cap=1)
+
+
+# the 13 benchmark corpus groups, each with its automorphism count and a
+# digest of its automorphism image list as the search yielded it when the
+# memo kept generator images; a replay from the image arrays must match
+CORPUS_AUTOMORPHISMS = {
+    "klein": ((["(1 2)", "(3 4)"], 4), 6, "0181b97d88286082"),
+    "klein-regular": ((["(1 2)(3 4)", "(1 3)(2 4)"], 4), 6,
+                      "3006c2cfe12e0c32"),
+    "s3": ((["(1 2)", "(1 2 3)"], 3), 6, "edf88ad112cc8e5d"),
+    "z4": ((["(1 2 3 4)"], 4), 2, "1ec34c76cfeb77c7"),
+    "a4": ((["(1 2 3)", "(2 3 4)"], 4), 24, "7681092ad4389585"),
+    "s4": ((["(1 2)", "(1 2 3 4)"], 4), 24, "9209ff710cbe2ee1"),
+    "d6": ((["(1 2 3 4 5 6)", "(2 6)(3 5)"], 6), 12, "32e49df6abc830db"),
+    "q8": ((["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"], 8), 24,
+           "db89668f4d2d5e24"),
+    "z2^4": ((["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8), 20160,
+             "79c9bf7b7b37c528"),
+    "g48": ((["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11), 384,
+            "b833b71002514eff"),
+    "a5": ((["(1 2 3 4 5)", "(3 4 5)"], 5), 120, "e3decf54b4b7aa76"),
+    "s5": ((["(1 2 3 4 5)", "(1 2)"], 5), 120, "9b82b312d1e96be8"),
+    "a6": ((["(1 2 3 4 5)", "(4 5 6)"], 6), 1440, "77bcb7ad69ad7766"),
+}
+
+
+def test_memo_replays_pinned_automorphism_lists():
+    for name, ((gens, degree), count, digest) in CORPUS_AUTOMORPHISMS.items():
+        group = FiniteGroup.from_cycle_strings(gens, degree)
+        first = [phi.images for phi in isomorphisms(group, group)]
+        found, _ = group._automorphisms
+        # the memo keeps one compact image array per map
+        assert all(isinstance(images, array) and images.typecode == "H"
+                   for _, images in found), name
+        replayed = [phi.images for phi in isomorphisms(group, group)]
+        assert replayed == first, name
+        assert all(type(images) is tuple for images in replayed)
+        assert len(replayed) == count, name
+        assert hashlib.sha256(repr(replayed).encode()).hexdigest()[:16] \
+            == digest, name
+
+
+def closed_all_pairs(maps):
+    members = set(maps)
+    return all(tuple(map(a.__getitem__, b)) in members
+               for a in members for b in members)
+
+
+def test_closure_check_matches_all_pairs(s4, q8, d6):
+    rng = random.Random(5)
+    for group in (s4, q8, d6, fresh("g48")):
+        autos = [phi.images for phi in automorphisms(group)]
+        identity = tuple(range(group.order))
+        assert _closed_under_composition(autos)
+        # without one map, or with a bijection that is no automorphism
+        assert not _closed_under_composition(autos[:-1])
+        stranger = tuple(swapped(autos[0], 1, 2))
+        assert stranger not in autos
+        assert not _closed_under_composition(autos + [stranger])
+        if group.order > 24:
+            continue
+        verdicts = set()
+        for _ in range(30):
+            subset = rng.sample(autos, rng.randint(1, 4))
+            if rng.random() < 0.5:
+                # close it into a subgroup by the all-pairs products
+                members = {identity} | set(subset)
+                while not closed_all_pairs(members):
+                    members |= {tuple(map(a.__getitem__, b))
+                                for a in members for b in members}
+                subset = sorted(members)
+            verdict = _closed_under_composition(subset)
+            assert verdict == (identity in subset and closed_all_pairs(subset))
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

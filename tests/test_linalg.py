@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import sympy
 from oracles import (fraction_kernel, fraction_rref,
-                     fraction_rref_with_transform)
+                     fraction_rref_with_transform, is_zero_vector, mat_vec)
 
 from permpoly import FiniteGroup, PermRep
-from permpoly.linalg import (express_in_rowspace, is_zero_vector, kernel_sparse,
-                             mat_vec, rank, rref, rref_with_transform)
+from permpoly.linalg import (express_in_rowspace, kernel_sparse, rank, rref,
+                             rref_with_transform)
 
 
 def rand_matrix(rng, nrows, ncols, lo=-4, hi=4):

@@ -1,15 +1,17 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 
 from oracles import (dense_affine_kernel, dense_difference_space,
-                     dict_lambda_annihilates, first_independent,
+                     dict_lambda_annihilates,
+                     exhaustive_effectively_equivalent, first_independent,
                      is_homomorphism_all_pairs)
 from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                              isomorphisms, parse_cycles)
-from permpoly.linalg import express_in_rowspace, rref
+from permpoly.linalg import express_in_rowspace, rank, rref
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
     NotFaithfulError,
@@ -20,7 +22,9 @@ from permpoly.reps import (
     affine_kernel,
     build_equivariant_map,
     compose_with_map,
+    cycle_divisor_obstruction,
     difference_space,
+    divisors_of_mask,
     effectively_equivalent,
     stably_equivalent_by_kernel,
     u_action_trace,
@@ -454,3 +458,107 @@ def test_kernel_and_difference_space_match_dense_on_scenario_pairs(main_pair):
     _, _, _, _, a6_1, a6_2 = alt6_reps()
     for rep in (*main_pair, a6_1, a6_2):
         check_against_dense(rep)
+
+
+def g48_equal_dimension_pairs():
+    """Every pair of faithful sums of two coset actions of Z2 x Z2 x Z4 x
+    Z3, of degree at most 16, with equal affine kernel dimensions."""
+    g = FiniteGroup.from_cycle_strings(
+        ["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11)
+    actions = [g.coset_action(sub) for k in range(1, 49) if 48 % k == 0
+               for sub in g.subgroups_of_order(k)]
+    by_dim = {}
+    for a, b in itertools.combinations_with_replacement(actions, 2):
+        if a.degree + b.degree > 16:
+            continue
+        try:
+            rep = PermRep.from_coset_actions(g, [a, b])
+        except NotFaithfulError:
+            continue
+        by_dim.setdefault(affine_kernel(rep).dim, []).append(rep)
+    return [pair for _, reps in sorted(by_dim.items())
+            for pair in itertools.combinations(reps, 2)]
+
+
+def test_effectively_equivalent_matches_exhaustive_oracle(
+        s3, klein, z4, z4_family, main_pair):
+    _, _, _, _, a6_1, a6_2 = alt6_reps()
+    pairs = list(itertools.product(z4_family, repeat=2))
+    pairs += [(PermRep.natural(s3), regular(s3)),
+              (PermRep.natural(klein), PermRep.natural(z4)),
+              main_pair, main_pair[::-1], (a6_1, a6_2)]
+    g48_pairs = g48_equal_dimension_pairs()
+    assert len(g48_pairs) == 772
+    answers = []
+    for repA, repB in pairs + g48_pairs:
+        expected = exhaustive_effectively_equivalent(repA, repB)
+        phi = effectively_equivalent(repA, repB)
+        assert (phi is None) == (expected is None)
+        if phi is not None:
+            assert phi.images == expected.images
+            # a witness leaves no obstruction
+            assert cycle_divisor_obstruction(repA, repB) is None
+        answers.append(phi is not None)
+    # both kinds of answer occur, in the scenarios and among the g48 pairs
+    assert answers[25:30] == [False, False, False, False, True]
+    assert sum(answers[30:]) == 516
+
+
+def test_cycle_divisor_obstruction_certifies_the_main_example(main_pair):
+    # 16 elements of order 12 act on the first with a 12-cycle, none on
+    # the second
+    assert cycle_divisor_obstruction(*main_pair) == \
+        (12, (1, 2, 3, 4, 6, 12), 16, 0)
+    assert cycle_divisor_obstruction(main_pair[1], main_pair[0]) == \
+        (12, (1, 2, 3, 4, 6, 12), 0, 16)
+    assert cycle_divisor_obstruction(main_pair[0], main_pair[0]) is None
+
+
+def test_effectively_equivalent_obstruction_runs_no_search(main_pair):
+    # the exhaustive search raises under a one-node cap; the obstruction
+    # answers before any search starts
+    with pytest.raises(SizeCapError):
+        isomorphisms(main_pair[0].group, main_pair[0].group, node_cap=1)
+    assert effectively_equivalent(*main_pair, node_cap=1) is None
+
+
+def euler_phi(d):
+    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+
+
+def cyclic_span_dims(rep, drop_largest=False):
+    """(sum of phi(d) over D(g), minus 1, and the exact rank of
+    {M_(g^k) - M_e}) for every element g."""
+    group = rep.group
+    identity = rep.vertices[0]
+    out = []
+    for g, mask in enumerate(rep.cycle_divisors()):
+        divisors = divisors_of_mask(mask)
+        if drop_largest:
+            divisors = divisors[:-1]
+        rows = [[a - b for a, b in zip(rep.vertices[group.power_index(g, k)],
+                                       identity)]
+                for k in range(1, group.orders[g])]
+        out.append((sum(euler_phi(d) for d in divisors) - 1,
+                    rank(rows) if rows else 0))
+    return out
+
+
+def test_cycle_divisors_give_cyclic_span_dimensions(
+        small_reps, klein_pair, z4_family, main_pair):
+    _, _, _, _, a6_1, a6_2 = alt6_reps()
+    reps = small_reps + list(klein_pair) + list(z4_family) + list(main_pair)
+    for rep in reps + [a6_1, a6_2]:
+        # D(g) read independently off the cycles, fixed points included
+        for p, mask in zip(rep.action, rep.cycle_divisors()):
+            lengths = [len(c) for c in p.cycles()]
+            if sum(lengths) < rep.degree:
+                lengths.append(1)
+            assert divisors_of_mask(mask) == tuple(
+                d for d in range(1, rep.degree + 1)
+                if any(length % d == 0 for length in lengths))
+        for predicted, actual in cyclic_span_dims(rep):
+            assert predicted == actual
+        # a divisor set missing its largest divisor predicts too little
+        for predicted, actual in cyclic_span_dims(rep, drop_largest=True):
+            assert predicted < actual
