@@ -122,7 +122,7 @@ class CharacterTable:
             len(self.classes), self.conductor, self.route)
 
 
-def character_table(group: FiniteGroup, class_cap=DEFAULT_CLASS_CAP) -> CharacterTable:
+def character_table(group: FiniteGroup) -> CharacterTable:
     """The (cached) character table of the group."""
     cached = getattr(group, "_character_table", None)
     if cached is not None:
@@ -130,7 +130,7 @@ def character_table(group: FiniteGroup, class_cap=DEFAULT_CLASS_CAP) -> Characte
     if group.is_abelian():
         table = CharacterTable(group, _abelian_characters(group), "cyclic-chain")
     else:
-        table = CharacterTable(group, _class_matrix_characters(group, class_cap),
+        table = CharacterTable(group, _class_matrix_characters(group),
                                "class-matrix")
     group._character_table = table
     return table
@@ -428,13 +428,13 @@ def _split_eigenvectors(constants, r, p):
     return out
 
 
-def _class_matrix_characters(group: FiniteGroup, class_cap=DEFAULT_CLASS_CAP):
+def _class_matrix_characters(group: FiniteGroup):
     classes = group.conjugacy_classes()
     r = len(classes)
-    if r > class_cap:
+    if r > DEFAULT_CLASS_CAP:
         raise SizeCapError(
             "class-matrix construction capped at %d classes; group has %d"
-            % (class_cap, r))
+            % (DEFAULT_CLASS_CAP, r))
     n = group.order
     m = group.exponent()
     sizes = [len(c) for c in classes]

@@ -389,7 +389,10 @@ class FiniteGroup:
     def subgroup(self, gen_indices) -> "Subgroup":
         """Closure of the given element indices inside this group."""
         gen_indices = [int(i) for i in gen_indices]
-        elements = _close(self.table, gen_indices, len(self.elements))
+        if any(not 0 <= i < self.order for i in gen_indices):
+            raise ValueError("element index out of range")
+        # capped at |G|, so never None
+        elements = _close_capped(self.table, gen_indices, self.order)
         return Subgroup(self, tuple(sorted(elements)), tuple(gen_indices))
 
     def subgroup_from_elements(self, indices) -> "Subgroup":
@@ -519,24 +522,6 @@ class FiniteGroup:
         return "<%s: degree %d, order %d>" % (name, self.degree, self.order)
 
 
-def _close(table, gens, cap):
-    elems = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = table[x]
-            for g in gens:
-                y = row[g]
-                if y not in elems:
-                    if len(elems) >= cap:
-                        raise SizeCapError("closure exceeded cap %d" % cap)
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
-
-
 def _close_capped(table, gens, cap):
     """Closure of gens, or None once it exceeds cap elements."""
     elems = {0}
@@ -567,7 +552,8 @@ def _find_generators(table, indices):
     for x in indices:
         if x not in have:
             gens.append(x)
-            have = _close(table, gens, len(indices))
+            # the closure stays inside the closed set, so never passes its size
+            have = _close_capped(table, gens, len(indices))
             if len(have) == len(indices):
                 break
     return tuple(gens)

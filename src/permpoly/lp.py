@@ -1,13 +1,12 @@
 """Exact linear programming over the rationals (tableau simplex, Bland's rule).
 
-Two entry points:
-
-* strict_separation_lp decides whether a functional can vanish on a set
-  of equality rows while staying strictly positive on every strict row;
-  it maximizes a slack under box bounds so feasibility is witnessed by a
-  positive optimum.
-* maximize is a generic two-phase solver used for membership
-  certificates.
+One solver, maximize: two-phase simplex for max c.x subject to A x = b,
+x >= 0.  It returns an optimal dual y alongside the optimal x, read off
+the artificial columns of phase 1, which phase 2 keeps as B^-1 and
+never lets enter.  Before it returns, maximize checks both exactly
+(A x = b, x >= 0, y A >= c, c.x = y.b), so each optimum is a certificate:
+x is a feasible point reaching the value and y bounds every feasible
+point by it.
 
 Bland's anti-cycling pivot (lowest eligible index on entry and exit)
 keeps every run finite and deterministic.
@@ -42,9 +41,9 @@ def _pivot(tab, z, basis, r, c):
     basis[r] = c
 
 
-def _bland_max(tab, z, basis):
-    """Maximize with reduced-cost row z (last entry = -objective value)."""
-    width = len(z) - 1
+def _bland_max(tab, z, basis, width):
+    """Maximize with reduced-cost row z (last entry = -objective value);
+    only the first width columns may enter."""
     while True:
         enter = None
         for j in range(width):
@@ -80,7 +79,8 @@ def _reduced_costs(tab, basis, obj, width):
 
 
 def _drive_out_artificials(tab, basis, n_real):
-    """Pivot zero-valued artificial basics onto real columns; drop dead rows."""
+    """Pivot zero-valued artificial basics onto real columns; drop the
+    rows of redundant constraints."""
     i = 0
     while i < len(tab):
         if basis[i] >= n_real:
@@ -98,23 +98,41 @@ def _drive_out_artificials(tab, basis, n_real):
             zdummy = [F0] * (len(tab[i]))
             _pivot(tab, zdummy, basis, i, col)
         i += 1
-    for i in range(len(tab)):
-        tab[i] = tab[i][:n_real] + [tab[i][-1]]
+
+
+def _check_optimum(rows, rhs, obj, x, y, value):
+    """Raise LPError unless x and y are feasible and both reach value."""
+    if any(v < 0 for v in x) or any(dot(row, x) != b
+                                    for row, b in zip(rows, rhs)):
+        raise LPError("primal solution fails its check")
+    ya = [F0] * len(obj)
+    for yi, row in zip(y, rows):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    ya[j] += yi * a
+    if any(s < c for s, c in zip(ya, obj)):
+        raise LPError("dual solution fails its check")
+    if dot(obj, x) != value or dot(y, rhs) != value:
+        raise LPError("primal and dual objectives disagree")
 
 
 def maximize(eq_rows, rhs, obj):
     """max obj . x subject to eq_rows @ x = rhs, x >= 0.
 
-    Returns (value, x) or None when infeasible.  Raises LPError when the
+    Returns (value, x, y) with y an optimal dual: y @ eq_rows >= obj
+    componentwise and y . rhs = value, one entry per row, redundant rows
+    included.  Returns None when infeasible.  Raises LPError when the
     objective is unbounded.
     """
-    m = len(eq_rows)
+    rows = [[Fraction(v) for v in row] for row in eq_rows]
+    rhs = [Fraction(v) for v in rhs]
+    obj = [Fraction(v) for v in obj]
+    m = len(rows)
     n = len(obj)
     tab = []
     basis = []
-    for i in range(m):
-        row = [Fraction(v) for v in eq_rows[i]]
-        b = Fraction(rhs[i])
+    for i, (row, b) in enumerate(zip(rows, rhs)):
         if b < 0:
             row = [-v for v in row]
             b = -b
@@ -124,121 +142,18 @@ def maximize(eq_rows, rhs, obj):
     width = n + m
     phase1 = [F0] * n + [Fraction(-1)] * m
     z = _reduced_costs(tab, basis, phase1, width)
-    _bland_max(tab, z, basis)
+    _bland_max(tab, z, basis, width)
     if z[-1] != 0:
         return None
     _drive_out_artificials(tab, basis, n)
-    z = _reduced_costs(tab, basis, [Fraction(v) for v in obj], n)
-    _bland_max(tab, z, basis)
+    z = _reduced_costs(tab, basis, obj, width)
+    _bland_max(tab, z, basis, n)
     x = [F0] * n
     for i, b in enumerate(basis):
         x[b] = tab[i][-1]
-    return -z[-1], x
-
-
-def strict_separation_lp(equalities, strict_rows, ncols=None):
-    """Decide existence of y with E @ y = 0 and S @ y > 0 componentwise.
-
-    y = (c_1..c_d, beta) is a functional plus offset; the solver
-    maximizes a shared slack eps subject to S @ y >= eps, box bounds
-    -1 <= c_i <= 1 and eps <= 1.  Separation exists iff the optimum is
-    positive; the witness y is returned alongside.
-
-    Returns (feasible, witness, eps).
-    """
-    if ncols is None:
-        if equalities:
-            ncols = len(equalities[0])
-        elif strict_rows:
-            ncols = len(strict_rows[0])
-        else:
-            raise LPError("cannot infer column count")
-    d = ncols - 1  # functional coordinates; last column is the offset
-    E = [[Fraction(v) for v in row] for row in equalities]
-    S = [[Fraction(v) for v in row] for row in strict_rows]
-    for row in E + S:
-        if len(row) != ncols:
-            raise LPError("ragged constraint rows")
-
-    # columns: a_i, b_i (c_i = a_i - b_i), p, q (beta = p - q), eps,
-    # then slacks: t_r (strict), w_i (a_i <= 1), u_i (b_i <= 1), v (eps <= 1)
-    na, nb = d, d
-    ip, iq = 2 * d, 2 * d + 1
-    ie = 2 * d + 2
-    it0 = ie + 1
-    iw0 = it0 + len(S)
-    iu0 = iw0 + d
-    iv = iu0 + d
-    n_real = iv + 1
-    n_art = len(E)
-    width = n_real + n_art
-
-    tab = []
-    basis = []
-
-    def blank():
-        return [F0] * (width + 1)
-
-    for k, row in enumerate(E):
-        t = blank()
-        for i in range(d):
-            t[i] = row[i]
-            t[nb + i] = -row[i]
-        t[ip] = row[d]
-        t[iq] = -row[d]
-        t[n_real + k] = F1
-        tab.append(t)
-        basis.append(n_real + k)
-    for r, row in enumerate(S):
-        t = blank()
-        for i in range(d):
-            t[i] = -row[i]
-            t[nb + i] = row[i]
-        t[ip] = -row[d]
-        t[iq] = row[d]
-        t[ie] = F1
-        t[it0 + r] = F1
-        tab.append(t)
-        basis.append(it0 + r)
-    for i in range(d):
-        t = blank()
-        t[i] = F1
-        t[iw0 + i] = F1
-        t[-1] = F1
-        tab.append(t)
-        basis.append(iw0 + i)
-    for i in range(d):
-        t = blank()
-        t[nb + i] = F1
-        t[iu0 + i] = F1
-        t[-1] = F1
-        tab.append(t)
-        basis.append(iu0 + i)
-    t = blank()
-    t[ie] = F1
-    t[iv] = F1
-    t[-1] = F1
-    tab.append(t)
-    basis.append(iv)
-
-    _drive_out_artificials(tab, basis, n_real)
-    obj = [F0] * n_real
-    obj[ie] = F1
-    z = _reduced_costs(tab, basis, obj, n_real)
-    _bland_max(tab, z, basis)
-
-    x = [F0] * n_real
-    for i, b in enumerate(basis):
-        x[b] = tab[i][-1]
-    witness = tuple(x[i] - x[nb + i] for i in range(d)) + (x[ip] - x[iq],)
-    eps = x[ie]
-    feasible = eps > 0
-    # exactness guard: the witness must satisfy what the tableau claims
-    for row in E:
-        if dot(row, witness) != 0:
-            raise LPError("witness violates an equality row")
-    if feasible:
-        for row in S:
-            if dot(row, witness) < eps:
-                raise LPError("witness violates a strict row")
-    return feasible, witness, eps
+    # artificial column i holds column i of B^-1 for the row as entered
+    # (negated when its rhs was), so its reduced cost is -y_i
+    y = [z[n + i] if b < 0 else -z[n + i] for i, b in enumerate(rhs)]
+    value = -z[-1]
+    _check_optimum(rows, rhs, obj, x, y, value)
+    return value, x, y

@@ -16,11 +16,12 @@ certificate that is checked exactly:
 * barycenter: S and its closure have one barycenter (always so for a
   subgroup, by orbit-stabilizer); the uniform combination over the
   closure is the non-face certificate.
-* lp: otherwise, a strict-separation LP in affine-hull coordinates
-  (dimension dim+1, not degree^2) over the reduced-echelon basis of
-  span{M_g - M_e}; its witness functional lifts back to ambient
-  coordinates through the basis pivots, and a barycenter LP finds the
-  non-face combination.
+* lp: otherwise, one LP in affine-hull coordinates (dim+1 rows, not
+  degree^2) over the reduced-echelon basis of span{M_g - M_e}
+  maximizes the weight off S of a convex combination equal to S's
+  barycenter.  A positive optimum is the non-face combination; at
+  optimum 0 the LP dual is the separating functional, lifted back to
+  ambient coordinates through the basis pivots.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import factorial, isqrt
 from .intlinalg import determinant, hermite_form, saturation, smith_divisors, \
     solve_in_lattice
 from .linalg import F0, F1, express_in_rowspace, rank
-from .lp import maximize, strict_separation_lp
+from .lp import maximize
 from .reps import PermRep, difference_space
 
 
@@ -140,8 +141,8 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
     degree); "pair" when |S| = 2 and F is larger (weight 1/2 on some x
     in F - S and on the complementary vertex y = a + b - x); "barycenter"
     when F is larger with the same barycenter (weight 1/|F| on each
-    vertex of F); "lp" otherwise (strict-separation LP, then a
-    barycenter LP for the non-face combination).
+    vertex of F); "lp" otherwise (one barycenter LP: its optimum is
+    the non-face combination, its dual the face functional).
     """
     labels = _checked_labels(poly, subset)
     action = poly.rep.action
@@ -192,43 +193,40 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
 def _is_face_lp(poly: PermutationPolytope, labels) -> FaceResult:
     """The LP face test on sorted distinct in-range labels: the general
     fallback of is_face and the oracle its certificates are tested
-    against."""
+    against.
+
+    One LP, in affine coordinates x_g: the largest weight off S that a
+    convex combination equal to the barycenter b of S can carry.  A
+    positive optimum is the non-face combination.  At optimum 0 the dual
+    (y0, w) has y0 + w.x_g >= 0 on every vertex, >= 1 off S, and
+    y0 + w.b = 0, the mean over S; so it vanishes on S, and -w with
+    offset y0 separates S strictly.
+    """
     inside = [False] * poly.vertex_count
     for g in labels:
         inside[g] = True
-
-    eqs = [list(poly.coords[g]) + [-1] for g in labels]
-    stricts = [[-c for c in poly.coords[h]] + [1]
-               for h in range(poly.vertex_count) if not inside[h]]
-    feasible, witness, _eps = strict_separation_lp(eqs, stricts,
-                                                   ncols=poly.dim + 1)
-    if feasible:
-        base = poly.vertices[0]
-        n2 = poly.degree * poly.degree
-        a = [F0] * n2
-        shift = F0
-        for c, p in zip(witness[:-1], poly.pivots):
-            a[p] = c
-            shift += c * base[p]
-        beta = witness[-1] + shift
-        return FaceResult(True, functional=(tuple(a), beta), route="lp")
-
-    # not separable: exhibit a representation of the subset barycenter
-    # with positive weight outside the subset
     m = len(labels)
     bary = [sum(poly.coords[g][k] for g in labels) / Fraction(m)
             for k in range(poly.dim)]
     eq_rows = [[1] * poly.vertex_count]
-    rhs = [Fraction(1)]
     for k in range(poly.dim):
-        eq_rows.append([poly.coords[g][k] for g in range(poly.vertex_count)])
-        rhs.append(bary[k])
-    obj = [0 if inside[g] else 1 for g in range(poly.vertex_count)]
-    sol = maximize(eq_rows, rhs, obj)
-    if sol is None or sol[0] <= 0:
-        raise RuntimeError("separation failed but barycenter LP found no witness")
-    weights = [(g, w) for g, w in enumerate(sol[1]) if w]
-    return FaceResult(False, counterexample=tuple(weights), route="lp")
+        eq_rows.append([c[k] for c in poly.coords])
+    obj = [0 if flag else 1 for flag in inside]
+    sol = maximize(eq_rows, [F1] + bary, obj)
+    if sol is None:
+        raise RuntimeError("the subset barycenter is not a convex combination")
+    value, weights, dual = sol
+    if value > 0:
+        return FaceResult(False, counterexample=tuple(
+            (g, w) for g, w in enumerate(weights) if w), route="lp")
+    # lift -w to ambient coordinates through the basis pivots
+    base = poly.vertices[0]
+    a = [F0] * (poly.degree * poly.degree)
+    beta = dual[0]
+    for w, p in zip(dual[1:], poly.pivots):
+        a[p] = -w
+        beta -= w * base[p]
+    return FaceResult(True, functional=(tuple(a), beta), route="lp")
 
 
 class FaceCensusEntry:

@@ -23,12 +23,14 @@ D_B(phi(g)) for every g, and two representations whose multisets
 
 Entry (i, j) of M_g is 1 exactly for g in the incidence set S_ij, the
 elements sending j to i, and only a few distinct sets occur among the
-degree^2 entries.  The affine kernel eliminates the all-ones row and one
-row per distinct nonempty set; the difference space span{M_g - M_e}
-eliminates one column per distinct set and copies each reduced column
-back to its entries.  Dropping zero and repeated rows keeps the row
-space, and a repeated column is never a pivot and reduces like its
-first copy, so both reduced forms equal those of the full systems.
+degree^2 entries.  The affine kernel eliminates one row per distinct
+nonempty set; the difference space span{M_g - M_e} eliminates one
+column per distinct set and copies each reduced column back to its
+entries.  Dropping zero and repeated rows keeps the row space, the sets
+of any one column j partition G so their rows sum to the all-ones row
+of sum(lambda) = 0, and a repeated column is never a pivot and reduces
+like its first copy, so both reduced forms equal those of the full
+systems.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class PermRep:
                 flat[i * n + j] = 1
             verts.append(tuple(flat))
         self.vertices = verts
+        self._sets = None
         self._kernel = None
         self._diff = None
         self._divisors = None
@@ -209,10 +212,11 @@ class AffineKernel:
     """Canonical basis of the affine kernel of a representation.
 
     The kernel is {lambda : sum(lambda) = 0, lambda . row(S) = 0 for each
-    distinct nonempty incidence set S}, eliminated on the all-ones row
-    and one 0/1 row per distinct set (see _incidence_sets): zero and
-    repeated rows of the degree^2-row system leave its row space, hence
-    its unique reduced echelon form, unchanged.  basis rows are the
+    distinct nonempty incidence set S}, eliminated on one 0/1 row per
+    distinct set (see _incidence_sets): zero and repeated rows of the
+    (degree^2 + 1)-row system, and its all-ones row, which the sets of
+    any one column sum to, leave its row space, hence its unique
+    reduced echelon form, unchanged.  basis rows are the
     kernel vectors over Q^|G|, one per free column of that form;
     sparse_int holds the same vectors scaled to integers for fast
     membership tests.  pivots are the pivot columns: the greedy first
@@ -245,14 +249,17 @@ def _incidence_sets(rep: PermRep):
     (sets, cls): sets are the distinct nonempty S_k as ascending tuples
     of elements, numbered in order of their first entry; cls[k] is the
     number of S_k, or -1 when no element covers entry k.  One pass over
-    the action images, O(|G| * degree).
+    the action images, O(|G| * degree), made once per representation.
 
-    affine_kernel eliminates one row per set in place of the degree^2
-    entry rows, which only adds zero and repeated rows; difference_space
+    affine_kernel eliminates one row per set in place of the all-ones
+    row and the degree^2 entry rows, which only adds zero and repeated
+    rows and the sum of one column's rows; difference_space
     eliminates one column per set, and a repeated column is never a
     pivot and reduces like its first copy.  So neither reduced form
     changes.
     """
+    if rep._sets is not None:
+        return rep._sets
     n = rep.degree
     members = {}
     for g, p in enumerate(rep.action):
@@ -270,7 +277,8 @@ def _incidence_sets(rep: PermRep):
         if c is None:
             c = index[key] = len(index)
         cls[k] = c
-    return list(index), cls
+    rep._sets = list(index), cls
+    return rep._sets
 
 
 def affine_kernel(rep: PermRep) -> AffineKernel:
@@ -278,7 +286,7 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
         return rep._kernel
     order = rep.group.order
     sets, _ = _incidence_sets(rep)
-    rows = [[1] * order]
+    rows = []
     for elems in sets:
         row = [0] * order
         for g in elems:

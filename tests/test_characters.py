@@ -18,7 +18,7 @@ from permpoly.characters import (
     verify_isotype,
 )
 from permpoly.cyclotomic import cyclo, cyclo_rational
-from permpoly.groups import FiniteGroup, parse_cycles
+from permpoly.groups import FiniteGroup, SizeCapError, parse_cycles
 from permpoly.reps import NotFaithfulError, PermRep, stably_equivalent_by_kernel
 
 from oracles import cyclotomic_constituents
@@ -318,3 +318,11 @@ def test_verify_isotype(s3, klein, a5):
     report3 = verify_isotype(PermRep.natural(a5))
     assert report3.ok and report3.dim_actual == 16
     assert report3.real_degrees == (4,)
+
+
+def test_class_matrix_route_is_capped():
+    # S3 x Z11: nonabelian with 3 * 11 = 33 classes, over the cap of 30
+    group = build(["(1 2)", "(1 2 3)", "(4 5 6 7 8 9 10 11 12 13 14)"], 14)
+    with pytest.raises(SizeCapError,
+                       match="capped at 30 classes; group has 33"):
+        character_table(group)

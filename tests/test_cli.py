@@ -16,6 +16,8 @@ KLEIN_REGULAR = {"degree": 4, "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]}
 Z4 = {"degree": 4, "generators": ["(1 2 3 4)"]}
 Z4_DEG6 = {"degree": 6, "generators": ["(1 2 3 4)(5 6)"]}
 S3 = {"degree": 3, "generators": ["(1 2)", "(1 2 3)"]}
+S3_Z11 = {"degree": 14, "generators": ["(1 2)", "(1 2 3)",
+                                       "(4 5 6 7 8 9 10 11 12 13 14)"]}
 
 
 def spec_file(tmp_path, name, doc):
@@ -83,6 +85,15 @@ def test_chartable_s3(tmp_path, capsys):
     assert "chi_0 (degree 1): 1 | 1 | 1\n" in out
     assert "chi_1 (degree 1): 1 | -1 | 1\n" in out
     assert "chi_2 (degree 2): 2 | 0 | -1\n" in out
+
+
+def test_chartable_over_the_class_cap(tmp_path, capsys):
+    # 33 classes: the class-matrix route refuses with exit 2, no traceback
+    assert cli.main(["chartable", spec_file(tmp_path, "g.json", S3_Z11)]) == 2
+    captured = capsys.readouterr()
+    assert "capped at 30 classes; group has 33" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_faces_square(tmp_path, capsys):

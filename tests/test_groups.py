@@ -179,6 +179,10 @@ def test_subgroup_properties(s4):
     whole = s4.subgroup(s4.gens)
     assert whole.order == 24 and whole.is_transitive()
     assert 0 in stab and stab.contains_all([0])
+    assert s4.subgroup([]).elements == (0,)
+    for bad in ([-1], [24]):
+        with pytest.raises(ValueError):
+            s4.subgroup(bad)
 
 
 def test_subgroup_from_elements_errors(s3):

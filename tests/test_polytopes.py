@@ -66,6 +66,21 @@ def test_face_tests_match_brute_force(small_polytopes):
     assert routes == {"support", "pair", "barycenter", "lp"}
 
 
+def test_lp_face_test_matches_brute_force(small_polytopes):
+    # the LP route alone on every subset: its verdict against the oracle,
+    # its dual functional or its barycenter combination checked exactly
+    for poly in small_polytopes:
+        expected = brute_force_faces(poly)
+        n = poly.vertex_count
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                res = _is_face_lp(poly, subset)
+                assert res.route == "lp"
+                assert res.is_face == (frozenset(subset) in expected), \
+                    "disagreement on %r of %r" % (subset, poly)
+                verify_face_result(poly, subset, res)
+
+
 def test_pair_routes_agree_with_lp_and_oracle(s4, d6, q8, a4, main_pair):
     # every vertex pair of four natural polytopes, and the identity pairs
     # of the two degree-16 representations; left multiplication by a^-1
