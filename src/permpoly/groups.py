@@ -15,6 +15,15 @@ only: if f(x*s) = f(x)*f(s) for every element x and every stored
 generator s, induction on word length gives f(x*y) = f(x)*f(y) for all
 x and y.
 
+Both exhaustive searches work up to the group's symmetry.  The
+subgroups of an order are searched one conjugacy class at a time, each
+class being the orbit of a subgroup under conjugation by the stored
+generators.  The isomorphism search fills each leaf along the spanning
+tree and rejects it at the first element whose order its image does not
+share; for automorphisms it keeps the group generated by the maps
+proven so far (at most node_cap of them) and accepts a leaf found in it
+without a fill.
+
 A FiniteGroup is immutable, so its two exhaustive searches are kept on
 it once they complete: the automorphisms (each as its full image array,
 an array('H') or, past 65,535 elements, an array('I'), copied into a
@@ -409,18 +418,31 @@ class FiniteGroup:
 
     def point_stabilizer(self, point: int) -> "Subgroup":
         """Stabilizer of a 1-based point."""
+        if not 1 <= point <= self.degree:
+            raise ValueError("point %r out of range 1..%d"
+                             % (point, self.degree))
         p = point - 1
         idxs = [i for i, e in enumerate(self.elements) if e.images[p] == p]
         sub = tuple(sorted(idxs))
         return Subgroup(self, sub, _find_generators(self.table, sub))
 
     def subgroups_of_order(self, k: int, node_cap=DEFAULT_NODE_CAP):
-        """All subgroups of order k, exhaustively.
+        """All subgroups of order k, exhaustively, sorted by elements.
 
-        Closure-pruned breadth-first search: subgroups of order dividing
-        k are grown one generator at a time, trying one representative
-        per double coset and aborting closures that outgrow k.  Raises
-        SizeCapError past node_cap closure attempts.
+        Closure-pruned search up to conjugacy (the cyclic-extension
+        method): subgroups of order dividing k are grown one generator
+        at a time, trying one representative per double coset and
+        aborting closures that outgrow k.  Each new subgroup's whole
+        conjugacy class, its orbit under conjugation by the stored
+        generators, is marked seen and only the subgroup itself is grown
+        further; the classes of order k are returned in full, each
+        conjugate generated by the conjugated chain generators.  This
+        stays complete: if H' = <H, x> and cHc^-1 was grown instead of
+        H, then cH'c^-1 = <cHc^-1, cxc^-1> is found from it.  Abelian
+        groups skip the conjugation.  Raises SizeCapError past node_cap
+        closure attempts; one closure attempt per class rather than per
+        subgroup makes a cap trip later than a search of every subgroup
+        would (Alt(6), order 60: 667 nodes where that takes 10,329).
 
         A completed search is kept on the group with its node count, so
         each order is searched once per group; a later call returns a
@@ -443,14 +465,18 @@ class FiniteGroup:
         table = self.table
         orders = self.orders
         usable = [g for g in range(1, n) if k % orders[g] == 0]
+        # x -> s x s^-1 per stored generator s; in an abelian group every
+        # subgroup is its own class
+        conjugations = [] if self.is_abelian() else [
+            [table[table[s][x]][self.inverse[s]] for x in range(n)]
+            for s in self.gens]
         seen = {(0,)}
-        found = {}
+        found = []
         queue = [trivial]
         nodes = 0
         while queue:
             sub = queue.pop()
             h = sub.elements
-            hsize = len(h)
             covered = bytearray(n)
             for x in h:
                 covered[x] = 1
@@ -475,13 +501,16 @@ class FiniteGroup:
                 key = tuple(sorted(closure))
                 if key in seen:
                     continue
-                seen.add(key)
-                cand = Subgroup(self, key, gens)
+                # a class is marked whole, so none of key's is seen yet
+                conjugates = _conjugacy_class(conjugations, key, gens)
+                seen.update(conjugates)
                 if len(key) == k:
-                    found[key] = cand
+                    found.extend(Subgroup(self, elements, cgens)
+                                 for elements, cgens in conjugates.items())
                 else:
-                    queue.append(cand)
-        subs = tuple(found[key] for key in sorted(found))
+                    queue.append(Subgroup(self, key, gens))
+        found.sort(key=lambda sub: sub.elements)
+        subs = tuple(found)
         self._subgroups[k] = (subs, nodes)
         return list(subs)
 
@@ -543,6 +572,24 @@ def _close_capped(table, gens, cap):
                     nxt.append(y)
         frontier = nxt
     return elems
+
+
+def _conjugacy_class(conjugations, elements, gens):
+    """The orbit of a subgroup (sorted elements, generators) under the
+    conjugation maps x -> s x s^-1 given, as a dict from sorted elements
+    to the conjugated generators.  For the maps of a generating set the
+    orbit is the whole conjugacy class; a normal subgroup costs one pass
+    per map."""
+    out = {elements: gens}
+    frontier = [(elements, gens)]
+    for sub, sub_gens in frontier:
+        for conj in conjugations:
+            image = tuple(sorted(map(conj.__getitem__, sub)))
+            if image not in out:
+                image_gens = tuple(map(conj.__getitem__, sub_gens))
+                out[image] = image_gens
+                frontier.append((image, image_gens))
+    return out
 
 
 def _find_generators(table, indices):
@@ -697,38 +744,84 @@ def _respects_generators(g1: FiniteGroup, g2: FiniteGroup, f) -> bool:
     return True
 
 
-def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup, imgs):
-    """Extend g1.gens -> imgs to a homomorphism, or None on inconsistency.
+def _fill_isomorphism(g1: FiniteGroup, g2: FiniteGroup, imgs):
+    """Extend g1.gens -> imgs to an isomorphism onto g2, of the same
+    order as g1, or None when it does not extend.
 
     The images are filled in along g1's spanning tree, f(x*s) =
-    f(x)*imgs[s], and then proved on every generator edge, so a returned
-    image array is a genuine homomorphism.
+    f(x)*imgs[s], stopping at the first element whose order differs
+    from its image's (an isomorphism keeps orders).  A complete fill is
+    checked bijective and proved a homomorphism on every generator
+    edge, so a returned image list is a genuine isomorphism.
     """
     t2 = g2.table
+    o1, o2 = g1.orders, g2.orders
     f = [0] * g1.order
     for y, x, pos in g1.tree:
-        f[y] = t2[f[x]][imgs[pos]]
-    return f if _respects_generators(g1, g2, f) else None
+        image = t2[f[x]][imgs[pos]]
+        if o2[image] != o1[y]:
+            return None
+        f[y] = image
+    if len(set(f)) != g2.order or not _respects_generators(g1, g2, f):
+        return None
+    return f
+
+
+def _extend_closure(closure, proven, phi, gens, limit):
+    """Grow closure, the group generated by the automorphisms in proven,
+    by the automorphism phi, which joins proven; stop once closure holds
+    limit maps.
+
+    closure maps generator images (the images of gens) to full image
+    tuples, and a product x*s sends i to x[s[i]].  The old maps are
+    multiplied by phi alone, being closed under the others already, and
+    each map the closure gains by every proven map; each product is
+    looked up by its generator images before it is composed.
+    """
+    proven.append(phi)
+    fresh, factors = list(closure.values()), (phi,)
+    while fresh:
+        gained = []
+        for x in fresh:
+            for s in factors:
+                key = tuple([x[s[g]] for g in gens])
+                if key not in closure:
+                    if len(closure) >= limit:
+                        return
+                    y = tuple([x[i] for i in s])
+                    closure[key] = y
+                    gained.append(y)
+        fresh, factors = gained, proven
 
 
 def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CAP):
     """Yield all isomorphisms g1 -> g2 in a canonical order.
 
     Backtracking over generator images, candidates filtered by element
-    order and conjugacy-class size; each leaf is extended along g1's
-    spanning tree and proved a homomorphism on the generator edges.
-    Deterministic: generators in stored order, candidate images in
-    ascending element index.
+    order and conjugacy-class size.  Each leaf is filled in along g1's
+    spanning tree, rejected at the first element whose order its image
+    does not share, and proved bijective and a homomorphism on the
+    generator edges.  Deterministic: generators in stored order,
+    candidate images in ascending element index.
 
-    Automorphisms (g1 is g2) are enumerated once per group: a search
-    that runs to completion keeps each map's full image array (an
-    array('H'), or array('I') past 65,535 elements), with the node
-    count at which it was found and the search's total, on the group.
-    A later call replays them, each map's images copied from its array
-    (the search proved it on every generator edge).  node_cap behaves
-    as for a fresh search: the maps found within node_cap nodes are
-    yielded, then SizeCapError is raised if the search took more.  A
-    search stopped early (a caller's break, a close, or SizeCapError)
+    Automorphisms (g1 is g2) form a group, so a fresh search keeps the
+    group generated by the maps it has proven, keyed by generator
+    images: a leaf whose generator images lie in it is that product of
+    proven automorphisms (a homomorphism is fixed by its generator
+    images) and is accepted without a fill; a leaf outside it is proven
+    in full and, if it passes, extends it.  It never holds more than
+    node_cap maps; past that, leaves outside it are proven in full.  The
+    tree, and with it the order and node count of every map, is the
+    same either way.
+
+    Automorphisms are enumerated once per group: a search that runs to
+    completion keeps each map's full image array (an array('H'), or
+    array('I') past 65,535 elements), with the node count at which it
+    was found and the search's total, on the group.  A later call
+    replays them, each map's images copied from its array.  node_cap
+    behaves as for a fresh search: the maps found within node_cap nodes
+    are yielded, then SizeCapError is raised if the search took more.
+    A search stopped early (a caller's break, a close, or SizeCapError)
     keeps nothing.
     """
     if g1 is g2 and g1._automorphisms is not None:
@@ -760,15 +853,31 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     chosen = [0] * len(gens)
     found = []
     typecode = "H" if g1.order <= 65_535 else "I"
+    if g1 is g2:
+        # generator images -> image tuple of every automorphism in the
+        # group generated by proven, starting from the identity
+        closure = {gens: tuple(range(g1.order))}
+        proven = []
 
     def descend(depth):
         nonlocal nodes
         if depth == len(gens):
-            hom = _hom_from_gen_images(g1, g2, chosen)
-            if hom is not None and len(set(hom)) == g2.order:
-                if g1 is g2:
-                    found.append((nodes, array(typecode, hom)))
-                yield GroupMap(g1, g2, hom)
+            if g1 is g2:
+                images = closure.get(tuple(chosen))
+                if images is None:
+                    images = _fill_isomorphism(g1, g2, chosen)
+                    if images is None:
+                        return
+                    images = tuple(images)
+                    if len(closure) < node_cap:
+                        _extend_closure(closure, proven, images, gens,
+                                        node_cap)
+                found.append((nodes, array(typecode, images)))
+            else:
+                images = _fill_isomorphism(g1, g2, chosen)
+                if images is None:
+                    return
+            yield GroupMap(g1, g2, images)
             return
         a = gens[depth]
         for y in candidates[depth]:
@@ -798,11 +907,8 @@ def generator_correspondence(g1: FiniteGroup, g2: FiniteGroup):
     to an isomorphism."""
     if len(g1.gens) != len(g2.gens) or g1.order != g2.order:
         return None
-    images = _hom_from_gen_images(g1, g2, g2.gens)
-    if images is None:
-        return None
-    phi = GroupMap(g1, g2, images)
-    return phi if phi.is_bijective() else None
+    images = _fill_isomorphism(g1, g2, g2.gens)
+    return None if images is None else GroupMap(g1, g2, images)
 
 
 def isomorphisms(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CAP):

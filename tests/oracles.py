@@ -8,7 +8,8 @@ import sympy
 
 from permpoly.characters import permutation_character
 from permpoly.cyclotomic import cyclo_rational
-from permpoly.groups import GroupMap, isomorphisms_iter
+from permpoly.groups import (GroupMap, Subgroup, _close_capped,
+                             _respects_generators, isomorphisms_iter)
 from permpoly.linalg import F0, kernel_sparse, rref
 from permpoly.reps import PermRep, _lambda_annihilates, affine_kernel
 
@@ -204,6 +205,95 @@ def brute_force_isomorphisms(g1, g2):
                 and is_homomorphism_all_pairs(g1, perms)):
             out.append(tuple(g2.element_index(p) for p in perms))
     return out
+
+
+def exhaustive_subgroups_of_order(group, k):
+    """(subgroups, nodes): every subgroup of order k, sorted by elements.
+
+    Every subgroup of order dividing k is grown one generator at a time,
+    one per double coset, with closures aborted past k elements; no use
+    is made of conjugacy.  nodes counts the closures tried."""
+    n = group.order
+    table = group.table
+    usable = [g for g in range(1, n) if k % group.orders[g] == 0]
+    if k == 1:
+        return [Subgroup(group, (0,), ())], 0
+    seen = {(0,)}
+    found = {}
+    queue = [Subgroup(group, (0,), ())]
+    nodes = 0
+    while queue:
+        sub = queue.pop()
+        h = sub.elements
+        covered = bytearray(n)
+        for x in h:
+            covered[x] = 1
+        for g in usable:
+            if covered[g]:
+                continue
+            for h1 in h:
+                t1 = table[h1][g]
+                for h2 in h:
+                    covered[table[t1][h2]] = 1
+            nodes += 1
+            gens = sub.gens + (g,)
+            closure = _close_capped(table, gens, k)
+            if closure is None or k % len(closure):
+                continue
+            key = tuple(sorted(closure))
+            if key in seen:
+                continue
+            seen.add(key)
+            cand = Subgroup(group, key, gens)
+            if len(key) == k:
+                found[key] = cand
+            else:
+                queue.append(cand)
+    return [found[key] for key in sorted(found)], nodes
+
+
+def exhaustive_isomorphisms(g1, g2):
+    """([(nodes, images)] per isomorphism g1 -> g2, total nodes).
+
+    The same backtracking tree over generator images as
+    isomorphisms_iter (candidates by element order and class size, one
+    order comparison per earlier generator), but every leaf is filled in
+    along g1's spanning tree with no order check, proved on every
+    generator edge and checked bijective: no automorphism is taken from
+    the closure of others."""
+    if g1.order != g2.order or sorted(g1.orders) != sorted(g2.orders):
+        return [], 0
+    gens = g1.gens
+    cls1, cls2 = g1.conjugacy_classes(), g2.conjugacy_classes()
+    of1, of2 = g1.class_of(), g2.class_of()
+    candidates = [[y for y in range(g2.order)
+                   if (g2.orders[y], len(cls2[of2[y]]))
+                   == (g1.orders[a], len(cls1[of1[a]]))] for a in gens]
+    t1, t2 = g1.table, g2.table
+    chosen = [0] * len(gens)
+    found = []
+    nodes = 0
+
+    def descend(depth):
+        nonlocal nodes
+        if depth == len(gens):
+            f = [0] * g1.order
+            for y, x, pos in g1.tree:
+                f[y] = t2[f[x]][chosen[pos]]
+            if (_respects_generators(g1, g2, f)
+                    and len(set(f)) == g2.order):
+                found.append((nodes, tuple(f)))
+            return
+        a = gens[depth]
+        for y in candidates[depth]:
+            nodes += 1
+            if all(g1.orders[t1[gens[j]][a]] == g2.orders[t2[chosen[j]][y]]
+                   for j in range(depth)):
+                chosen[depth] = y
+                descend(depth + 1)
+
+    descend(0)
+    return found, nodes
 
 
 def cyclotomic_constituents(rep, table):

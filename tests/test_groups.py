@@ -7,6 +7,7 @@ from sympy.combinatorics import Permutation as SPerm
 from sympy.combinatorics import PermutationGroup
 
 from oracles import (all_pairs_table, brute_force_isomorphisms,
+                     exhaustive_isomorphisms, exhaustive_subgroups_of_order,
                      is_homomorphism_all_pairs)
 from permpoly.groups import (
     CycleParseError,
@@ -14,6 +15,7 @@ from permpoly.groups import (
     GroupMap,
     Permutation,
     SizeCapError,
+    _extend_closure,
     automorphisms,
     generator_correspondence,
     isomorphisms,
@@ -152,6 +154,9 @@ def test_point_stabilizer(s4, a5):
     assert stab.order == 6
     assert all(s4.elements[i].images[0] == 0 for i in stab.elements)
     assert a5.point_stabilizer(3).order == 12
+    for bad in (0, -1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            s4.point_stabilizer(bad)
 
 
 def test_coset_action(s4):
@@ -333,6 +338,8 @@ MEMO_GROUPS = {
     "a5": (["(1 2 3 4 5)", "(3 4 5)"], 5),
     "s5": (["(1 2 3 4 5)", "(1 2)"], 5),
     "g48": (["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11),
+    "a6": (["(1 2 3 4 5)", "(4 5 6)"], 6),
+    "z2^4": (["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8),
 }
 # the groups whose automorphisms brute_force_isomorphisms checks
 ORACLE_CHECKED = ("s3", "s4", "d6", "q8", "a4", "klein")
@@ -368,15 +375,23 @@ def test_automorphism_replay_repeats_the_search():
 
 
 def test_automorphism_replay_honours_node_cap():
-    for name in ("s3", "q8", "a4", "s4", "g48"):
+    for name in ("s3", "q8", "a4", "s4", "g48", "a6", "z2^4"):
         kept = fresh(name)
         full = [phi.images for phi in isomorphisms(kept, kept)]
         total = kept._automorphisms[1]
-        caps = sorted({0, 1, 2, 3, 5, 8, total // 3, total // 2, total - 1,
-                       total, total + 1, 10 * total})
-        for cap in caps:
+        oracle, oracle_total = exhaustive_isomorphisms(kept, kept)
+        assert total == oracle_total, name
+        caps = {0, 1, 2, 3, 5, 8, total // 3, total // 2, total - 1,
+                total, total + 1, 10 * total}
+        if name == "z2^4":
+            # below |Aut| = 20,160 the automorphism closure stops growing
+            # at node_cap maps
+            caps |= {100, 1000, 20_159}
+        for cap in sorted(caps):
             expected = capped_automorphisms(fresh(name), cap)
             assert capped_automorphisms(kept, cap) == expected, (name, cap)
+            assert expected[0] == [images for nodes, images in oracle
+                                   if nodes <= cap], (name, cap)
             assert expected[1] == (cap < total)
             if cap >= total:
                 assert expected[0] == full
@@ -402,7 +417,7 @@ def test_partial_automorphism_search_keeps_nothing():
 
 
 def test_subgroup_memo_matches_a_fresh_search():
-    for name in ("s4", "a4", "q8", "s5", "g48"):
+    for name in ("s4", "a4", "q8", "s5", "g48", "a6", "d6"):
         kept = fresh(name)
         orders = [k for k in range(1, kept.order + 1) if kept.order % k == 0]
         first = {k: [s.elements for s in kept.subgroups_of_order(k)]
@@ -518,3 +533,86 @@ def test_closure_check_matches_all_pairs(s4, q8, d6):
             assert verdict == (identity in subset and closed_all_pairs(subset))
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def test_subgroups_match_the_exhaustive_search():
+    # the search up to conjugacy against the search of every subgroup
+    fewer = 0
+    for name in ("s4", "a4", "d6", "q8", "a5", "s5", "a6", "g48"):
+        group = fresh(name)
+        for k in range(1, group.order + 1):
+            if group.order % k:
+                continue
+            expected, oracle_nodes = exhaustive_subgroups_of_order(group, k)
+            subs = group.subgroups_of_order(k)
+            assert [s.elements for s in subs] \
+                == [s.elements for s in expected], (name, k)
+            for sub in subs:
+                # each conjugate's generators close to its elements
+                assert group.subgroup(sub.gens).elements == sub.elements
+            if k > 1:
+                nodes = group._subgroups[k][1]
+                assert nodes <= oracle_nodes, (name, k)
+                fewer += nodes < oracle_nodes
+                if (name, k) == ("a6", 60):
+                    assert (nodes, oracle_nodes) == (667, 10_329)
+    assert fewer
+
+
+def test_automorphism_memo_matches_the_exhaustive_search():
+    # closure acceptance and the order-checked fill keep every map and
+    # the node count at which the search reaches it
+    for name, ((gens, degree), count, _) in CORPUS_AUTOMORPHISMS.items():
+        group = FiniteGroup.from_cycle_strings(gens, degree)
+        automorphisms(group)
+        found, total = group._automorphisms
+        oracle, oracle_total = exhaustive_isomorphisms(group, group)
+        assert len(oracle) == count, name
+        assert [(nodes, tuple(images)) for nodes, images in found] == oracle
+        assert total == oracle_total, name
+
+
+def relabelled(group, seed):
+    """The same abstract group on points permuted by a seeded shuffle."""
+    sigma = list(range(group.degree))
+    random.Random(seed).shuffle(sigma)
+    inv = Permutation(sigma).inverse()
+    gens = [Permutation(sigma) * group.elements[s] * inv for s in group.gens]
+    return FiniteGroup.generate(gens, degree=group.degree)
+
+
+def test_isomorphisms_to_a_relabelled_group_match_the_exhaustive_search():
+    for seed, name in enumerate(("s4", "a4", "d6", "q8")):
+        group = fresh(name)
+        twin = relabelled(group, seed)
+        assert twin.elements != group.elements
+        oracle, _ = exhaustive_isomorphisms(group, twin)
+        assert oracle, name
+        assert [phi.images for phi in isomorphisms(group, twin)] \
+            == [images for _, images in oracle], name
+        assert twin._automorphisms is None and group._automorphisms is None
+
+
+def test_automorphism_closure_holds_the_generated_group_up_to_its_limit():
+    group = fresh("z2^4")
+    autos = [phi.images for phi in automorphisms(group)]
+    identity = tuple(range(group.order))
+    for limit in (100, 20_159):
+        closure, proven = {group.gens: identity}, []
+        for phi in autos:
+            if len(closure) >= limit:
+                break
+            if tuple(phi[g] for g in group.gens) not in closure:
+                _extend_closure(closure, proven, phi, group.gens, limit)
+        assert len(closure) == min(limit, len(autos)), limit
+        assert set(closure.values()) <= set(autos)
+        assert all(key == tuple(images[g] for g in group.gens)
+                   for key, images in closure.items())
+    # each completed extension yields a group, at least twice the last
+    closure, proven = {group.gens: identity}, []
+    for phi in autos:
+        if tuple(phi[g] for g in group.gens) not in closure:
+            _extend_closure(closure, proven, phi, group.gens, 10 ** 6)
+            assert _closed_under_composition(list(closure.values()))
+            assert len(closure) >= 2 ** len(proven)
+    assert len(closure) == len(autos)
