@@ -5,13 +5,26 @@ Z^n, and hermite_form returns the canonical basis of that lattice
 (positive pivots, entries above each pivot reduced into [0, pivot)).
 Smith divisors d_1 | d_2 | ... are the elementary divisors; their
 product is the index of the row lattice inside its saturation.
+
+The saturation is read off the rank-r Hermite basis H through the dual
+of the lattice in Z^r spanned by H's columns (see saturation).  Every
+entry must equal an integer: any other raises ValueError.
 """
 
 from __future__ import annotations
 
 
 def _check_int_rows(rows):
-    return [[int(x) for x in row] for row in rows]
+    """The rows as fresh lists of ints; ValueError on any entry that is
+    not equal to an integer."""
+    m = []
+    for row in rows:
+        ints = [int(x) for x in row]
+        if ints != list(row):
+            raise ValueError("matrix entries must be integers, got %r"
+                             % (list(row),))
+        m.append(ints)
+    return m
 
 
 def hermite_form(rows):
@@ -20,29 +33,6 @@ def hermite_form(rows):
     if not m:
         return []
     return [row for row in _hermite_left_block(m, len(m[0])) if any(row)]
-
-
-def integer_kernel(rows):
-    """Basis of {x in Z^ncols : rows @ x = 0}; the kernel lattice is saturated.
-
-    Found by row-reducing [rows^T | I]: rows whose left block vanishes
-    carry kernel vectors in their right block.
-    """
-    m = _check_int_rows(rows)
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    aug = [[m[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)]
-           for j in range(ncols)]
-    reduced = _hermite_left_block(aug, nrows)
-    out = []
-    for row in reduced:
-        if any(row[:nrows]):
-            continue
-        vec = row[nrows:]
-        if any(vec):
-            out.append(vec)
-    return hermite_form(out)
 
 
 def _hermite_left_block(m, ncols):
@@ -78,23 +68,39 @@ def _hermite_left_block(m, ncols):
 
 
 def saturation(rows):
-    """Basis of span_Q(rows) intersected with Z^ncols, via the double orthogonal complement."""
-    m = _check_int_rows(rows)
-    if not m or not any(any(row) for row in m):
+    """Hermite basis of span_Q(rows) intersected with Z^ncols.
+
+    With H the rank-r Hermite basis of the rows and K the r x r Hermite
+    basis of the lattice C in Z^r spanned by H's columns, cH is integral
+    iff c lies in the dual lattice C*, whose basis is the rows of
+    K^-T = adj(K)^T / det K.  When det K = 1 (all pivots 1, so K = I)
+    H is already saturated.  Otherwise the rows Y = adj(K)^T H / det K
+    are found by forward substitution through the lower triangular K^T,
+    each division checked to be exact, and their Hermite form returned.
+    """
+    h = hermite_form(rows)
+    if not h:
         return []
-    ncols = len(m[0])
-    k = integer_kernel(m)
-    if not k:
-        # full rank: the saturation is all of Z^ncols restricted to the
-        # row space, i.e. Z^ncols itself
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    return integer_kernel(k)
+    # C is spanned by H's distinct columns
+    k = hermite_form(set(zip(*h)))
+    if all(k[i][i] == 1 for i in range(len(h))):
+        return h
+    y = []
+    for i, row in enumerate(h):
+        acc = row
+        for j in range(i):
+            if k[j][i]:
+                acc = [a - k[j][i] * b for a, b in zip(acc, y[j])]
+        piv = k[i][i]
+        if any(a % piv for a in acc):
+            raise RuntimeError("dual-lattice row %d is not integral" % i)
+        y.append([a // piv for a in acc])
+    return hermite_form(y)
 
 
 def smith_divisors(rows):
     """Elementary divisors d_1 | d_2 | ... | d_r (positive, rank many)."""
-    m = [row[:] for row in _check_int_rows(rows)]
-    m = [row for row in m if any(row)]
+    m = [row for row in _check_int_rows(rows) if any(row)]
     if not m:
         return []
     nrows, ncols = len(m), len(m[0])
@@ -160,18 +166,22 @@ def smith_divisors(rows):
 def solve_in_lattice(hermite_rows, target):
     """Integer coefficients c with c @ hermite_rows == target, else None.
 
-    hermite_rows must be a Hermite basis (echelon, positive pivots).
+    hermite_rows must be a Hermite basis (echelon, positive pivots);
+    the target must be integral and as long as its rows.
     """
     if not hermite_rows:
         return [] if not any(target) else None
     ncols = len(hermite_rows[0])
+    if len(target) != ncols:
+        raise ValueError("target has length %d, lattice rows have %d"
+                         % (len(target), ncols))
     pivots = []
     for row in hermite_rows:
         for j in range(ncols):
             if row[j]:
                 pivots.append(j)
                 break
-    residue = [int(x) for x in target]
+    (residue,) = _check_int_rows([target])
     coeffs = []
     for row, p in zip(hermite_rows, pivots):
         if residue[p] % row[p]:
@@ -187,7 +197,7 @@ def solve_in_lattice(hermite_rows, target):
 
 def determinant(rows):
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = [row[:] for row in _check_int_rows(rows)]
+    m = _check_int_rows(rows)
     n = len(m)
     if n == 0:
         return 1

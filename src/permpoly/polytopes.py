@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
 
 from .intlinalg import determinant, hermite_form, saturation, smith_divisors, \
     solve_in_lattice
-from .linalg import F0, F1, express_in_rowspace, rank
+from .linalg import F0, F1, rank
 from .lp import maximize
 from .reps import PermRep, difference_space
 
@@ -53,7 +53,6 @@ class PermutationPolytope:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex matrices are not pairwise distinct")
         space = difference_space(rep)
-        self.affine_basis = space.basis
         self.pivots = space.pivots
         self.dim = space.dim
         base = self.vertices[0]
@@ -287,6 +286,15 @@ class LatticeData:
 
 
 def lattice_structure(poly: PermutationPolytope) -> LatticeData:
+    """Vertex lattice, its saturation, index and simplex volume, cached
+    on the polytope.
+
+    One Hermite form of the |G| - 1 vertex differences gives the vertex
+    lattice; its saturation is taken on that rank-dim basis.  The index
+    is certified by the Smith divisors of the vertex-lattice rows solved
+    in the saturation, the simplex volume by the determinant of the
+    vertex differences solved there.
+    """
     if poly._lattice is not None:
         return poly._lattice
     base = poly.vertices[0]
@@ -296,7 +304,7 @@ def lattice_structure(poly: PermutationPolytope) -> LatticeData:
         poly._lattice = data
         return data
     vlat = hermite_form(diffs)
-    sat = saturation(diffs)
+    sat = saturation(vlat)
     coords = []
     for row in vlat:
         c = solve_in_lattice(sat, row)
@@ -350,22 +358,27 @@ class Membership:
 
 
 def point_membership(poly: PermutationPolytope, point) -> Membership:
-    """Four exact membership tests for an ambient rational vector."""
+    """Four exact membership tests for an ambient rational vector.
+
+    Integers only: the point minus the base vertex, scaled by the lcm
+    of its denominators, lies in the rational span of the vertex
+    differences exactly when it lies in their saturation, so one solve
+    there decides the affine hull.  For an integral point (scale 1) the
+    same solve is the saturation answer.  Every point, integral or
+    not, builds the polytope's lattice_structure (cached).
+    """
     n2 = poly.degree * poly.degree
     pt = [Fraction(v) for v in point]
     if len(pt) != n2:
         raise ValueError("point must have length %d" % n2)
-    base = poly.vertices[0]
-    diff = [v - b for v, b in zip(pt, base)]
-    in_aff = express_in_rowspace(poly.affine_basis, poly.pivots, diff) is not None
-    integral = all(v.denominator == 1 for v in pt)
-    in_sat = False
-    in_vert = False
-    if integral:
-        data = lattice_structure(poly)
-        idiff = [int(v) for v in diff]
-        in_sat = solve_in_lattice(data.saturation_lattice, idiff) is not None
-        in_vert = solve_in_lattice(data.vertex_lattice, idiff) is not None
+    data = lattice_structure(poly)
+    diff = [v - b for v, b in zip(pt, poly.vertices[0])]
+    scale = lcm(*(v.denominator for v in diff))
+    idiff = [v.numerator * (scale // v.denominator) for v in diff]
+    in_aff = solve_in_lattice(data.saturation_lattice, idiff) is not None
+    integral = scale == 1
+    in_sat = integral and in_aff
+    in_vert = in_sat and solve_in_lattice(data.vertex_lattice, idiff) is not None
     return Membership(in_aff, integral, in_sat, in_vert)
 
 

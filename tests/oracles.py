@@ -10,7 +10,10 @@ from permpoly.characters import permutation_character
 from permpoly.cyclotomic import cyclo_rational
 from permpoly.groups import (GroupMap, Subgroup, _close_capped,
                              _respects_generators, isomorphisms_iter)
-from permpoly.linalg import F0, kernel_sparse, rref
+from permpoly.intlinalg import (_hermite_left_block, determinant,
+                                hermite_form, smith_divisors,
+                                solve_in_lattice)
+from permpoly.linalg import F0, express_in_rowspace, kernel_sparse, rref
 from permpoly.reps import PermRep, _lambda_annihilates, affine_kernel
 
 
@@ -390,3 +393,83 @@ def exhaustive_effectively_equivalent(repA: PermRep, repB: PermRep):
         if all(_lambda_annihilates(repB, lam, phi) for lam in kA.sparse_int):
             return phi
     return None
+
+
+def integer_kernel(rows):
+    """Basis of {x in Z^ncols : rows @ x = 0}; the kernel lattice is saturated.
+
+    Found by row-reducing [rows^T | I]: rows whose left block vanishes
+    carry kernel vectors in their right block.
+    """
+    m = [[int(x) for x in row] for row in rows]
+    if not m:
+        return []
+    nrows, ncols = len(m), len(m[0])
+    aug = [[m[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)]
+           for j in range(ncols)]
+    reduced = _hermite_left_block(aug, nrows)
+    out = []
+    for row in reduced:
+        if any(row[:nrows]):
+            continue
+        vec = row[nrows:]
+        if any(vec):
+            out.append(vec)
+    return hermite_form(out)
+
+
+def double_kernel_saturation(rows):
+    """Basis of span_Q(rows) intersected with Z^ncols, as the integer
+    kernel of the integer kernel over all ambient columns."""
+    m = [[int(x) for x in row] for row in rows]
+    if not m or not any(any(row) for row in m):
+        return []
+    ncols = len(m[0])
+    k = integer_kernel(m)
+    if not k:
+        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
+    return integer_kernel(k)
+
+
+def dense_lattice_structure(poly):
+    """(vertex_lattice, saturation_lattice, index, normalized_volume,
+    dim) by the double-kernel saturation of all |G| - 1 vertex
+    differences, with the same certificates as lattice_structure."""
+    base = poly.vertices[0]
+    diffs = [[a - b for a, b in zip(v, base)] for v in poly.vertices[1:]]
+    if not diffs:
+        return [], [], 1, 1, 0
+    vlat = hermite_form(diffs)
+    sat = double_kernel_saturation(diffs)
+    coords = [solve_in_lattice(sat, row) for row in vlat]
+    assert all(c is not None for c in coords)
+    index = 1
+    for d in smith_divisors(coords):
+        index *= d
+    vol = None
+    if poly.vertex_count == poly.dim + 1:
+        vol = abs(determinant([solve_in_lattice(sat, row) for row in diffs]))
+    return vlat, sat, index, vol, poly.dim
+
+
+def dense_point_membership(poly):
+    """A function of a point giving point_membership's four answers, the
+    affine hull decided in the dense Fraction basis of span{M_g - M_e}
+    and the lattices taken from dense_lattice_structure."""
+    base = poly.vertices[0]
+    basis, pivots = dense_difference_space(poly.rep)
+    vlat, sat = dense_lattice_structure(poly)[:2]
+
+    def membership(point):
+        pt = [Fraction(v) for v in point]
+        diff = [v - b for v, b in zip(pt, base)]
+        in_aff = express_in_rowspace(basis, pivots, diff) is not None
+        integral = all(v.denominator == 1 for v in pt)
+        in_sat = in_vert = False
+        if integral:
+            idiff = [int(v) for v in diff]
+            in_sat = solve_in_lattice(sat, idiff) is not None
+            in_vert = solve_in_lattice(vlat, idiff) is not None
+        return in_aff, integral, in_sat, in_vert
+
+    return membership

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -128,6 +129,37 @@ def test_lattice_simplex(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "normalized volume: " in out
     assert "euclidean volume: " in out
+
+
+# sha256 of the full `ppt lattice` text per spec; the text holds no
+# timings.  Re-pin after a deliberate change from the printed output.
+LATTICE_TEXT_PINS = {
+    "klein": (KLEIN,
+              "383b45fbd8dc39ea46836b1b5a284d7b494e145698cd387582f06fca470ef43b"),
+    "klein6": ({"label": "klein6", "degree": 6,
+                "generators": ["(1 2)(3 4)", "(1 2)(5 6)"]},
+               "893285788a13e8ac0f578201a8fdce02088a10aec9ad28231d797b06d39d3a17"),
+    "z4": ({"label": "z4", "degree": 4, "generators": ["(1 2 3 4)"]},
+           "b3e30b1d2cf770f39741c2b79765dfee790d58ed7565ebefe514be32da17bb07"),
+    "a4": ({"label": "a4", "degree": 4, "generators": ["(1 2 3)", "(2 3 4)"]},
+           "d18f5314952ddf090545bdccad9e8a38760915bcec601863b45e328e0015e129"),
+    "d6": ({"label": "d6", "degree": 6,
+            "generators": ["(1 2 3 4 5 6)", "(2 6)(3 5)"]},
+           "feb2f5e80a241ffb878a6014dd6b340e7248a3b6f63644dd264d0fcf9a4dcaf0"),
+    "q8": ({"label": "q8", "degree": 8,
+            "generators": ["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"]},
+           "ecff0c3edc72681fe92f89cdd62a841c9c095083fbcfaa2849fc88f473670fdd"),
+}
+
+
+def test_lattice_text_is_pinned(tmp_path, capsys):
+    moved = []
+    for name, (spec, pin) in LATTICE_TEXT_PINS.items():
+        assert cli.main(["lattice", spec_file(tmp_path, name + ".json", spec)]) == 0
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != pin:
+            moved.append(name)
+    assert not moved, "lattice text changed for: %s" % ", ".join(moved)
 
 
 def test_reproduce_unknown_id(capsys):

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 from math import prod
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from permpoly.intlinalg import (determinant, hermite_form, integer_kernel,
-                                saturation, smith_divisors, solve_in_lattice)
+from oracles import double_kernel_saturation, integer_kernel
+from permpoly.intlinalg import (determinant, hermite_form, saturation,
+                                smith_divisors, solve_in_lattice)
 
 
 def rand_rows(rng, nrows, ncols, lo=-5, hi=5):
@@ -97,6 +100,46 @@ def test_saturation_contains_rows_with_finite_index():
             assert saturation(s) == s
 
 
+def test_saturation_matches_the_double_kernel_oracle():
+    """Zero, rank-deficient and full-rank matrices, many of index > 1
+    in their saturation."""
+    rng = random.Random(59)
+    seen = {"zero": 0, "deficient": 0, "full": 0, "index>1": 0}
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) * rng.choice((1, 2, 3)) for _ in range(ncols)]
+             for _ in range(nrows)]
+        if m and rng.random() < 0.2:
+            m = [[0] * ncols for _ in m]
+        if len(m) > 1 and rng.random() < 0.4:
+            m[-1] = [2 * a - b for a, b in zip(m[0], m[1])]
+        sat = saturation(m)
+        assert sat == double_kernel_saturation(m)
+        rank = len(hermite_form(m))
+        if rank == 0:
+            seen["zero"] += 1
+            continue
+        seen["full" if rank == ncols else "deficient"] += 1
+        coords = [solve_in_lattice(sat, row) for row in hermite_form(m)]
+        if prod(smith_divisors(coords)) > 1:
+            seen["index>1"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("call, rows", [
+    (hermite_form, [[Fraction(1, 2), 1]]),
+    (saturation, [[Fraction(1, 2), 0]]),
+    (determinant, [[Fraction(3, 2)]]),
+    (smith_divisors, [[2.7, 0], [0, 1]]),
+], ids=["hermite_form", "saturation", "determinant", "smith_divisors"])
+def test_non_integer_entries_are_rejected(call, rows):
+    with pytest.raises(ValueError):
+        call(rows)
+    # entries equal to integers are taken as those integers
+    assert call([[Fraction(4, 2) if x else 0.0 for x in row] for row in rows]) \
+        == call([[2 if x else 0 for x in row] for row in rows])
+
+
 def test_solve_in_lattice_round_trip():
     rng = random.Random(47)
     for _ in range(40):
@@ -115,6 +158,12 @@ def test_solve_in_lattice_rejects_non_members():
     assert solve_in_lattice(h, [2, 2]) == [1, 1]
     assert solve_in_lattice([], [0, 0]) == []
     assert solve_in_lattice([], [1, 0]) is None
+
+
+def test_solve_in_lattice_checks_the_target():
+    for target in ([1, 0, 5], [1], [Fraction(1, 2), 0]):
+        with pytest.raises(ValueError):
+            solve_in_lattice([[1, 0]], target)
 
 
 def test_index_equals_product_of_divisors():

@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import brute_force_faces, indecomposable
+from oracles import (brute_force_faces, dense_lattice_structure,
+                     dense_point_membership, indecomposable)
 from permpoly.groups import FiniteGroup, parse_cycles
 from permpoly.polytopes import (
     UnsupportedShapeError,
@@ -206,6 +208,78 @@ def test_point_membership(klein_pair):
         (False, True, False, False)
     with pytest.raises(ValueError):
         point_membership(poly, [0] * (n2 - 1))
+
+
+def membership_points(poly, rng, count):
+    """Seeded points of every membership kind: integral affine
+    combinations of vertices, half-integral ones (midpoints and
+    (v_a + v_b + v_c - v_d) / 2), and integral or half-integral points
+    off the hull."""
+    verts = poly.vertices
+    n2 = len(verts[0])
+    points = []
+    for _ in range(count):
+        labels = [rng.randrange(len(verts)) for _ in range(4)]
+        ks = [rng.choice((-2, -1, 1, 2)) for _ in range(3)]
+        ks.append(1 - sum(ks))
+        points.append([sum(k * v[j] for k, v in zip(ks, (verts[g] for g in labels)))
+                       for j in range(n2)])
+        a, b, c, d = (verts[g] for g in labels)
+        points.append([Fraction(x + y, 2) for x, y in zip(a, b)])
+        points.append([Fraction(x + y + z - w, 2)
+                       for x, y, z, w in zip(a, b, c, d)])
+        off = list(a)
+        off[rng.randrange(n2)] += rng.choice((-1, 1))
+        points.append(off)
+        points.append([Fraction(rng.randint(-2, 2), 2) for _ in range(n2)])
+    return points
+
+
+def test_lattice_route_matches_the_dense_double_kernel_route(
+        klein_pair, klein, z4, s3, a4, s4, d4, d6, q8):
+    """LatticeData and point_membership against the old route: the
+    vertex differences saturated by a double integer kernel over all
+    ambient columns, and the affine hull decided in the dense Fraction
+    basis.  The reps are every census lattice rep (the Klein volume pair
+    and natural Klein, Z4, S3, A4, S4, D6, Q8), natural S5, A6 and
+    Z2^4, and regular D8."""
+    build = FiniteGroup.from_cycle_strings
+    s5 = build(["(1 2)", "(1 2 3 4 5)"], 5)
+    a6 = build(["(1 2 3)", "(2 3 4 5 6)"], 6)
+    z2_4 = build(["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8)
+    trivial = d4.subgroup_from_elements([0])
+    reps = list(klein_pair) + [
+        PermRep.natural(g) for g in (klein, z4, s3, a4, s4, d6, q8, s5, a6, z2_4)]
+    reps.append(PermRep.from_coset_actions(d4, [d4.coset_action(trivial)]))
+    rng = random.Random(61)
+    kinds = set()
+    for rep in reps:
+        poly = build_polytope(rep)
+        data = lattice_structure(poly)
+        assert (data.vertex_lattice, data.saturation_lattice, data.index,
+                data.normalized_volume, data.dim) == dense_lattice_structure(poly)
+        oracle = dense_point_membership(poly)
+        for point in membership_points(poly, rng, 8):
+            got = point_membership(poly, point).as_tuple()
+            assert got == oracle(point)
+            kinds.add(got)
+    assert kinds == {(True, True, True, True), (True, True, True, False),
+                     (True, False, False, False), (False, True, False, False),
+                     (False, False, False, False)}
+
+
+def test_single_vertex_polytope():
+    trivial = FiniteGroup.generate([], degree=2)
+    poly = build_polytope(PermRep.natural(trivial))
+    data = lattice_structure(poly)
+    assert (data.vertex_lattice, data.saturation_lattice, data.index,
+            data.normalized_volume, data.dim) == ([], [], 1, 1, 0)
+    vertex = poly.vertices[0]
+    assert point_membership(poly, vertex).as_tuple() == (True, True, True, True)
+    off = [1 - x for x in vertex]
+    assert point_membership(poly, off).as_tuple() == (False, True, False, False)
+    half = [Fraction(x, 2) for x in vertex]
+    assert point_membership(poly, half).as_tuple() == (False, False, False, False)
 
 
 def test_shape_descriptor(klein, z4, s3):
