@@ -28,8 +28,7 @@ from .report import Report, canonical_json
 from .reps import (AffineKernel, EquivariantMap, NotFaithfulError,
                    NotStablyEquivalentError, PermRep, affine_kernel,
                    build_equivariant_map, compose_with_map,
-                   cycle_divisor_obstruction, difference_space,
-                   effectively_equivalent, stably_equivalent_by_kernel,
+                   cycle_divisor_obstruction, effectively_equivalent, stably_equivalent_by_kernel,
                    u_action_trace)
 from .scenarios import SCENARIOS, run_scenario
 
@@ -44,8 +43,7 @@ __all__ = [
     "ShapeDescriptor", "SizeCapError", "Subgroup", "UnsupportedShapeError",
     "affine_kernel", "automorphisms", "build_equivariant_map",
     "build_polytope", "canonical_json", "character_table", "compose_with_map",
-    "constituents", "cycle_divisor_obstruction", "difference_space",
-    "effectively_equivalent",
+    "constituents", "cycle_divisor_obstruction", "effectively_equivalent",
     "generator_correspondence", "invariant_factors", "is_face",
     "isomorphisms", "isomorphisms_iter", "lattice_structure",
     "normalized_volume", "order_profile", "parse_cycles",

@@ -35,7 +35,7 @@ from operator import mul
 from .cyclotomic import Cyclotomic, cyclo, cyclo_rational, root_log, root_order
 from .groups import FiniteGroup, SizeCapError
 from .intlinalg import smith_divisors
-from .reps import PermRep, difference_space, u_action_trace, _same_group
+from .reps import PermRep, affine_kernel, u_action_trace, _same_group
 
 DEFAULT_CLASS_CAP = 30
 
@@ -708,38 +708,37 @@ def predicted_dimension(rep: PermRep, table: CharacterTable):
 
 
 class IsotypeReport:
-    def __init__(self, dim_expected, dim_actual, real_degrees, residuals_ok):
+    def __init__(self, dim_expected, dim_actual, real_degrees):
         self.dim_expected = dim_expected
         self.dim_actual = dim_actual
         self.real_degrees = tuple(real_degrees)
-        self.residuals_ok = residuals_ok
 
     @property
     def ok(self) -> bool:
-        return self.dim_expected == self.dim_actual and self.residuals_ok
+        return self.dim_expected == self.dim_actual
 
 
 def verify_isotype(rep: PermRep, table: CharacterTable | None = None) -> IsotypeReport:
     """Check the vertex-span dimension and trace identities predicted by
     the occurring real irreducible constituents.
 
-    dim span{M_g - M_e} must equal the sum of schur_fraction * degree^2
-    over the nontrivial real irreducibles meeting the permutation
-    character, and for every g the trace of left multiplication on that
-    span must equal sum of schur_fraction * degree * value(g).  Raises
-    on any exact mismatch.
+    dim span{M_g - M_e}, which is |G| - 1 minus the dimension of the
+    affine kernel, must equal the sum of schur_fraction * degree^2 over
+    the nontrivial real irreducibles meeting the permutation character,
+    and for every g the trace of left multiplication on that span must
+    equal sum of schur_fraction * degree * value(g).  Raises on any
+    exact mismatch.
     """
     if table is None:
         table = character_table(rep.group)
     dim_pred, occurring = predicted_dimension(rep, table)
-    space = difference_space(rep)
-    if space.dim != dim_pred:
+    dim = rep.group.order - 1 - affine_kernel(rep).dim
+    if dim != dim_pred:
         raise RuntimeError("span dimension %d differs from predicted %d"
-                           % (space.dim, dim_pred))
+                           % (dim, dim_pred))
 
     m = table.conductor
     cls = table.class_of
-    ok = True
     for g in range(rep.group.order):
         rhs = cyclo_rational(m, 0)
         for real in occurring:
@@ -747,8 +746,7 @@ def verify_isotype(rep: PermRep, table: CharacterTable | None = None) -> Isotype
         val = rhs.is_rational()
         if val is None or val != u_action_trace(rep, g):
             raise RuntimeError("trace identity failed at element %d" % g)
-    return IsotypeReport(dim_pred, space.dim,
-                         [real.degree for real in occurring], ok)
+    return IsotypeReport(dim_pred, dim, [real.degree for real in occurring])
 
 
 def order_profile(table: CharacterTable):

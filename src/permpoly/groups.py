@@ -623,20 +623,6 @@ class Subgroup:
     def __contains__(self, idx: int) -> bool:
         return idx in set(self.elements)
 
-    def contains_all(self, idxs) -> bool:
-        s = set(self.elements)
-        return all(i in s for i in idxs)
-
-    def as_group(self) -> FiniteGroup:
-        """Materialize as a standalone FiniteGroup (same degree)."""
-        perms = [self.parent.elements[g] for g in self.gens] or \
-            [Permutation.identity(self.parent.degree)]
-        grp = FiniteGroup.generate(perms, degree=self.parent.degree,
-                                   cap=max(len(self.elements), 1))
-        if grp.order != len(self.elements):
-            raise RuntimeError("generator bookkeeping is inconsistent")
-        return grp
-
     def is_transitive(self) -> bool:
         """Transitivity of the parent-degree point action restricted here."""
         deg = self.parent.degree
@@ -701,21 +687,6 @@ class GroupMap:
     def is_bijective(self) -> bool:
         return (self.source.order == self.target.order
                 and len(set(self.images)) == self.source.order)
-
-    def compose(self, inner: "GroupMap") -> "GroupMap":
-        """self after inner."""
-        if inner.target is not self.source:
-            raise ValueError("maps do not chain")
-        return GroupMap(inner.source, self.target,
-                        tuple(map(self.images.__getitem__, inner.images)))
-
-    def inverted(self) -> "GroupMap":
-        if not self.is_bijective():
-            raise ValueError("map is not bijective")
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            out[j] = i
-        return GroupMap(self.target, self.source, out)
 
     def validate(self) -> bool:
         """Homomorphism check on the source's generator edges."""

@@ -2,9 +2,10 @@
 
 Matrices are dense lists of rows with int or fractions.Fraction entries.
 Row reduction runs fraction-free in one integer core, _rref_int, which
-returns primitive integer rows with their pivots.  rref divides those
-rows by their pivots and emits Fractions; kernel_sparse and rank read
-the integer rows directly.  Every result entry is a Fraction.
+returns primitive integer rows with their pivots.  rref_with_transform
+divides those rows by their pivots and emits Fractions; kernel_sparse,
+pivot_columns and rank read the integer rows directly.  Every result
+entry is a Fraction.
 Everything here is deterministic: row echelon forms pick the first
 usable pivot, kernels are emitted in ascending free-column order, so
 equal subspaces always produce identical bases.
@@ -19,19 +20,13 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def rref(rows):
-    """Reduced row echelon form.
-
-    Returns (reduced_rows, pivot_columns); zero rows are dropped, pivot
-    entries are 1 and are the only nonzero entries in their columns.
-    """
-    if not rows:
-        return [], []
-    return _rref(rows, len(rows[0]))
-
-
 def rref_with_transform(rows):
-    """rref plus the transform T with reduced = T @ rows (T is rank x nrows)."""
+    """Reduced row echelon form and the transform that produces it.
+
+    Returns (reduced_rows, pivot_columns, T) with reduced = T @ rows (T
+    is rank x nrows); zero rows are dropped, pivot entries are 1 and
+    are the only nonzero entries in their columns.
+    """
     n = len(rows)
     if n == 0:
         return [], [], []
@@ -117,11 +112,17 @@ def _rref(rows, ncols):
     return out, pivots
 
 
-def rank(rows) -> int:
-    """Rank, counted as the pivots of the integer core."""
+def pivot_columns(rows):
+    """The pivot columns of the reduced row echelon form: each column
+    not in the span of the columns before it."""
     if not rows:
-        return 0
-    return len(_rref_int(rows, len(rows[0]))[1])
+        return []
+    return _rref_int(rows, len(rows[0]))[1]
+
+
+def rank(rows) -> int:
+    """Rank, counted as the pivot columns."""
+    return len(pivot_columns(rows))
 
 
 def kernel_sparse(rows):
@@ -154,8 +155,9 @@ def kernel_sparse(rows):
 def express_in_rowspace(reduced, pivots, vec):
     """Coefficients c with c @ reduced == vec, or None if vec is outside.
 
-    reduced must come from rref (pivot columns are unit columns), so the
-    candidate coefficients are just vec's entries at the pivots.
+    reduced must come from rref_with_transform (pivot columns are unit
+    columns), so the candidate coefficients are just vec's entries at
+    the pivots.
     """
     coeffs = [vec[p] if isinstance(vec[p], Fraction) else Fraction(vec[p]) for p in pivots]
     ncols = len(vec)

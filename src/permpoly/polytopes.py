@@ -16,12 +16,11 @@ certificate that is checked exactly:
 * barycenter: S and its closure have one barycenter (always so for a
   subgroup, by orbit-stabilizer); the uniform combination over the
   closure is the non-face certificate.
-* lp: otherwise, one LP in affine-hull coordinates (dim+1 rows, not
-  degree^2) over the reduced-echelon basis of span{M_g - M_e}
-  maximizes the weight off S of a convex combination equal to S's
-  barycenter.  A positive optimum is the non-face combination; at
-  optimum 0 the LP dual is the separating functional, lifted back to
-  ambient coordinates through the basis pivots.
+* lp: otherwise, one LP in the polytope's chart (dim+1 rows, not
+  degree^2) maximizes the weight off S of a convex combination equal
+  to S's barycenter.  A positive optimum is the non-face combination;
+  at optimum 0 the LP dual is the separating functional, lifted back to
+  ambient coordinates through the chart pivots.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from math import factorial, isqrt, lcm
 
 from .intlinalg import determinant, hermite_form, saturation, smith_divisors, \
     solve_in_lattice
-from .linalg import F0, F1, rank
+from .linalg import F0, F1, pivot_columns, rank
 from .lp import maximize
-from .reps import PermRep, difference_space
+from .reps import PermRep, _incidence_sets, affine_kernel
 
 
 class UnsupportedShapeError(ValueError):
@@ -43,7 +42,16 @@ class UnsupportedShapeError(ValueError):
 
 class PermutationPolytope:
     """Vertices are the flattened 0/1 matrices of a faithful representation,
-    labelled by group-element index; vertex 0 (identity) is the base point."""
+    labelled by group-element index; vertex 0 (identity) is the base point.
+
+    dim is |G| - 1 minus the dimension of the affine kernel.  pivots
+    are the pivot entries of the reduced echelon form of the rows
+    M_g - M_e, and coords the vertices' coordinates in its basis.  Every
+    M_g is a combination of the kernel's pivot vertices M_p with
+    coefficients summing to 1, so the rows M_p - M_e, p != e, span the
+    same space and have the same reduced form; they are eliminated on
+    one column per incidence set (see reps._incidence_sets).
+    """
 
     def __init__(self, rep: PermRep):
         self.rep = rep
@@ -52,9 +60,13 @@ class PermutationPolytope:
         self.vertices = rep.vertices
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex matrices are not pairwise distinct")
-        space = difference_space(rep)
-        self.pivots = space.pivots
-        self.dim = space.dim
+        kernel = affine_kernel(rep)
+        self.dim = rep.group.order - 1 - kernel.dim
+        self.pivots = _chart_pivots(rep, kernel.pivots)
+        if len(self.pivots) != self.dim:
+            raise RuntimeError(
+                "chart has %d pivots for dimension %d"
+                % (len(self.pivots), self.dim))
         base = self.vertices[0]
         # affine coordinates: with an echelon basis, the coefficient on
         # basis vector k is just the pivot entry of v - v_base
@@ -69,6 +81,25 @@ class PermutationPolytope:
     def __repr__(self):
         return "<PermutationPolytope: %d vertices, dim %d, ambient %d^2>" % (
             self.vertex_count, self.dim, self.degree)
+
+
+def _chart_pivots(rep: PermRep, vertex_pivots):
+    """Pivot entries of the rows M_p - M_e over the pivot vertices p != e."""
+    sets, cls = _incidence_sets(rep)
+    row_of = {g: k for k, g in enumerate(g for g in vertex_pivots if g)}
+    # -1 where the set holds the identity, +1 where it holds p, the two
+    # cancelling when it holds both
+    base = [-1 if elems[0] == 0 else 0 for elems in sets]
+    rows = [list(base) for _ in row_of]
+    for c, elems in enumerate(sets):
+        for g in elems:
+            k = row_of.get(g)
+            if k is not None:
+                rows[k][c] += 1
+    first = {}
+    for k, c in enumerate(cls):
+        first.setdefault(c, k)
+    return [first[c] for c in pivot_columns(rows)]
 
 
 def build_polytope(rep: PermRep, table=None) -> PermutationPolytope:

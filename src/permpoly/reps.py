@@ -24,25 +24,25 @@ D_B(phi(g)) for every g, and two representations whose multisets
 Entry (i, j) of M_g is 1 exactly for g in the incidence set S_ij, the
 elements sending j to i, and only a few distinct sets occur among the
 degree^2 entries.  The affine kernel eliminates one row per distinct
-nonempty set; the difference space span{M_g - M_e} eliminates one
-column per distinct set and copies each reduced column back to its
-entries.  Dropping zero and repeated rows keeps the row space, the sets
-of any one column j partition G so their rows sum to the all-ones row
-of sum(lambda) = 0, and a repeated column is never a pivot and reduces
-like its first copy, so both reduced forms equal those of the full
-systems.
+nonempty set: dropping zero and repeated rows keeps the row space, and
+the sets of any one column j partition G, so their rows sum to the
+all-ones row of sum(lambda) = 0 and the reduced form is that of the
+full system.  This is the one elimination a representation needs: its
+pivot columns P pick the greedy first independent vertices, a basis of
+span{M_g}, and the kernel vector of a free column h expresses M_h in
+that basis.  The polytope chart and u_action_trace are read off it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                      isomorphisms_iter)
-from .linalg import (F0, express_in_rowspace, kernel_sparse, rref,
-                     rref_with_transform)
+from .linalg import F0, express_in_rowspace, kernel_sparse, rref_with_transform
 
 
 # bound on |G| * degree^2, the entries of all vertices together; checked
@@ -96,7 +96,6 @@ class PermRep:
         self.vertices = verts
         self._sets = None
         self._kernel = None
-        self._diff = None
         self._divisors = None
 
     def _validate(self):
@@ -190,15 +189,6 @@ class PermRep:
                 frontier = nxt
         return count
 
-    def epsilon(self):
-        """Sum of all vertex matrices (a strictly positive lattice vector)."""
-        n2 = self.degree * self.degree
-        out = [0] * n2
-        for v in self.vertices:
-            for k in range(n2):
-                out[k] += v[k]
-        return tuple(out)
-
     def __repr__(self):
         return "<PermRep: order %d on %d points>" % (self.group.order, self.degree)
 
@@ -216,29 +206,48 @@ class AffineKernel:
     distinct set (see _incidence_sets): zero and repeated rows of the
     (degree^2 + 1)-row system, and its all-ones row, which the sets of
     any one column sum to, leave its row space, hence its unique
-    reduced echelon form, unchanged.  basis rows are the
-    kernel vectors over Q^|G|, one per free column of that form;
-    sparse_int holds the same vectors scaled to integers for fast
-    membership tests.  pivots are the pivot columns: the greedy first
+    reduced echelon form, unchanged.  sparse_int holds the kernel
+    vectors, one per free column of that form in ascending order, each
+    a sorted list of (element, int) scaled so that its free-column
+    entry, its last, is the lcm of the denominators; basis, built on
+    first read, holds them over Q^|G| with 1 at the free column.  Both
+    are canonical.  pivots are the pivot columns: the greedy first
     independent vertices, since the vertices satisfy the same linear
     relations (each matrix column sums to 1, so the all-ones row is
     implied).
     """
 
-    def __init__(self, dim, basis, sparse_int, rank, pivots):
+    def __init__(self, dim, sparse_int, rank, pivots):
         self.dim = dim
-        self.basis = basis
         self.sparse_int = sparse_int
         self.rank = rank
         self.pivots = pivots
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            order = self.rank + self.dim
+            self._basis = [_dense_vector(v, order) for v in self.sparse_int]
+        return self._basis
 
     def __eq__(self, other):
         if not isinstance(other, AffineKernel):
             return NotImplemented
-        return self.basis == other.basis
+        # rank + dim is the group order, the length of the vectors
+        return (self.rank, self.sparse_int) == (other.rank, other.sparse_int)
 
     def __hash__(self):
-        return hash(tuple(self.basis))
+        return hash((self.rank, tuple(map(tuple, self.sparse_int))))
+
+
+def _dense_vector(entries, order):
+    """A sparse_int kernel vector over Q^order, 1 at its free column."""
+    scale = entries[-1][1]
+    vec = [F0] * order
+    for i, c in entries:
+        vec[i] = Fraction(c, scale)
+    return tuple(vec)
 
 
 def _incidence_sets(rep: PermRep):
@@ -253,10 +262,11 @@ def _incidence_sets(rep: PermRep):
 
     affine_kernel eliminates one row per set in place of the all-ones
     row and the degree^2 entry rows, which only adds zero and repeated
-    rows and the sum of one column's rows; difference_space
-    eliminates one column per set, and a repeated column is never a
-    pivot and reduces like its first copy.  So neither reduced form
-    changes.
+    rows and the sum of one column's rows, so the reduced form does not
+    change.  Column k of the vertex differences M_g - M_e depends only
+    on S_k, so the polytope chart reads their pivots on one column per
+    set, the set's first entry: a repeated or zero column is never a
+    pivot.
     """
     if rep._sets is not None:
         return rep._sets
@@ -293,23 +303,19 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
             row[g] = 1
         rows.append(row)
     rank, sparse = kernel_sparse(rows)
-    dense = []
     sparse_int = []
     free = set()
     for entries in sparse:
-        vec = [F0] * order
         denom = 1
-        for i, c in entries:
-            vec[i] = c
+        for _, c in entries:
             denom = lcm(denom, c.denominator)
-        dense.append(tuple(vec))
         sparse_int.append([(i, c.numerator * (denom // c.denominator))
                            for i, c in entries])
         # a vector's free column is its last entry: reduced rows vanish
         # left of their pivots
         free.add(entries[-1][0])
     pivots = [g for g in range(order) if g not in free]
-    kernel = AffineKernel(len(sparse), dense, sparse_int, rank, pivots)
+    kernel = AffineKernel(len(sparse), sparse_int, rank, pivots)
     rep._kernel = kernel
     return kernel
 
@@ -336,58 +342,33 @@ def _lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
     return True
 
 
-class DifferenceSpace:
-    """Reduced-echelon basis of span{M_g - M_e}, with pivot bookkeeping."""
-
-    def __init__(self, basis, pivots):
-        self.basis = basis
-        self.pivots = pivots
-        self.dim = len(basis)
-
-
-def difference_space(rep: PermRep) -> DifferenceSpace:
-    """Reduced-echelon basis of span{M_g - M_e : g != e}.
-
-    Column k of the rows M_g - M_e is [g in S_k] - [e in S_k], so the
-    rows are eliminated over one column per distinct incidence set and
-    each reduced column is copied back to every entry with that set;
-    entries no element covers stay zero.
-    """
-    if rep._diff is not None:
-        return rep._diff
-    sets, cls = _incidence_sets(rep)
-    # row g-1 is M_g - M_e on the distinct columns: -1 where the set
-    # holds the identity, +1 for g, the two cancelling when both hold
-    base = [-1 if elems[0] == 0 else 0 for elems in sets]
-    rows = [list(base) for _ in range(rep.group.order - 1)]
-    for c, elems in enumerate(sets):
-        for g in elems:
-            if g:
-                rows[g - 1][c] += 1
-    reduced, pivots = rref(rows)
-    first = {}
-    for k, c in enumerate(cls):
-        first.setdefault(c, k)
-    basis = [tuple(row[c] if c >= 0 else F0 for c in cls) for row in reduced]
-    space = DifferenceSpace(basis, [first[c] for c in pivots])
-    rep._diff = space
-    return space
-
-
 def u_action_trace(rep: PermRep, g: int) -> Fraction:
     """Trace of left multiplication by element g on span{M_h - M_e}.
 
-    Left multiplication by a permutation matrix permutes rows, so the
-    image of a basis vector is a reindexing; with a reduced-echelon
-    basis the trace is a sum of single coordinates.
+    The pivot vertices M_p of the affine kernel are a basis of span{M_h},
+    and g sends M_p to M_gp.  A pivot gp contributes [gp = p] to the
+    trace; a free gp expands through its kernel vector lambda, scaled to
+    1 at gp, as M_gp = -sum over pivots q of lambda[q] M_q, contributing
+    -lambda[p].  The hull misses the origin, so span{M_h} is
+    span{M_h - M_e} plus Q M_e, and g acts trivially on the quotient:
+    the trace on span{M_h - M_e} is one less.
     """
-    space = difference_space(rep)
-    n = rep.degree
-    ginv = rep.action[rep.group.inverse[g]].images
-    total = F0
-    for vec, p in zip(space.basis, space.pivots):
-        i, j = divmod(p, n)
-        total += vec[ginv[i] * n + j]
+    kernel = affine_kernel(rep)
+    pivots = kernel.pivots
+    row = rep.group.table[g]
+    total = Fraction(-1)
+    for p in pivots:
+        gp = row[p]
+        k = bisect_left(pivots, gp)
+        if k < len(pivots) and pivots[k] == gp:
+            total += gp == p
+        else:
+            # k pivots lie below gp, so its vector is the (gp - k)-th
+            lam = kernel.sparse_int[gp - k]
+            for i, c in lam:
+                if i == p:
+                    total -= Fraction(c, lam[-1][1])
+                    break
     return total
 
 
@@ -476,8 +457,7 @@ class EquivariantMap:
     The map is determined by M_g -> M_(phi g); because every point of
     the affine hull has matrix row sums 1, the hull misses the origin
     and the affine vertex correspondence lifts to this unique linear
-    map.  As an affine map on ambient coordinates the translation part
-    is zero.
+    map.
     """
 
     def __init__(self, source: PermRep, target: PermRep, phi: GroupMap,
@@ -489,7 +469,6 @@ class EquivariantMap:
         self._reduced = reduced
         self._pivots = pivots
         self._transform = transform
-        self.translation = tuple([F0] * (target.degree * target.degree))
 
     @property
     def vertex_map(self):
@@ -529,19 +508,20 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
     if not phi.is_bijective():
         raise ValueError("phi must be an isomorphism")
     kA = affine_kernel(repA)
-    for lam, dense in zip(kA.sparse_int, kA.basis):
+    order = repA.group.order
+    for lam in kA.sparse_int:
         if not _lambda_annihilates(repB, lam, phi):
-            raise NotStablyEquivalentError(dense)
+            raise NotStablyEquivalentError(_dense_vector(lam, order))
     kB = affine_kernel(repB)
     if kA.dim != kB.dim:
         # the reverse inclusion fails: find a kernel vector of rep_B o phi
         # that rep_A does not annihilate
         composed = compose_with_map(repB, phi)
-        for lam, dense in zip(affine_kernel(composed).sparse_int,
-                              affine_kernel(composed).basis):
+        for lam in affine_kernel(composed).sparse_int:
             if not _lambda_annihilates(repA, lam):
                 raise NotStablyEquivalentError(
-                    dense, "kernel of the composed representation is larger")
+                    _dense_vector(lam, order),
+                    "kernel of the composed representation is larger")
         raise NotStablyEquivalentError((), "kernel dimensions differ")
 
     # the kernel's pivot columns are the greedy first maximal

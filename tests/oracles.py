@@ -13,7 +13,8 @@ from permpoly.groups import (GroupMap, Subgroup, _close_capped,
 from permpoly.intlinalg import (_hermite_left_block, determinant,
                                 hermite_form, smith_divisors,
                                 solve_in_lattice)
-from permpoly.linalg import F0, express_in_rowspace, kernel_sparse, rref
+from permpoly.linalg import (F0, express_in_rowspace, kernel_sparse,
+                             rref_with_transform)
 from permpoly.reps import PermRep, _lambda_annihilates, affine_kernel
 
 
@@ -377,7 +378,7 @@ def dense_difference_space(rep: PermRep):
     rows = []
     for v in rep.vertices[1:]:
         rows.append([a - b for a, b in zip(v, base)])
-    reduced, pivots = rref(rows)
+    reduced, pivots, _ = rref_with_transform(rows)
     return [tuple(r) for r in reduced], list(pivots)
 
 

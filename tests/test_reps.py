@@ -8,10 +8,11 @@ import sympy
 from oracles import (dense_affine_kernel, dense_difference_space,
                      dict_lambda_annihilates,
                      exhaustive_effectively_equivalent, first_independent,
-                     is_homomorphism_all_pairs)
+                     fraction_rref, is_homomorphism_all_pairs)
 from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                              isomorphisms, parse_cycles)
-from permpoly.linalg import express_in_rowspace, rank, rref
+from permpoly.linalg import express_in_rowspace, rank
+from permpoly.polytopes import build_polytope
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
     NotFaithfulError,
@@ -23,7 +24,6 @@ from permpoly.reps import (
     build_equivariant_map,
     compose_with_map,
     cycle_divisor_obstruction,
-    difference_space,
     divisors_of_mask,
     effectively_equivalent,
     stably_equivalent_by_kernel,
@@ -135,16 +135,6 @@ def test_orbit_count(s3, klein):
     assert rep.orbit_count() == 3
 
 
-def test_epsilon_row_and_column_sums(s3, klein):
-    for rep in (PermRep.natural(s3), PermRep.natural(klein)):
-        eps = rep.epsilon()
-        n = rep.degree
-        order = rep.group.order
-        for i in range(n):
-            assert sum(eps[i * n + j] for j in range(n)) == order
-            assert sum(eps[j * n + i] for j in range(n)) == order
-
-
 def test_affine_kernel_dims(s3, klein, z4, klein_pair):
     assert affine_kernel(PermRep.natural(klein)).dim == 1
     assert affine_kernel(PermRep.natural(s3)).dim == 1
@@ -185,19 +175,25 @@ def test_affine_kernel_is_canonical(klein):
     assert sorted(vec) == [-1, -1, 1, 1]
 
 
-def test_u_action_trace_matches_matrix_trace(s3, klein_pair):
-    for rep in (PermRep.natural(s3), klein_pair[1]):
-        space = difference_space(rep)
+def test_u_action_trace_matches_matrix_trace(s3, s4, a5, klein_pair,
+                                             main_pair):
+    """The trace read off the affine kernel equals the trace of left
+    multiplication on the dense basis of span{M_h - M_e}."""
+    coset_sum = PermRep.from_coset_actions(
+        s4, [s4.coset_action(s4.point_stabilizer(1)),
+             s4.coset_action(s4.subgroups_of_order(8)[0])])
+    for rep in (PermRep.natural(s3), klein_pair[1], PermRep.natural(a5),
+                main_pair[0], coset_sum):
+        basis, pivots = dense_difference_space(rep)
         n = rep.degree
-        assert u_action_trace(rep, 0) == space.dim
+        assert u_action_trace(rep, 0) == len(basis)
         for g in range(rep.group.order):
             ginv = rep.action[rep.group.inverse[g]].images
             total = Fraction(0)
-            for k, vec in enumerate(space.basis):
+            for k, vec in enumerate(basis):
                 moved = [vec[ginv[i] * n + j]
                          for i in range(n) for j in range(n)]
-                coeffs = express_in_rowspace(
-                    list(space.basis), space.pivots, moved)
+                coeffs = express_in_rowspace(basis, pivots, moved)
                 assert coeffs is not None
                 total += coeffs[k]
             assert u_action_trace(rep, g) == total
@@ -247,7 +243,6 @@ def test_build_equivariant_map(klein_pair):
     phi = GroupMap.identity(repA.group)
     emap = build_equivariant_map(repA, repB, phi)
     assert emap.vertex_map == phi.images
-    assert all(x == 0 for x in emap.translation)
     order = repA.group.order
     for g in range(order):
         img = emap.apply(repA.vertices[g])
@@ -387,19 +382,30 @@ def coset_sums(group, max_degree=12):
     return out
 
 
-def check_against_dense(rep, vertex_pivots=True):
-    """The affine kernel and difference space from the distinct
-    incidence sets equal those eliminated on the dense systems."""
+def check_against_dense(rep, full=True):
+    """The affine kernel from the distinct incidence sets equals the one
+    eliminated on the dense system, and the polytope chart read off it
+    equals the dense difference space's pivots and dimension.  With
+    full, the kernel's pivots and the chart's coordinates are checked
+    too."""
     kern = affine_kernel(rep)
     assert (kern.dim, kern.rank, kern.basis, kern.sparse_int) == \
         dense_affine_kernel(rep)
-    if vertex_pivots:
+    if full:
         # the kernel's pivots are those of the matrix whose columns are
         # the vertices, which build_equivariant_map eliminated before
-        assert kern.pivots == rref(list(zip(*rep.vertices)))[1]
-    space = difference_space(rep)
-    assert (space.basis, space.pivots) == dense_difference_space(rep)
-    assert space.dim == len(space.basis)
+        assert kern.pivots == fraction_rref(list(zip(*rep.vertices)))[1]
+    basis, pivots = dense_difference_space(rep)
+    poly = build_polytope(rep)
+    assert (poly.pivots, poly.dim) == (pivots, len(basis))
+    assert poly.dim == rep.group.order - 1 - kern.dim
+    if not full:
+        return
+    base = rep.vertices[0]
+    assert poly.coords == [
+        tuple(express_in_rowspace(basis, pivots,
+                                  [a - b for a, b in zip(v, base)]))
+        for v in rep.vertices]
 
 
 @pytest.fixture(scope="module")
@@ -439,8 +445,8 @@ def test_kernel_and_difference_space_match_dense_on_coset_sums(s4, a4, d6, q8):
         reps = coset_sums(g)
         counts.append(len(reps))
         for i, rep in enumerate(reps):
-            # vertex pivots on the plain sums, sympy ranks on the smallest
-            check_against_dense(rep, vertex_pivots=i % 3 == 0)
+            # full checks on the plain sums, sympy ranks on the smallest
+            check_against_dense(rep, full=i % 3 == 0)
             if rep.degree <= 5:
                 ones = sympy.Matrix([list(v) + [1] for v in rep.vertices])
                 assert affine_kernel(rep).rank == ones.rank()
