@@ -15,15 +15,14 @@ first, the rest by degree then value key) and checked against the
 orthogonality relations before use, so downstream equivalence tests do
 not depend on which route produced the table.
 
-Constituents of a permutation character pi are found with Python ints.
+Constituents, indicators and isotype traces are found with Python ints.
 Character values are algebraic integers, so their power-basis
 coordinates are integers: each table keeps, for every irreducible chi
 and coordinate k, the column of coordinate k of size_j * conj(chi(g_j))
-over the classes j, and the coordinates of |G| <pi, chi> are the dot
-products of pi with these columns.  The result must be rational (its
-coordinates past the first vanish), a nonnegative multiple of |G|, and
-consistent with the action's degree and orbit count; anything else
-raises.
+over the classes j.  The coordinates of |G| <f, chi> for an integer
+class function f (the permutation character, or the count of square
+roots for the Frobenius-Schur indicator) are the dot products of f with
+these columns; past the first they must vanish, else this raises.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 
-from .cyclotomic import Cyclotomic, cyclo, cyclo_rational, root_log, root_order
+from .cyclotomic import cyclo, cyclo_rational, root_log, root_order
 from .groups import FiniteGroup, SizeCapError
 from .intlinalg import smith_divisors
 from .reps import PermRep, affine_kernel, u_action_trace, _same_group
@@ -84,19 +83,25 @@ class CharacterTable:
         return self.class_of[self.group.power_index(self.reps[j], s)]
 
     def indicator(self, i: int) -> int:
-        """Frobenius-Schur indicator: +1 real, 0 complex, -1 quaternionic."""
+        """Frobenius-Schur indicator: +1 real, 0 complex, -1 quaternionic.
+
+        |G| nu(chi) = sum over x of chi(x^2) = |G| <r, conj chi>, where
+        r(g) counts the square roots of g (Isaacs, ch. 4); nu is real.
+        """
         if self._indicators is None:
             n = self.group.order
-            sq = [self.power_class(j, 2) for j in range(len(self.classes))]
+            roots = [0] * len(self.classes)
+            for k, size in enumerate(self.sizes):
+                roots[self.power_class(k, 2)] += size
+            for j, size in enumerate(self.sizes):
+                roots[j], rem = divmod(roots[j], size)
+                if rem:
+                    raise RuntimeError("square roots are not a class function")
             out = []
-            for row in self.values:
-                total = cyclo_rational(self.conductor, 0)
-                for j, size in enumerate(self.sizes):
-                    total = total + size * row[sq[j]]
-                val = total.is_rational()
-                if val is None or val.denominator != 1 or int(val) % n:
+            for total in _inner_products(self, roots):
+                ind, rem = divmod(total, n)
+                if rem:
                     raise RuntimeError("indicator sum is not divisible by |G|")
-                ind = int(val) // n
                 if ind not in (-1, 0, 1):
                     raise RuntimeError("indicator outside {-1, 0, 1}")
                 out.append(ind)
@@ -638,6 +643,19 @@ def _coordinate_columns(table: CharacterTable):
     return table._coordinate_columns
 
 
+def _inner_products(table: CharacterTable, f):
+    """|G| <f, chi_i> for every irreducible chi_i and an integer class
+    function f on the classes; raises RuntimeError unless every
+    coordinate past the first is 0 (the inner products are rational)."""
+    acc = [sum(map(mul, f, column)) for column in _coordinate_columns(table)]
+    width = len(table.values[0][0].coeffs)
+    totals = acc[::width]
+    del acc[::width]
+    if any(acc):
+        raise RuntimeError("inner product is not rational")
+    return totals
+
+
 def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constituents:
     """Multiplicities <pi, chi> of every irreducible in the permutation
     character pi of rep.
@@ -656,12 +674,7 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
         raise ValueError("table belongs to a different group")
     pi = permutation_character(rep, table)
     n = rep.group.order
-    acc = [sum(map(mul, pi, column)) for column in _coordinate_columns(table)]
-    width = len(table.values[0][0].coeffs)
-    totals = acc[::width]
-    del acc[::width]
-    if any(acc):
-        raise RuntimeError("inner product is not rational")
+    totals = _inner_products(table, pi)
     mults = []
     for total in totals:
         mult, rem = divmod(total, n)
@@ -725,9 +738,11 @@ def verify_isotype(rep: PermRep, table: CharacterTable | None = None) -> Isotype
     dim span{M_g - M_e}, which is |G| - 1 minus the dimension of the
     affine kernel, must equal the sum of schur_fraction * degree^2 over
     the nontrivial real irreducibles meeting the permutation character,
-    and for every g the trace of left multiplication on that span must
-    equal sum of schur_fraction * degree * value(g).  Raises on any
-    exact mismatch.
+    and for every g in class j the trace of left multiplication on that
+    span must equal sum of schur_fraction * degree * value(g), which is
+    t_j = sum of d_i chi_i(g_j) over their complex indices i.  size_j *
+    t_j is read off the coordinate columns; it must be rational, so the
+    columns' conj is harmless.  Raises on any exact mismatch.
     """
     if table is None:
         table = character_table(rep.group)
@@ -737,14 +752,17 @@ def verify_isotype(rep: PermRep, table: CharacterTable | None = None) -> Isotype
         raise RuntimeError("span dimension %d differs from predicted %d"
                            % (dim, dim_pred))
 
-    m = table.conductor
+    columns = _coordinate_columns(table)
+    width = len(table.values[0][0].coeffs)
+    picked = [(table.degrees[i], i * width)
+              for real in occurring for i in real.complex_indices]
+    scaled = [[sum(d * columns[at + k][j] for d, at in picked)
+               for j in range(table.count)] for k in range(width)]
+    if any(map(any, scaled[1:])):
+        raise RuntimeError("isotype trace is not rational")
     cls = table.class_of
     for g in range(rep.group.order):
-        rhs = cyclo_rational(m, 0)
-        for real in occurring:
-            rhs = rhs + (real.schur_fraction * real.degree) * real.values[cls[g]]
-        val = rhs.is_rational()
-        if val is None or val != u_action_trace(rep, g):
+        if table.sizes[cls[g]] * u_action_trace(rep, g) != scaled[0][cls[g]]:
             raise RuntimeError("trace identity failed at element %d" % g)
     return IsotypeReport(dim_pred, dim, [real.degree for real in occurring])
 

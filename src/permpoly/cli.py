@@ -238,8 +238,12 @@ def cmd_reproduce(args) -> int:
     report = run_scenario(args.id, cap=cap, node_cap=10_000 * cap)
     print(report.text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report.payload()))
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(report.payload()))
+        except OSError as exc:
+            raise InputError("cannot write %s: %s"
+                             % (args.json, exc.strerror or exc))
     return 0 if report.passed else 1
 
 

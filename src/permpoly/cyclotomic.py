@@ -2,8 +2,7 @@
 
 Elements are vectors over the power basis 1, z, ..., z^(phi(m)-1) of
 Q[x]/Phi_m(x), with Fraction coefficients.  The conductor m is fixed per
-field; mixing conductors raises.  Complex conjugation is the field
-automorphism z -> z^(m-1).
+field; mixing conductors raises.
 """
 
 from __future__ import annotations
@@ -138,21 +137,6 @@ class Cyclotomic:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Cyclotomic(self.m, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.m, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -168,18 +152,6 @@ class Cyclotomic:
         return Cyclotomic(self.m, prod)
 
     __rmul__ = __mul__
-
-    def conj(self):
-        """Complex conjugate: substitute z -> z^(m-1)."""
-        field = _field(self.m)
-        out = [F0] * field.degree
-        for j, c in enumerate(self.coeffs):
-            if c:
-                p = field.powers[(self.m - j) % self.m]
-                for k in range(field.degree):
-                    if p[k]:
-                        out[k] += c * p[k]
-        return Cyclotomic(self.m, out)
 
     def is_rational(self):
         """The element as a Fraction when it lies in Q, else None."""

@@ -49,6 +49,19 @@ def q8():
 
 
 @pytest.fixture(scope="session")
+def q16():
+    """Generalized quaternion group of order 16, regular."""
+    return build(["(1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16)",
+                  "(1 9 5 13)(2 16 6 12)(3 15 7 11)(4 14 8 10)"], 16, "q16")
+
+
+@pytest.fixture(scope="session")
+def dic12():
+    """Dicyclic group Z3 x| Z4 of order 12 on 3 + 4 points."""
+    return build(["(1 2 3)", "(2 3)(4 5 6 7)"], 7, "dic12")
+
+
+@pytest.fixture(scope="session")
 def a5():
     return build(["(1 2 3 4 5)", "(3 4 5)"], 5, "a5")
 

@@ -1,12 +1,13 @@
 """Independent brute-force oracles used by the test suite only."""
 
+import copy
 import itertools
 from fractions import Fraction
 from math import gcd
 
 import sympy
 
-from permpoly.characters import permutation_character
+from permpoly.characters import permutation_character, predicted_dimension
 from permpoly.cyclotomic import cyclo_rational
 from permpoly.groups import (GroupMap, Subgroup, _close_capped,
                              _respects_generators, isomorphisms_iter)
@@ -15,7 +16,8 @@ from permpoly.intlinalg import (_hermite_left_block, determinant,
                                 solve_in_lattice)
 from permpoly.linalg import (F0, express_in_rowspace, kernel_sparse,
                              rref_with_transform)
-from permpoly.reps import PermRep, _lambda_annihilates, affine_kernel
+from permpoly.reps import (PermRep, _lambda_annihilates, affine_kernel,
+                           u_action_trace)
 
 
 def brute_force_faces(poly):
@@ -321,6 +323,57 @@ def cyclotomic_constituents(rep, table):
             raise RuntimeError("multiplicity %s is not a nonnegative integer" % mult)
         mults.append(int(mult))
     return tuple(mults), tuple(pi)
+
+
+def cyclotomic_indicators(table):
+    """Frobenius-Schur indicators by sum over classes j of size_j *
+    chi(g_j^2), summed in Q(zeta_m) and divided by |G|."""
+    n = table.group.order
+    sq = [table.power_class(j, 2) for j in range(len(table.classes))]
+    out = []
+    for row in table.values:
+        total = cyclo_rational(table.conductor, 0)
+        for j, size in enumerate(table.sizes):
+            total = total + size * row[sq[j]]
+        val = total.is_rational()
+        if val is None or val.denominator != 1 or int(val) % n:
+            raise RuntimeError("indicator sum is not divisible by |G|")
+        ind = int(val) // n
+        if ind not in (-1, 0, 1):
+            raise RuntimeError("indicator outside {-1, 0, 1}")
+        out.append(ind)
+    return tuple(out)
+
+
+def with_cyclotomic_indicators(table):
+    """A copy of the table whose indicators come from the cyclotomic
+    oracle; its real irreducibles are rebuilt from them."""
+    copied = copy.copy(table)
+    copied._indicators = cyclotomic_indicators(table)
+    copied._reals = None
+    return copied
+
+
+def cyclotomic_isotype(rep, table):
+    """(dim_expected, dim_actual, real_degrees) of the isotype check on
+    the oracle indicators, with the trace identity summed per element
+    in Q(zeta_m): the trace of g on span{M_h - M_e} equals the sum of
+    schur_fraction * degree * value(g) over the occurring reals."""
+    dim_pred, occurring = predicted_dimension(
+        rep, with_cyclotomic_indicators(table))
+    dim = rep.group.order - 1 - affine_kernel(rep).dim
+    if dim != dim_pred:
+        raise RuntimeError("span dimension %d differs from predicted %d"
+                           % (dim, dim_pred))
+    cls = table.class_of
+    for g in range(rep.group.order):
+        rhs = cyclo_rational(table.conductor, 0)
+        for real in occurring:
+            rhs = rhs + (real.schur_fraction * real.degree) * real.values[cls[g]]
+        val = rhs.is_rational()
+        if val is None or val != u_action_trace(rep, g):
+            raise RuntimeError("trace identity failed at element %d" % g)
+    return dim_pred, dim, tuple(real.degree for real in occurring)
 
 
 def dict_lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:

@@ -7,6 +7,7 @@ import pytest
 import permpoly.characters as characters
 from permpoly.characters import (
     Constituents,
+    RealIrreducible,
     character_table,
     constituents,
     invariant_factors,
@@ -21,7 +22,8 @@ from permpoly.cyclotomic import cyclo, cyclo_rational
 from permpoly.groups import FiniteGroup, SizeCapError, parse_cycles
 from permpoly.reps import NotFaithfulError, PermRep, stably_equivalent_by_kernel
 
-from oracles import cyclotomic_constituents
+from oracles import (cyclotomic_constituents, cyclotomic_indicators,
+                     cyclotomic_isotype, with_cyclotomic_indicators)
 
 
 def build(gens, degree):
@@ -237,6 +239,59 @@ def test_constituents_match_cyclotomic_oracle(s3, s4, a4, d4, d6, q8, a5,
             == cyclotomic_constituents(rep, table)
 
 
+def test_indicators_and_isotypes_match_cyclotomic_oracles(
+        s3, s4, a4, d4, d6, q8, q16, dic12, a5, main_pair):
+    """Indicators, real irreducibles, predicted dimensions and isotype
+    reports on 15 groups, four of them with quaternionic characters."""
+    s5 = build(["(1 2 3 4 5)", "(1 2)"], 5)
+    a6 = build(["(1 2 3 4 5)", "(4 5 6)"], 6)
+    z12 = build(["(1 2 3 4 5 6 7 8 9 10 11 12)"], 12)
+    z3xs3 = build(["(1 2 3)", "(4 5)", "(4 5 6)"], 6)
+    z2xq8 = build(["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)", "(9 10)"], 10)
+    g48 = main_pair[0].group
+    groups = [s3, s4, s5, a4, a5, a6, d4, d6, z12, z3xs3, g48,
+              q8, q16, dic12, z2xq8]
+    quaternionic = 0
+    reps = list(main_pair)
+    rng = random.Random(17)
+    for group in groups:
+        table = character_table(group)
+        indicators = tuple(table.indicator(i) for i in range(table.count))
+        assert indicators == cyclotomic_indicators(table)
+        quaternionic += -1 in indicators
+        oracle = with_cyclotomic_indicators(table)
+        assert [(r.complex_indices, r.values, r.degree, r.indicator)
+                for r in real_irreducibles(table)] \
+            == [(r.complex_indices, r.values, r.degree, r.indicator)
+                for r in real_irreducibles(oracle)]
+        reps.append(PermRep.natural(group))
+        # faithful sums of coset actions of small cyclic subgroups
+        sums = 0
+        while group.order <= 48 and sums < 5:
+            subs = [group.subgroup([rng.randrange(group.order)])
+                    for _ in range(rng.randint(1, 2))]
+            actions = [group.coset_action(h) for h in subs]
+            if sum(a.degree for a in actions) > 24:
+                continue
+            try:
+                reps.append(PermRep.from_coset_actions(group, actions))
+            except NotFaithfulError:
+                continue
+            sums += 1
+    assert quaternionic == 4
+    for rep in reps:
+        table = character_table(rep.group)
+        dim, occurring = predicted_dimension(rep, table)
+        odim, ooccurring = predicted_dimension(
+            rep, with_cyclotomic_indicators(table))
+        assert (dim, [r.complex_indices for r in occurring]) \
+            == (odim, [r.complex_indices for r in ooccurring])
+        report = verify_isotype(rep, table)
+        assert report.ok
+        assert (report.dim_expected, report.dim_actual, report.real_degrees) \
+            == cyclotomic_isotype(rep, table)
+
+
 def corrupted(table, i, j, value):
     """A copy of a verified table with chi_i(g_j) replaced by value."""
     bad = copy.copy(table)
@@ -244,6 +299,8 @@ def corrupted(table, i, j, value):
     rows[i][j] = value
     bad.values = tuple(tuple(row) for row in rows)
     bad._coordinate_columns = None
+    bad._indicators = None
+    bad._reals = None
     return bad
 
 
@@ -256,11 +313,17 @@ def test_constituents_reject_corrupted_tables(s3, q8, a5):
         for i in range(1, table.count):
             # pi is nonzero at the identity class, whose inverse is itself
             value = table.values[i][0]
+            twisted = corrupted(table, i, 0, value * cyclo(m))
             with pytest.raises(RuntimeError, match="not rational"):
-                constituents(rep, corrupted(table, i, 0, value * cyclo(m)))
+                constituents(rep, twisted)
+            # every element squares into some class, the identity too
+            with pytest.raises(RuntimeError, match="not rational"):
+                twisted.indicator(i)
+            halved = corrupted(table, i, 0, value + cyclo(m) * Fraction(1, 2))
             with pytest.raises(RuntimeError, match="not an algebraic integer"):
-                constituents(rep, corrupted(table, i, 0,
-                                            value + cyclo(m) * Fraction(1, 2)))
+                constituents(rep, halved)
+            with pytest.raises(RuntimeError, match="not an algebraic integer"):
+                halved.indicator(i)
         # the corrupted copies left the verified table's columns alone
         assert constituents(rep, table).multiplicities \
             == cyclotomic_constituents(rep, table)[0]
@@ -284,6 +347,20 @@ def test_conjugate_constituents_must_occur_together(monkeypatch):
             with pytest.raises(RuntimeError, match="asymmetrically"):
                 predicted_dimension(rep, table)
             monkeypatch.undo()
+
+
+def test_isotype_trace_must_be_rational(monkeypatch):
+    group = build(["(1 2 3)"], 3)
+    rep = PermRep.from_coset_actions(
+        group, [group.coset_action(group.subgroup([]))])
+    table = character_table(group)
+    assert verify_isotype(rep, table).ok
+    # one character of the conjugate pair, passed off as a real one
+    half = RealIrreducible((1,), table.values[1], 2, 0)
+    monkeypatch.setattr(characters, "predicted_dimension",
+                        lambda *args: (2, [half]))
+    with pytest.raises(RuntimeError, match="not rational"):
+        verify_isotype(rep, table)
 
 
 def test_stable_equivalence_by_characters(s3, z4, klein, klein_pair):

@@ -199,6 +199,15 @@ def test_reproduce_klein_volume(tmp_path, capsys):
     assert payload == payload2
 
 
+def test_reproduce_unwritable_json_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert cli.main(["reproduce", "klein-volume", "--json",
+                     str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err
+    assert "internal error" not in err
+
+
 def test_bad_spec_files(tmp_path, capsys):
     cases = [
         {"degree": 0, "generators": []},

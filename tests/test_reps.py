@@ -428,7 +428,7 @@ def test_incidence_sets_reconstruct_vertices(small_reps, main_pair):
             assert v == tuple(int(c >= 0 and g in sets[c]) for c in cls)
 
 
-def test_kernel_and_difference_space_match_dense_on_small_groups(small_reps):
+def test_kernel_and_chart_match_dense_on_small_groups(small_reps):
     for rep in small_reps:
         check_against_dense(rep)
         kern = affine_kernel(rep)
@@ -439,7 +439,7 @@ def test_kernel_and_difference_space_match_dense_on_small_groups(small_reps):
         assert kern.dim == rep.group.order - kern.rank
 
 
-def test_kernel_and_difference_space_match_dense_on_coset_sums(s4, a4, d6, q8):
+def test_kernel_and_chart_match_dense_on_coset_sums(s4, a4, d6, q8):
     counts = []
     for g in (s4, a4, d6, q8):
         reps = coset_sums(g)
@@ -460,7 +460,7 @@ def test_kernel_and_difference_space_match_dense_on_coset_sums(s4, a4, d6, q8):
     assert counts == [3 * 174, 3 * 50, 3 * 94, 3 * 6]
 
 
-def test_kernel_and_difference_space_match_dense_on_scenario_pairs(main_pair):
+def test_kernel_and_chart_match_dense_on_scenario_pairs(main_pair):
     _, _, _, _, a6_1, a6_2 = alt6_reps()
     for rep in (*main_pair, a6_1, a6_2):
         check_against_dense(rep)
