@@ -10,6 +10,7 @@ scenario mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -235,15 +236,17 @@ def cmd_reproduce(args) -> int:
     if args.id not in SCENARIOS:
         raise InputError("unknown scenario %r; known: %s"
                          % (args.id, ", ".join(sorted(SCENARIOS))))
-    report = run_scenario(args.id, cap=cap, node_cap=10_000 * cap)
-    print(report.text())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(report.payload()))
-        except OSError as exc:
-            raise InputError("cannot write %s: %s"
-                             % (args.json, exc.strerror or exc))
+    # open the JSON file first, so that an unwritable path fails fast
+    try:
+        fh = open(args.json, "w", encoding="utf-8") if args.json else None
+    except OSError as exc:
+        raise InputError("cannot write %s: %s"
+                         % (args.json, exc.strerror or exc))
+    with fh or contextlib.nullcontext():
+        report = run_scenario(args.id, cap=cap, node_cap=10_000 * cap)
+        print(report.text())
+        if fh is not None:
+            fh.write(canonical_json(report.payload()))
     return 0 if report.passed else 1
 
 

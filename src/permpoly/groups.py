@@ -397,7 +397,7 @@ class FiniteGroup:
 
     def subgroup(self, gen_indices) -> "Subgroup":
         """Closure of the given element indices inside this group."""
-        gen_indices = [int(i) for i in gen_indices]
+        gen_indices = _element_indices(gen_indices)
         if any(not 0 <= i < self.order for i in gen_indices):
             raise ValueError("element index out of range")
         # capped at |G|, so never None
@@ -405,7 +405,7 @@ class FiniteGroup:
         return Subgroup(self, tuple(sorted(elements)), tuple(gen_indices))
 
     def subgroup_from_elements(self, indices) -> "Subgroup":
-        indices = tuple(sorted(set(int(i) for i in indices)))
+        indices = tuple(sorted(set(_element_indices(indices))))
         elems = set(indices)
         if 0 not in elems:
             raise ValueError("subgroup must contain the identity")
@@ -604,6 +604,15 @@ def _find_generators(table, indices):
             if len(have) == len(indices):
                 break
     return tuple(gens)
+
+
+def _element_indices(indices):
+    """The indices as ints; ValueError on one not equal to an integer."""
+    indices = list(indices)
+    ints = [int(i) for i in indices]
+    if ints != indices:
+        raise ValueError("element indices must be integers: %r" % (indices,))
+    return ints
 
 
 class Subgroup:

@@ -3,8 +3,9 @@
 Row style throughout: the rows of a matrix generate a sublattice of
 Z^n, and hermite_form returns the canonical basis of that lattice
 (positive pivots, entries above each pivot reduced into [0, pivot)).
-Smith divisors d_1 | d_2 | ... are the elementary divisors; their
-product is the index of the row lattice inside its saturation.
+Smith divisors d_1 | d_2 | ... are the elementary divisors;
+characters.invariant_factors reads an abelian group's invariant
+factors off them.
 
 The saturation is read off the rank-r Hermite basis H through the dual
 of the lattice in Z^r spanned by H's columns (see saturation).  Every
@@ -193,32 +194,3 @@ def solve_in_lattice(hermite_rows, target):
     if any(residue):
         return None
     return coeffs
-
-
-def determinant(rows):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = _check_int_rows(rows)
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -2,10 +2,9 @@
 
 Matrices are dense lists of rows with int or fractions.Fraction entries.
 Row reduction runs fraction-free in one integer core, _rref_int, which
-returns primitive integer rows with their pivots.  rref_with_transform
-divides those rows by their pivots and emits Fractions; kernel_sparse,
-pivot_columns and rank read the integer rows directly.  Every result
-entry is a Fraction.
+returns primitive integer rows with their pivots; kernel_sparse,
+pivot_columns and rank read those rows directly, and no elimination
+emits a Fraction.
 Everything here is deterministic: row echelon forms pick the first
 usable pivot, kernels are emitted in ascending free-column order, so
 equal subspaces always produce identical bases.
@@ -18,25 +17,6 @@ from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def rref_with_transform(rows):
-    """Reduced row echelon form and the transform that produces it.
-
-    Returns (reduced_rows, pivot_columns, T) with reduced = T @ rows (T
-    is rank x nrows); zero rows are dropped, pivot entries are 1 and
-    are the only nonzero entries in their columns.
-    """
-    n = len(rows)
-    if n == 0:
-        return [], [], []
-    ncols = len(rows[0])
-    aug = [list(row) + [1 if j == i else 0 for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = _rref(aug, ncols)
-    reduced = [row[:ncols] for row in red]
-    transform = [row[ncols:] for row in red]
-    return reduced, pivots, transform
 
 
 def _integer_row(row):
@@ -102,16 +82,6 @@ def _rref_int(rows, ncols):
     return m[:r], pivots
 
 
-def _rref(rows, ncols):
-    """_rref_int with each row divided by its pivot, as Fractions."""
-    m, pivots = _rref_int(rows, ncols)
-    out = []
-    for row, c in zip(m, pivots):
-        p = row[c]
-        out.append([Fraction(x, p) if x else F0 for x in row])
-    return out, pivots
-
-
 def pivot_columns(rows):
     """The pivot columns of the reduced row echelon form: each column
     not in the span of the columns before it."""
@@ -129,10 +99,13 @@ def kernel_sparse(rows):
     """Rank of the matrix and a canonical basis of {x : rows @ x = 0}.
 
     The kernel basis is the standard one read off the reduced echelon
-    form: one vector per free column f, with entry 1 at f and the negated
-    reduced-form entries at the pivot columns.  Vectors are ordered by
+    form, one vector per free column f: 1 at f and the negated
+    reduced-form entries at the pivot columns, scaled to the primitive
+    integer vector with a positive entry at f.  Vectors are ordered by
     free column, which makes the basis a canonical invariant of the row
-    space.  Each vector is a sorted list of (index, value) pairs.
+    space.  Each vector is a sorted list of (index, int) pairs; its last
+    pair is its free column, since reduced rows vanish left of their
+    pivots.
     """
     if not rows:
         return 0, []
@@ -143,32 +116,17 @@ def kernel_sparse(rows):
     for f in range(ncols):
         if f in pivot_set:
             continue
-        entries = [(f, F1)]
-        for row, p in zip(red, pivots):
-            if row[f]:
-                entries.append((p, Fraction(-row[f], row[p])))
-        entries.sort()
+        # x_p = -row[f] / row[p] for each row with row[f] != 0, x_f = 1,
+        # times the lcm of those pivots, then divided by the content
+        terms = [(p, row[f], row[p]) for row, p in zip(red, pivots) if row[f]]
+        scale = lcm(*(b for _, _, b in terms))
+        entries = [(p, -a * (scale // b)) for p, a, b in terms]
+        content = gcd(scale, *(c for _, c in entries))
+        if content > 1:
+            entries = [(p, c // content) for p, c in entries]
+        entries.append((f, scale // content))
         basis.append(entries)
     return len(pivots), basis
-
-
-def express_in_rowspace(reduced, pivots, vec):
-    """Coefficients c with c @ reduced == vec, or None if vec is outside.
-
-    reduced must come from rref_with_transform (pivot columns are unit
-    columns), so the candidate coefficients are just vec's entries at
-    the pivots.
-    """
-    coeffs = [vec[p] if isinstance(vec[p], Fraction) else Fraction(vec[p]) for p in pivots]
-    ncols = len(vec)
-    for j in range(ncols):
-        s = F0
-        for i, row in enumerate(reduced):
-            if coeffs[i] and row[j]:
-                s += coeffs[i] * row[j]
-        if s != vec[j]:
-            return None
-    return coeffs
 
 
 def dot(u, v):

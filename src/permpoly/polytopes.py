@@ -29,8 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 
-from .intlinalg import determinant, hermite_form, saturation, smith_divisors, \
-    solve_in_lattice
+from .intlinalg import hermite_form, saturation, solve_in_lattice
 from .linalg import F0, F1, pivot_columns, rank
 from .lp import maximize
 from .reps import PermRep, _incidence_sets, affine_kernel
@@ -321,43 +320,28 @@ def lattice_structure(poly: PermutationPolytope) -> LatticeData:
     on the polytope.
 
     One Hermite form of the |G| - 1 vertex differences gives the vertex
-    lattice; its saturation is taken on that rank-dim basis.  The index
-    is certified by the Smith divisors of the vertex-lattice rows solved
-    in the saturation, the simplex volume by the determinant of the
-    vertex differences solved there.
+    lattice; its saturation is taken on that rank-dim basis.  Both are
+    echelon bases of one rational space, so they have the same pivot
+    columns, and the coordinates of the vertex-lattice rows in the
+    saturation form an upper triangular matrix, checked, whose diagonal
+    product is the index.  A simplex's vertex differences are a basis of
+    its vertex lattice, so its normalized volume is that index.
     """
     if poly._lattice is not None:
         return poly._lattice
     base = poly.vertices[0]
     diffs = [[a - b for a, b in zip(v, base)] for v in poly.vertices[1:]]
-    if not diffs:
-        data = LatticeData([], [], 1, 1, 0)
-        poly._lattice = data
-        return data
     vlat = hermite_form(diffs)
     sat = saturation(vlat)
-    coords = []
-    for row in vlat:
+    index = 1
+    for i, row in enumerate(vlat):
         c = solve_in_lattice(sat, row)
         if c is None:
             raise RuntimeError("vertex lattice escapes its saturation")
-        coords.append(c)
-    divisors = smith_divisors(coords)
-    index = 1
-    for d in divisors:
-        index *= d
-    vol = None
-    if poly.vertex_count == poly.dim + 1:
-        simplex = []
-        for row in diffs:
-            c = solve_in_lattice(sat, row)
-            if c is None:
-                raise RuntimeError("vertex difference escapes the saturation")
-            simplex.append(c)
-        vol = abs(determinant(simplex))
-        if vol.denominator != 1:
-            raise RuntimeError("simplex determinant is not an integer")
-        vol = int(vol)
+        if any(c[:i]):
+            raise RuntimeError("vertex lattice coordinates are not triangular")
+        index *= c[i]
+    vol = index if poly.vertex_count == poly.dim + 1 else None
     data = LatticeData(vlat, sat, index, vol, poly.dim)
     poly._lattice = data
     return data

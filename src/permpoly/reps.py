@@ -38,11 +38,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                      isomorphisms_iter)
-from .linalg import F0, express_in_rowspace, kernel_sparse, rref_with_transform
+from .linalg import F0, kernel_sparse
 
 
 # bound on |G| * degree^2, the entries of all vertices together; checked
@@ -207,14 +206,14 @@ class AffineKernel:
     (degree^2 + 1)-row system, and its all-ones row, which the sets of
     any one column sum to, leave its row space, hence its unique
     reduced echelon form, unchanged.  sparse_int holds the kernel
-    vectors, one per free column of that form in ascending order, each
-    a sorted list of (element, int) scaled so that its free-column
-    entry, its last, is the lcm of the denominators; basis, built on
-    first read, holds them over Q^|G| with 1 at the free column.  Both
-    are canonical.  pivots are the pivot columns: the greedy first
-    independent vertices, since the vertices satisfy the same linear
-    relations (each matrix column sums to 1, so the all-ones row is
-    implied).
+    vectors as linalg.kernel_sparse gives them, one per free column of
+    that form in ascending order, each a sorted list of (element, int),
+    primitive and positive at its free column, its last entry; basis,
+    built on first read, holds them over Q^|G| with 1 at the free
+    column.  Both are canonical.  pivots are the pivot columns: the
+    greedy first independent vertices, since the vertices satisfy the
+    same linear relations (each matrix column sums to 1, so the
+    all-ones row is implied).
     """
 
     def __init__(self, dim, sparse_int, rank, pivots):
@@ -302,20 +301,11 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
         for g in elems:
             row[g] = 1
         rows.append(row)
-    rank, sparse = kernel_sparse(rows)
-    sparse_int = []
-    free = set()
-    for entries in sparse:
-        denom = 1
-        for _, c in entries:
-            denom = lcm(denom, c.denominator)
-        sparse_int.append([(i, c.numerator * (denom // c.denominator))
-                           for i, c in entries])
-        # a vector's free column is its last entry: reduced rows vanish
-        # left of their pivots
-        free.add(entries[-1][0])
+    rank, sparse_int = kernel_sparse(rows)
+    # a vector's free column is its last entry
+    free = {entries[-1][0] for entries in sparse_int}
     pivots = [g for g in range(order) if g not in free]
-    kernel = AffineKernel(len(sparse), sparse_int, rank, pivots)
+    kernel = AffineKernel(len(sparse_int), sparse_int, rank, pivots)
     rep._kernel = kernel
     return kernel
 
@@ -373,11 +363,15 @@ def u_action_trace(rep: PermRep, g: int) -> Fraction:
 
 
 def compose_with_map(rep: PermRep, phi: GroupMap) -> PermRep:
-    """The representation g -> rep(phi(g)) of phi's source group."""
+    """The representation g -> rep(phi(g)) of phi's source group.
+
+    Always validated: raises ValueError when phi is not a homomorphism
+    and NotFaithfulError when it is not injective.
+    """
     if phi.target is not rep.group:
         raise ValueError("map target does not match the representation's group")
     action = [rep.action[phi.images[g]] for g in range(phi.source.order)]
-    return PermRep(phi.source, action, check=not phi.is_bijective())
+    return PermRep(phi.source, action)
 
 
 def _same_group(repA: PermRep, repB: PermRep) -> bool:
@@ -457,55 +451,63 @@ class EquivariantMap:
     The map is determined by M_g -> M_(phi g); because every point of
     the affine hull has matrix row sums 1, the hull misses the origin
     and the affine vertex correspondence lifts to this unique linear
-    map.
+    map.  basis_elements are the source kernel's pivots, the greedy
+    first independent vertices.
     """
 
     def __init__(self, source: PermRep, target: PermRep, phi: GroupMap,
-                 basis_elements, reduced, pivots, transform):
+                 basis_elements):
         self.source = source
         self.target = target
         self.phi = phi
         self.basis_elements = basis_elements
-        self._reduced = reduced
-        self._pivots = pivots
-        self._transform = transform
 
     @property
     def vertex_map(self):
         return self.phi.images
 
     def apply(self, vec):
-        """Image of a vector of span{M_g}; raises if vec is outside."""
-        coeffs = express_in_rowspace(self._reduced, self._pivots, vec)
-        if coeffs is None:
+        """Image of a vector of span{M_g}; raises if vec is outside.
+
+        One kernel_sparse of the columns M_p | vec, p over the basis
+        elements: the M_p are independent, so the kernel is empty when
+        vec is outside their span and is otherwise one vector x, positive
+        at vec, with vec = -sum(x_p M_p) / x_vec.  Its image is
+        -sum(x_p M_(phi p)) / x_vec.
+        """
+        cols = [self.source.vertices[g] for g in self.basis_elements]
+        if len(vec) != len(cols[0]):
+            raise ValueError("vector is outside the source span: wrong length")
+        rows = [[v[k] for v in cols] + [x] for k, x in enumerate(vec)]
+        _, kernel = kernel_sparse(rows)
+        if not kernel:
             raise ValueError("vector is outside the source span")
-        in_chosen = [F0] * len(self.basis_elements)
-        for c, trow in zip(coeffs, self._transform):
-            if c:
-                for k in range(len(in_chosen)):
-                    if trow[k]:
-                        in_chosen[k] += c * trow[k]
-        n2 = self.target.degree * self.target.degree
-        out = [F0] * n2
-        for c, g in zip(in_chosen, self.basis_elements):
-            if c:
-                v = self.target.vertices[self.phi.images[g]]
-                for k in range(n2):
-                    if v[k]:
-                        out[k] += c
-        return tuple(out)
+        (lam,) = kernel
+        scale = lam[-1][1]
+        out = [0] * (self.target.degree * self.target.degree)
+        for i, c in lam[:-1]:
+            v = self.target.vertices[self.phi.images[self.basis_elements[i]]]
+            for k, x in enumerate(v):
+                if x:
+                    out[k] -= c
+        return tuple(Fraction(x, scale) for x in out)
 
 
 def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> EquivariantMap:
-    """Construct the linear map M_g -> M_(phi g), verifying it is well
-    defined (equal affine kernels) and equivariant on basis vectors.
+    """Construct the linear map M_g -> M_(phi g) for an isomorphism phi.
 
-    Raises NotStablyEquivalentError with a witness coefficient vector
-    when the kernels differ.
+    The kernel test certifies it: every kernel vector of rep_A is
+    annihilated by rep_B o phi, so each linear relation among the M_g
+    holds among the M_(phi g), and the map, fixed on rep_A's pivot
+    vertices, sends every vertex to its phi-image.  As phi is a
+    homomorphism, M_h M_g = M_hg goes to M_(phi h) M_(phi g), so the map
+    is equivariant.  Raises ValueError unless phi is a bijective
+    homomorphism, and NotStablyEquivalentError with a witness
+    coefficient vector when the kernels differ.
     """
     if phi.source is not repA.group or phi.target is not repB.group:
         raise ValueError("phi must map the source group to the target group")
-    if not phi.is_bijective():
+    if not (phi.is_bijective() and phi.validate()):
         raise ValueError("phi must be an isomorphism")
     kA = affine_kernel(repA)
     order = repA.group.order
@@ -523,32 +525,4 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
                     _dense_vector(lam, order),
                     "kernel of the composed representation is larger")
         raise NotStablyEquivalentError((), "kernel dimensions differ")
-
-    # the kernel's pivot columns are the greedy first maximal
-    # independent set of vertex matrices
-    chosen = kA.pivots
-    basis_rows = [repA.vertices[g] for g in chosen]
-    reduced, pivs, transform = rref_with_transform(basis_rows)
-    emap = EquivariantMap(repA, repB, phi, chosen, reduced, pivs, transform)
-
-    # vertex consistency: the map must send every vertex to its phi-image
-    for g in range(repA.group.order):
-        if emap.apply(repA.vertices[g]) != tuple(
-                Fraction(x) for x in repB.vertices[phi.images[g]]):
-            raise RuntimeError("vertex image mismatch despite equal kernels")
-    # equivariance on basis vectors, map(h . u) == phi(h) . map(u), for
-    # generators h: the span is closed under left multiplication, so
-    # equivariance for generators gives it for every product of them
-    nB = repB.degree
-    tableA = repA.group.table
-    for h in repA.group.gens:
-        act_h = repB.action[phi.images[h]]
-        hinv = act_h.inverse().images
-        for g in chosen:
-            lhs = emap.apply(repA.vertices[tableA[h][g]])
-            img = emap.apply(repA.vertices[g])
-            rhs = tuple(img[hinv[i] * nB + j]
-                        for i in range(nB) for j in range(nB))
-            if lhs != rhs:
-                raise RuntimeError("equivariance check failed")
-    return emap
+    return EquivariantMap(repA, repB, phi, kA.pivots)

@@ -11,11 +11,9 @@ from permpoly.characters import permutation_character, predicted_dimension
 from permpoly.cyclotomic import cyclo_rational
 from permpoly.groups import (GroupMap, Subgroup, _close_capped,
                              _respects_generators, isomorphisms_iter)
-from permpoly.intlinalg import (_hermite_left_block, determinant,
-                                hermite_form, smith_divisors,
-                                solve_in_lattice)
-from permpoly.linalg import (F0, express_in_rowspace, kernel_sparse,
-                             rref_with_transform)
+from permpoly.intlinalg import (_hermite_left_block, hermite_form,
+                                smith_divisors, solve_in_lattice)
+from permpoly.linalg import F0, _rref_int, kernel_sparse
 from permpoly.reps import (PermRep, _lambda_annihilates, affine_kernel,
                            u_action_trace)
 
@@ -107,17 +105,6 @@ def fraction_rref(rows, ncols=None):
     return m[:r], pivots
 
 
-def fraction_rref_with_transform(rows):
-    """fraction_rref on [A | I], split into (reduced, pivots, transform)."""
-    if not rows:
-        return [], [], []
-    ncols = len(rows[0])
-    aug = [list(row) + [int(j == i) for j in range(len(rows))]
-           for i, row in enumerate(rows)]
-    red, pivots = fraction_rref(aug, ncols)
-    return [r[:ncols] for r in red], pivots, [r[ncols:] for r in red]
-
-
 def fraction_kernel(reduced, pivots, ncols):
     """Rank and the kernel basis read off a reduced form: per free column
     f, 1 at f and the negated reduced entries at the pivots, as sorted
@@ -130,6 +117,44 @@ def fraction_kernel(reduced, pivots, ncols):
                                             if reduced[i][f]]
             basis.append(sorted(entries))
     return len(pivots), basis
+
+
+def primitive_integer(entries):
+    """The primitive integer vector that is a positive multiple of a
+    sparse rational vector: times the lcm of the denominators, then
+    divided by the gcd of the results."""
+    scale = 1
+    for _, c in entries:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [(i, int(c * scale)) for i, c in entries]
+    content = 0
+    for _, c in ints:
+        content = gcd(content, c)
+    return [(i, c // content) for i, c in ints]
+
+
+def integer_rref(rows):
+    """(reduced rows, pivots): the library's integer core with each row
+    divided by its pivot, which is the reduced echelon form as Fractions
+    (the core is checked against fraction_rref in test_linalg)."""
+    if not rows:
+        return [], []
+    m, pivots = _rref_int(rows, len(rows[0]))
+    return [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(m, pivots)], pivots
+
+
+def rowspace_coords(reduced, pivots, vec):
+    """Coefficients c with c @ reduced == vec, or None if vec is outside.
+
+    reduced is a reduced echelon form (unit pivot columns), so the
+    candidate coefficients are vec's entries at the pivots."""
+    coeffs = [Fraction(vec[p]) for p in pivots]
+    for j, x in enumerate(vec):
+        if sum(c * row[j] for c, row in zip(coeffs, reduced)
+               if c and row[j]) != x:
+            return None
+    return coeffs
 
 
 def mat_vec(rows, vec):
@@ -409,19 +434,15 @@ def dense_affine_kernel(rep: PermRep):
     """(dim, rank, basis, sparse_int) of the affine kernel, eliminated on
     every row of constraint_rows, zero and repeated rows included."""
     rows = constraint_rows(rep)
-    rank, sparse = kernel_sparse(rows)
+    rank, sparse_int = kernel_sparse(rows)
     order = rep.group.order
     dense = []
-    sparse_int = []
-    for entries in sparse:
+    for entries in sparse_int:
         vec = [F0] * order
-        denom = 1
         for i, c in entries:
-            vec[i] = c
-            denom = denom * c.denominator // gcd(denom, c.denominator)
+            vec[i] = Fraction(c, entries[-1][1])
         dense.append(tuple(vec))
-        sparse_int.append([(i, int(c * denom)) for i, c in entries])
-    return len(sparse), rank, dense, sparse_int
+    return len(sparse_int), rank, dense, sparse_int
 
 
 def dense_difference_space(rep: PermRep):
@@ -431,8 +452,8 @@ def dense_difference_space(rep: PermRep):
     rows = []
     for v in rep.vertices[1:]:
         rows.append([a - b for a, b in zip(v, base)])
-    reduced, pivots, _ = rref_with_transform(rows)
-    return [tuple(r) for r in reduced], list(pivots)
+    reduced, pivots = integer_rref(rows)
+    return [tuple(r) for r in reduced], pivots
 
 
 def exhaustive_effectively_equivalent(repA: PermRep, repB: PermRep):
@@ -502,7 +523,8 @@ def dense_lattice_structure(poly):
         index *= d
     vol = None
     if poly.vertex_count == poly.dim + 1:
-        vol = abs(determinant([solve_in_lattice(sat, row) for row in diffs]))
+        simplex = [solve_in_lattice(sat, row) for row in diffs]
+        vol = abs(int(sympy.Matrix(simplex).det()))
     return vlat, sat, index, vol, poly.dim
 
 
@@ -517,7 +539,7 @@ def dense_point_membership(poly):
     def membership(point):
         pt = [Fraction(v) for v in point]
         diff = [v - b for v, b in zip(pt, base)]
-        in_aff = express_in_rowspace(basis, pivots, diff) is not None
+        in_aff = rowspace_coords(basis, pivots, diff) is not None
         integral = all(v.denominator == 1 for v in pt)
         in_sat = in_vert = False
         if integral:

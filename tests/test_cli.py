@@ -203,9 +203,11 @@ def test_reproduce_unwritable_json_is_an_input_error(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "report.json"
     assert cli.main(["reproduce", "klein-volume", "--json",
                      str(target)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "cannot write" in err
     assert "internal error" not in err
+    # the path is opened before the scenario runs
+    assert out == ""
 
 
 def test_bad_spec_files(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from array import array
+from fractions import Fraction
 
 import pytest
 from sympy.combinatorics import Permutation as SPerm
@@ -185,9 +186,11 @@ def test_subgroup_properties(s4):
     assert whole.order == 24 and whole.is_transitive()
     assert 0 in stab
     assert s4.subgroup([]).elements == (0,)
-    for bad in ([-1], [24]):
+    for bad in ([-1], [24], [1.7], [0, "1"], [Fraction(3, 2)]):
         with pytest.raises(ValueError):
             s4.subgroup(bad)
+    # indices equal to integers are taken as those integers
+    assert s4.subgroup([1.0]).elements == s4.subgroup([1]).elements
 
 
 def test_subgroup_from_elements_errors(s3):
@@ -199,6 +202,10 @@ def test_subgroup_from_elements_errors(s3):
         s3.subgroup_from_elements([0, transposition, threecycle])
     sub = s3.subgroup_from_elements([0, transposition])
     assert sub.order == 2
+    for bad in ([0, 1.7], [0, "1"], [Fraction(1, 2)]):
+        with pytest.raises(ValueError):
+            s3.subgroup_from_elements(bad)
+    assert s3.subgroup_from_elements([0.0]).elements == (0,)
 
 
 def test_group_map_operations(s3):

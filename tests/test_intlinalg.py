@@ -7,8 +7,8 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from oracles import double_kernel_saturation, integer_kernel
-from permpoly.intlinalg import (determinant, hermite_form, saturation,
-                                smith_divisors, solve_in_lattice)
+from permpoly.intlinalg import (hermite_form, saturation, smith_divisors,
+                                solve_in_lattice)
 
 
 def rand_rows(rng, nrows, ncols, lo=-5, hi=5):
@@ -67,15 +67,6 @@ def test_smith_divisors_match_sympy():
             assert b % a == 0
 
 
-def test_determinant_matches_sympy():
-    rng = random.Random(31)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        m = rand_rows(rng, n, n)
-        assert determinant(m) == sympy.Matrix(m).det()
-    assert determinant([]) == 1
-
-
 def test_integer_kernel_is_saturated_and_complete():
     rng = random.Random(41)
     for _ in range(40):
@@ -129,9 +120,8 @@ def test_saturation_matches_the_double_kernel_oracle():
 @pytest.mark.parametrize("call, rows", [
     (hermite_form, [[Fraction(1, 2), 1]]),
     (saturation, [[Fraction(1, 2), 0]]),
-    (determinant, [[Fraction(3, 2)]]),
     (smith_divisors, [[2.7, 0], [0, 1]]),
-], ids=["hermite_form", "saturation", "determinant", "smith_divisors"])
+], ids=["hermite_form", "saturation", "smith_divisors"])
 def test_non_integer_entries_are_rejected(call, rows):
     with pytest.raises(ValueError):
         call(rows)
@@ -171,7 +161,7 @@ def test_index_equals_product_of_divisors():
     rng = random.Random(53)
     for _ in range(30):
         m = rand_rows(rng, 3, 3)
-        d = determinant(m)
+        d = int(sympy.Matrix(m).det())
         if d == 0:
             continue
         sat = saturation(m)

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import sympy
-from oracles import (fraction_kernel, fraction_rref,
-                     fraction_rref_with_transform, is_zero_vector, mat_vec)
+from oracles import (fraction_kernel, fraction_rref, integer_rref,
+                     is_zero_vector, mat_vec, primitive_integer,
+                     rowspace_coords)
 
 from permpoly import FiniteGroup, PermRep
-from permpoly.linalg import (express_in_rowspace, kernel_sparse,
-                             pivot_columns, rank, rref_with_transform)
+from permpoly.linalg import kernel_sparse, pivot_columns, rank
 
 
 def rand_matrix(rng, nrows, ncols, lo=-4, hi=4):
@@ -15,28 +15,25 @@ def rand_matrix(rng, nrows, ncols, lo=-4, hi=4):
             for _ in range(nrows)]
 
 
-def rref(rows):
-    """rref_with_transform without its transform."""
-    return rref_with_transform(rows)[:2]
-
-
 def test_rref_known():
-    red, piv = rref([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    red, piv = integer_rref([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     assert piv == [0, 1]
     assert red == [[Fraction(1), Fraction(0), Fraction(-1)],
                    [Fraction(0), Fraction(1), Fraction(2)]]
 
 
 def test_rref_empty_and_zero():
-    assert rref([]) == ([], [])
-    assert rref([[0, 0], [0, 0]]) == ([], [])
+    assert integer_rref([]) == ([], [])
+    assert integer_rref([[0, 0], [0, 0]]) == ([], [])
+    assert kernel_sparse([]) == (0, [])
+    assert kernel_sparse([[0, 0], [0, 0]]) == (0, [[(0, 1)], [(1, 1)]])
 
 
 def test_rref_pivot_columns_are_unit():
     rng = random.Random(11)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        red, piv = rref(m)
+        red, piv = integer_rref(m)
         for i, p in enumerate(piv):
             col = [row[p] for row in red]
             assert col[i] == 1
@@ -58,9 +55,9 @@ def test_rowspace_preserved():
     rng = random.Random(5)
     for _ in range(25):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        red, piv = rref(m)
+        red, piv = integer_rref(m)
         for row in m:
-            assert express_in_rowspace(red, piv, row) is not None
+            assert rowspace_coords(red, piv, row) is not None
 
 
 def dense(entries, ncols):
@@ -87,38 +84,20 @@ def test_kernel_sparse_matches_dense():
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(2, 6))
         r, sparse = kernel_sparse(m)
         assert r == sympy.Matrix(m).rank()
-        _, pivots = rref(m)
+        _, pivots = integer_rref(m)
         free = [c for c in range(len(m[0])) if c not in pivots]
-        rebuilt = []
-        for entries in sparse:
+        for f, entries in zip(free, sparse):
             assert entries == sorted(entries)
-            rebuilt.append(dense(entries, len(m[0])))
-        # canonical: 1 at its own free column, 0 at the other free columns
-        assert [[v[c] for c in free] for v in rebuilt] == [
-            [int(c == f) for c in free] for f in free]
-        # sympy's nullspace is the same canonical basis, read off its rref
-        expected = [[Fraction(int(x.p), int(x.q)) for x in vec]
+            # canonical: positive at its own free column, which comes
+            # last, and 0 at the other free columns
+            assert entries[-1][0] == f and entries[-1][1] > 0
+            assert not set(free) & {i for i, _ in entries[:-1]}
+        # sympy's nullspace is the same canonical basis, read off its
+        # rref with 1 at the free column, up to primitive integer scale
+        expected = [primitive_integer([(i, Fraction(int(x.p), int(x.q)))
+                                       for i, x in enumerate(vec) if x])
                     for vec in sympy.Matrix(m).nullspace()]
-        assert rebuilt == expected
-
-
-def test_rref_with_transform_reconstructs():
-    rng = random.Random(13)
-    for _ in range(25):
-        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        red, piv, t = rref_with_transform(m)
-        assert (red, piv) == fraction_rref(m)
-        assert len(t) == len(red)
-        for row, coeffs in zip(red, t):
-            built = [sum(c * m[k][j] for k, c in enumerate(coeffs))
-                     for j in range(len(m[0]))]
-            assert built == row
-
-
-def test_express_in_rowspace_rejects_outside():
-    red, piv = rref([[1, 0, 0], [0, 1, 0]])
-    assert express_in_rowspace(red, piv, [2, 3, 0]) == [2, 3]
-    assert express_in_rowspace(red, piv, [0, 0, 1]) is None
+        assert sparse == expected
 
 
 def oracle_matrices(rng, count):
@@ -150,18 +129,19 @@ def oracle_matrices(rng, count):
 
 
 def check_against_oracle(m):
+    """kernel_sparse is fraction_kernel scaled to primitive integers, the
+    integer core's rows divided by their pivots are fraction_rref, and
+    pivot_columns are its pivots."""
     snapshot = [list(row) for row in m]
     reduced = fraction_rref(m)
-    expected = (reduced, fraction_rref_with_transform(m),
-                fraction_kernel(*reduced, len(m[0])))
+    rank_, basis = fraction_kernel(*reduced, len(m[0]))
+    expected = (rank_, [primitive_integer(v) for v in basis])
     for rows in (m, tuple(tuple(row) for row in m)):
-        full = rref_with_transform(rows)
-        rank_, basis = kernel_sparse(rows)
-        assert (full[:2], full, (rank_, basis)) == expected
+        kernel = kernel_sparse(rows)
+        assert kernel == expected
+        assert integer_rref(rows) == reduced
         assert pivot_columns(rows) == reduced[1]
-        emitted = [x for row in full[0] + full[2] for x in row]
-        emitted += [x for entries in basis for _, x in entries]
-        assert all(type(x) is Fraction for x in emitted)
+        assert all(type(x) is int for entries in kernel[1] for _, x in entries)
         # the caller's rows are never touched
         assert [list(row) for row in m] == snapshot
         assert all(type(x) is type(y) for row, old in zip(m, snapshot)
@@ -190,6 +170,8 @@ def test_integer_core_matches_oracle_on_group_systems():
                        for v in verts[1:]]
         for m in (constraints, differences):
             reduced = fraction_rref(m)
-            assert rref(m) == reduced
+            assert integer_rref(m) == reduced
             assert pivot_columns(m) == reduced[1]
-            assert kernel_sparse(m) == fraction_kernel(*reduced, len(m[0]))
+            rank_, basis = fraction_kernel(*reduced, len(m[0]))
+            assert kernel_sparse(m) == (
+                rank_, [primitive_integer(v) for v in basis])

@@ -8,10 +8,11 @@ import sympy
 from oracles import (dense_affine_kernel, dense_difference_space,
                      dict_lambda_annihilates,
                      exhaustive_effectively_equivalent, first_independent,
-                     fraction_rref, is_homomorphism_all_pairs)
+                     fraction_rref, is_homomorphism_all_pairs,
+                     rowspace_coords)
 from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                              isomorphisms, parse_cycles)
-from permpoly.linalg import express_in_rowspace, rank
+from permpoly.linalg import rank
 from permpoly.polytopes import build_polytope
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
@@ -193,7 +194,7 @@ def test_u_action_trace_matches_matrix_trace(s3, s4, a5, klein_pair,
             for k, vec in enumerate(basis):
                 moved = [vec[ginv[i] * n + j]
                          for i in range(n) for j in range(n)]
-                coeffs = express_in_rowspace(basis, pivots, moved)
+                coeffs = rowspace_coords(basis, pivots, moved)
                 assert coeffs is not None
                 total += coeffs[k]
             assert u_action_trace(rep, g) == total
@@ -236,30 +237,17 @@ def test_compose_with_map(s3, z4):
         compose_with_map(PermRep.natural(z4), squaring)
     with pytest.raises(ValueError):
         compose_with_map(natural, GroupMap.identity(z4))
+    # swapping elements 1 and 2 is a bijection but no homomorphism
+    swap = GroupMap(s3, s3, [0, 2, 1, 3, 4, 5])
+    assert swap.is_bijective() and not swap.validate()
+    with pytest.raises(ValueError, match="inconsistent"):
+        compose_with_map(natural, swap)
 
 
-def test_build_equivariant_map(klein_pair):
-    repA, repB = klein_pair
-    phi = GroupMap.identity(repA.group)
-    emap = build_equivariant_map(repA, repB, phi)
-    assert emap.vertex_map == phi.images
-    order = repA.group.order
-    for g in range(order):
-        img = emap.apply(repA.vertices[g])
-        assert img == tuple(Fraction(x) for x in repB.vertices[g])
-    baryA = [Fraction(sum(v[k] for v in repA.vertices), order)
-             for k in range(repA.degree ** 2)]
-    baryB = [Fraction(sum(v[k] for v in repB.vertices), order)
-             for k in range(repB.degree ** 2)]
-    assert list(emap.apply(baryA)) == baryB
-    # unequal row sums place a point outside the span of vertex matrices
-    outside = [Fraction(0)] * repA.degree ** 2
-    outside[0] = Fraction(1)
-    with pytest.raises(ValueError):
-        emap.apply(outside)
-
-
-def test_equivariant_map_basis_is_first_independent(klein_pair, z4_family, s4):
+def equivariant_pairs(klein_pair, z4_family, s4):
+    """((rep_A, rep_B), phi) for the Klein pair, every effectively
+    equivalent pair of the Z4 family with its witness, and natural S4
+    with itself."""
     pairs = [(klein_pair, GroupMap.identity(klein_pair[0].group))]
     for i, repA in enumerate(z4_family):
         for repB in z4_family[i + 1:]:
@@ -269,7 +257,58 @@ def test_equivariant_map_basis_is_first_independent(klein_pair, z4_family, s4):
     natural = PermRep.natural(s4)
     pairs.append(((natural, natural), GroupMap.identity(s4)))
     assert len(pairs) == 12
-    for (repA, repB), phi in pairs:
+    return pairs
+
+
+def left_multiply(rep, h, u):
+    """M_h u for a flattened matrix u: row i of M_h u is row h^-1(i) of u."""
+    n = rep.degree
+    hinv = rep.action[h].inverse().images
+    return tuple(u[hinv[i] * n + j] for i in range(n) for j in range(n))
+
+
+def test_build_equivariant_map(klein_pair, z4_family, s4):
+    """The map built from the kernel test and phi.validate() sends every
+    vertex M_g to M_phi(g) and barycenter to barycenter, and is
+    equivariant on the generators, tested on the basis vertices and the
+    barycenter.  Vectors off the span are refused, and so is a
+    bijection that is no homomorphism."""
+    refused = 0
+    for (repA, repB), phi in equivariant_pairs(klein_pair, z4_family, s4):
+        emap = build_equivariant_map(repA, repB, phi)
+        assert emap.vertex_map == phi.images
+        order = repA.group.order
+        for g in range(order):
+            assert emap.apply(repA.vertices[g]) == repB.vertices[phi(g)]
+        baryA, baryB = (tuple(Fraction(sum(col), order)
+                              for col in zip(*rep.vertices))
+                        for rep in (repA, repB))
+        assert emap.apply(baryA) == baryB
+        points = [repA.vertices[g] for g in emap.basis_elements] + [baryA]
+        for h in repA.group.gens:
+            for u in points:
+                assert emap.apply(left_multiply(repA, h, u)) == \
+                    left_multiply(repB, phi(h), emap.apply(u))
+        # unequal row sums place a point outside the span
+        off = list(baryA)
+        off[0] += 1
+        with pytest.raises(ValueError, match="outside"):
+            emap.apply(off)
+        for a, b in itertools.combinations(range(1, order), 2):
+            images = list(phi.images)
+            images[a], images[b] = images[b], images[a]
+            swapped = GroupMap(repA.group, repB.group, images)
+            if not swapped.validate():
+                with pytest.raises(ValueError, match="isomorphism"):
+                    build_equivariant_map(repA, repB, swapped)
+                refused += 1
+                break
+    # every bijection of the Klein group fixing e is an automorphism
+    assert refused == 11
+
+
+def test_equivariant_map_basis_is_first_independent(klein_pair, z4_family, s4):
+    for (repA, repB), phi in equivariant_pairs(klein_pair, z4_family, s4):
         emap = build_equivariant_map(repA, repB, phi)
         assert emap.basis_elements == first_independent(repA.vertices)
     # S4 spans 10 of 24 dimensions, so the choice is a proper subset
@@ -393,7 +432,7 @@ def check_against_dense(rep, full=True):
         dense_affine_kernel(rep)
     if full:
         # the kernel's pivots are those of the matrix whose columns are
-        # the vertices, which build_equivariant_map eliminated before
+        # the vertices: the greedy first independent vertices
         assert kern.pivots == fraction_rref(list(zip(*rep.vertices)))[1]
     basis, pivots = dense_difference_space(rep)
     poly = build_polytope(rep)
@@ -403,8 +442,8 @@ def check_against_dense(rep, full=True):
         return
     base = rep.vertices[0]
     assert poly.coords == [
-        tuple(express_in_rowspace(basis, pivots,
-                                  [a - b for a, b in zip(v, base)]))
+        tuple(rowspace_coords(basis, pivots,
+                              [a - b for a, b in zip(v, base)]))
         for v in rep.vertices]
 
 
