@@ -534,6 +534,10 @@ def _characters_mod_p(group, constants, sizes, reps, jstar, n, m, r, p):
 # real irreducibles and permutation characters
 
 
+# 4 * schur_fraction, by Frobenius-Schur indicator
+_SCHUR_QUARTERS = {1: 4, 0: 2, -1: 1}
+
+
 class RealIrreducible:
     """A real irreducible character: a type-R complex character, a
     conjugate pair summed, or a quaternionic character doubled.
@@ -548,8 +552,7 @@ class RealIrreducible:
         self.values = tuple(values)
         self.degree = degree
         self.indicator = indicator
-        self.schur_fraction = {1: Fraction(1), 0: Fraction(1, 2),
-                               -1: Fraction(1, 4)}[indicator]
+        self.schur_fraction = Fraction(_SCHUR_QUARTERS[indicator], 4)
 
     @property
     def is_trivial(self) -> bool:
@@ -666,10 +669,15 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
     unless every coordinate past the first is 0 (the inner product is
     rational), the first is a nonnegative multiple of |G|, the degrees
     sum to the action degree, and the trivial multiplicity is the orbit
-    count.
+    count.  The result is kept on rep, with its table, once every check
+    has passed, and returned again for that same table object; another
+    table is computed and checked afresh.
     """
     if table is None:
         table = character_table(rep.group)
+    memo = rep._constituents
+    if memo is not None and memo[0] is table:
+        return memo[1]
     if table.group is not rep.group and table.group.elements != rep.group.elements:
         raise ValueError("table belongs to a different group")
     pi = permutation_character(rep, table)
@@ -687,6 +695,7 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
         raise RuntimeError("constituent degrees do not sum to the action degree")
     if cons.trivial_multiplicity != rep.orbit_count():
         raise RuntimeError("trivial multiplicity differs from the orbit count")
+    rep._constituents = table, cons
     return cons
 
 
@@ -703,21 +712,26 @@ def stably_equivalent_by_characters(repA: PermRep, repB: PermRep,
 
 def predicted_dimension(rep: PermRep, table: CharacterTable):
     """(sum of schur_fraction * degree^2, reals) over the nontrivial real
-    irreducibles meeting pi; raises if only one of a conjugate pair does."""
+    irreducibles meeting pi; raises if only one of a conjugate pair does.
+
+    real_irreducibles puts the trivial character first, so it is skipped
+    by position; the sum is taken in integers as 4 * schur_fraction *
+    degree^2.
+    """
     cons = constituents(rep, table)
     occurring = []
-    for real in real_irreducibles(table):
-        if real.is_trivial:
-            continue
+    total = 0
+    for real in real_irreducibles(table)[1:]:
         present = [i in cons.nontrivial for i in real.complex_indices]
         if any(present) != all(present):
             raise RuntimeError("conjugate constituents occur asymmetrically")
         if all(present):
             occurring.append(real)
-    dim = sum(real.schur_fraction * real.degree ** 2 for real in occurring)
-    if dim.denominator != 1:
+            total += _SCHUR_QUARTERS[real.indicator] * real.degree ** 2
+    dim, rem = divmod(total, 4)
+    if rem:
         raise RuntimeError("predicted dimension is not an integer")
-    return int(dim), occurring
+    return dim, occurring
 
 
 class IsotypeReport:

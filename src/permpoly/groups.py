@@ -444,13 +444,17 @@ class FiniteGroup:
         subgroup makes a cap trip later than a search of every subgroup
         would (Alt(6), order 60: 667 nodes where that takes 10,329).
 
-        A completed search is kept on the group with its node count, so
+        Raises ValueError unless k is an integer dividing |G|.  A
+        completed search is kept on the group with its node count, so
         each order is searched once per group; a later call returns a
         new list of the same subgroups, and raises SizeCapError exactly
         when the kept count exceeds its node_cap, as a fresh search
         would.
         """
         n = self.order
+        if int(k) != k:
+            raise ValueError("subgroup order must be an integer: %r" % (k,))
+        k = int(k)
         if k < 1 or n % k:
             raise ValueError("order %d does not divide |G| = %d" % (k, n))
         trivial = Subgroup(self, (0,), ())

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, isqrt, lcm
 
+from .groups import _element_indices
 from .intlinalg import hermite_form, saturation, solve_in_lattice
 from .linalg import F0, F1, pivot_columns, rank
 from .lp import maximize
@@ -43,39 +45,50 @@ class PermutationPolytope:
     """Vertices are the flattened 0/1 matrices of a faithful representation,
     labelled by group-element index; vertex 0 (identity) is the base point.
 
-    dim is |G| - 1 minus the dimension of the affine kernel.  pivots
+    dim is |G| - 1 minus the dimension of the affine kernel, set at
+    construction.  The chart is built on first read and kept: pivots
     are the pivot entries of the reduced echelon form of the rows
     M_g - M_e, and coords the vertices' coordinates in its basis.  Every
     M_g is a combination of the kernel's pivot vertices M_p with
     coefficients summing to 1, so the rows M_p - M_e, p != e, span the
     same space and have the same reduced form; they are eliminated on
-    one column per incidence set (see reps._incidence_sets).
+    one column per incidence set (see reps._incidence_sets).  vertices
+    reads through to the representation.
     """
 
     def __init__(self, rep: PermRep):
         self.rep = rep
         self.group = rep.group
         self.degree = rep.degree
-        self.vertices = rep.vertices
-        if len(set(self.vertices)) != len(self.vertices):
+        # two permutations are distinct exactly when their matrices are
+        if len(set(rep.action)) != len(rep.action):
             raise ValueError("vertex matrices are not pairwise distinct")
-        kernel = affine_kernel(rep)
-        self.dim = rep.group.order - 1 - kernel.dim
-        self.pivots = _chart_pivots(rep, kernel.pivots)
-        if len(self.pivots) != self.dim:
-            raise RuntimeError(
-                "chart has %d pivots for dimension %d"
-                % (len(self.pivots), self.dim))
-        base = self.vertices[0]
-        # affine coordinates: with an echelon basis, the coefficient on
-        # basis vector k is just the pivot entry of v - v_base
-        self.coords = [tuple(v[p] - base[p] for p in self.pivots)
-                       for v in self.vertices]
+        self.dim = rep.group.order - 1 - affine_kernel(rep).dim
         self._lattice = None
 
     @property
+    def vertices(self):
+        return self.rep.vertices
+
+    @cached_property
+    def pivots(self):
+        pivots = _chart_pivots(self.rep, affine_kernel(self.rep).pivots)
+        if len(pivots) != self.dim:
+            raise RuntimeError("chart has %d pivots for dimension %d"
+                               % (len(pivots), self.dim))
+        return pivots
+
+    @cached_property
+    def coords(self):
+        # affine coordinates: with an echelon basis, the coefficient on
+        # basis vector k is just the pivot entry of v - v_base
+        pivots = self.pivots
+        base = self.vertices[0]
+        return [tuple(v[p] - base[p] for p in pivots) for v in self.vertices]
+
+    @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return self.group.order
 
     def __repr__(self):
         return "<PermutationPolytope: %d vertices, dim %d, ambient %d^2>" % (
@@ -152,8 +165,9 @@ class FaceResult:
 
 
 def _checked_labels(poly, subset):
-    """Sorted distinct labels of a nonempty set of the polytope's vertices."""
-    labels = sorted(set(subset))
+    """Sorted distinct labels of a nonempty set of the polytope's vertices;
+    ValueError on a label not equal to an integer or out of range."""
+    labels = sorted(set(_element_indices(subset)))
     if not labels:
         raise ValueError("empty vertex subset")
     if labels[0] < 0 or labels[-1] >= poly.vertex_count:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                      isomorphisms_iter)
@@ -67,7 +68,15 @@ class NotStablyEquivalentError(ValueError):
 
 
 class PermRep:
-    """A faithful permutation representation of an element-complete group."""
+    """A faithful permutation representation of an element-complete group.
+
+    action holds one Permutation per element.  The vertex matrices and
+    everything derived from the action (incidence sets, affine kernel,
+    cycle divisors, constituents) are computed on first read and kept,
+    so a representation that is only compared by kernel never holds
+    its |G| * degree^2 vertex entries.  The size cap on those entries
+    is checked at construction all the same.
+    """
 
     def __init__(self, group: FiniteGroup, action, check=True):
         self.group = group
@@ -85,6 +94,15 @@ class PermRep:
                 % (group.order, self.degree, entries, MAX_VERTEX_ENTRIES))
         if check:
             self._validate()
+        self._sets = None
+        self._kernel = None
+        self._divisors = None
+        self._constituents = None
+
+    @cached_property
+    def vertices(self):
+        """The flattened 0/1 matrices M_g, one tuple per element, built on
+        first read and kept."""
         n = self.degree
         verts = []
         for p in self.action:
@@ -92,10 +110,7 @@ class PermRep:
             for j, i in enumerate(p.images):
                 flat[i * n + j] = 1
             verts.append(tuple(flat))
-        self.vertices = verts
-        self._sets = None
-        self._kernel = None
-        self._divisors = None
+        return verts
 
     def _validate(self):
         """The action must respect every generator edge,

@@ -329,6 +329,54 @@ def test_constituents_reject_corrupted_tables(s3, q8, a5):
             == cyclotomic_constituents(rep, table)[0]
 
 
+def test_constituents_are_kept_per_table(s3, a5):
+    for group in (s3, a5):
+        table = character_table(group)
+        rep = PermRep.natural(group)
+        found = constituents(rep, table)
+        assert constituents(rep, table) is found
+        assert constituents(rep) is found
+        assert stably_equivalent_by_characters(rep, rep, table)
+        assert constituents(rep, table) is found
+        # a copy is another table: it is checked again, and a corrupted
+        # one raises although the verified table's result is kept
+        value = table.values[1][0]
+        bad = corrupted(table, 1, 0, value * cyclo(table.conductor))
+        with pytest.raises(RuntimeError, match="not rational"):
+            constituents(rep, bad)
+        assert constituents(rep, table) is found
+        again = constituents(rep, corrupted(table, 1, 0, value))
+        assert again is not found
+        assert again.multiplicities == found.multiplicities
+
+
+def test_failed_constituents_keep_no_memo(s3, q8):
+    for group in (s3, q8):
+        table = character_table(group)
+        value = table.values[1][0]
+        for bad, message in (
+                (corrupted(table, 1, 0, value * cyclo(table.conductor)),
+                 "not rational"),
+                (corrupted(table, 1, 0, value + cyclo(table.conductor)
+                           * Fraction(1, 2)), "not an algebraic integer")):
+            rep = PermRep.natural(group)
+            with pytest.raises(RuntimeError, match=message):
+                constituents(rep, bad)
+            assert rep._constituents is None
+            with pytest.raises(RuntimeError, match=message):
+                constituents(rep, bad)
+        # a table whose inner products pass but whose degrees do not sum
+        # to the action degree
+        rep = PermRep.natural(group)
+        wrong = copy.copy(table)
+        wrong.degrees = (table.degrees[0] + 1,) + table.degrees[1:]
+        with pytest.raises(RuntimeError, match="degrees do not sum"):
+            constituents(rep, wrong)
+        assert rep._constituents is None
+        assert constituents(rep, table).multiplicities \
+            == cyclotomic_constituents(rep, table)[0]
+
+
 def test_conjugate_constituents_must_occur_together(monkeypatch):
     for gens, degree in ((["(1 2 3)"], 3), (["(1 2 3 4)"], 4)):
         group = build(gens, degree)

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (brute_force_faces, dense_lattice_structure,
                      dense_point_membership, indecomposable)
+import permpoly.polytopes as polytopes
 from permpoly.groups import FiniteGroup, parse_cycles
 from permpoly.polytopes import (
     UnsupportedShapeError,
@@ -19,7 +20,7 @@ from permpoly.polytopes import (
     shape_descriptor,
     subgroup_face_census,
 )
-from permpoly.reps import PermRep
+from permpoly.reps import PermRep, affine_kernel
 
 
 def ambient_dot(a, v):
@@ -142,6 +143,9 @@ def test_is_face_input_errors(small_polytopes):
         is_face(poly, [-1])
     with pytest.raises(ValueError):
         is_face(poly, [poly.vertex_count])
+    for subset in ([0, 1.5], [0, "1"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            is_face(poly, subset)
 
 
 def test_subgroup_face_census_square(klein, z4):
@@ -161,6 +165,10 @@ def test_subgroup_face_census_square(klein, z4):
         subgroup_face_census(PermRep.natural(klein), 3)
     for order in (0, -2):
         with pytest.raises(ValueError):
+            subgroup_face_census(PermRep.natural(klein), order)
+    # 4 % 1.5 is 0.0, which used to pass the divisibility test
+    for order in (1.5, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
             subgroup_face_census(PermRep.natural(klein), order)
 
 
@@ -297,7 +305,7 @@ def test_shape_descriptor(klein, z4, s3):
     assert str(shape_descriptor(square, range(4))) == "product(1, 1)"
 
 
-@pytest.mark.parametrize("subset", [[999], [-1, 0], []])
+@pytest.mark.parametrize("subset", [[999], [-1, 0], [], [0, 1.5], [0, "1"]])
 def test_shape_descriptor_rejects_bad_labels(klein, subset):
     square = build_polytope(PermRep.natural(klein))
     with pytest.raises(ValueError):
@@ -310,6 +318,36 @@ def test_polytopes_equal(klein, z4, klein_pair):
     assert polytopes_equal(nat, PermRep.natural(klein2))
     assert not polytopes_equal(nat, PermRep.natural(z4))
     assert not polytopes_equal(nat, klein_pair[1])
+
+
+def test_polytope_dim_builds_no_chart(monkeypatch, s4, main_pair):
+    from permpoly.characters import character_table
+
+    def refuse(*args):
+        raise AssertionError("the chart was built")
+
+    monkeypatch.setattr(polytopes, "_chart_pivots", refuse)
+    for rep in (PermRep.natural(s4), main_pair[0]):
+        poly = build_polytope(rep, character_table(rep.group))
+        assert poly.dim == rep.group.order - 1 - affine_kernel(rep).dim
+        assert "pivots" not in vars(poly) and "coords" not in vars(poly)
+        with pytest.raises(AssertionError, match="chart was built"):
+            poly.coords
+
+
+def test_chart_is_checked_before_it_is_kept(monkeypatch, s4):
+    chart_pivots = polytopes._chart_pivots
+    monkeypatch.setattr(polytopes, "_chart_pivots",
+                        lambda *args: chart_pivots(*args)[:-1])
+    poly = build_polytope(PermRep.natural(s4))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="chart has 8 pivots for "
+                                               "dimension 9"):
+            poly.coords
+    assert "pivots" not in vars(poly) and "coords" not in vars(poly)
+    monkeypatch.undo()
+    assert len(poly.pivots) == poly.dim == 9
+    assert len(poly.coords) == 24
 
 
 def test_build_polytope_character_cross_check(s3, klein):

@@ -13,7 +13,7 @@ from oracles import (dense_affine_kernel, dense_difference_space,
 from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                              isomorphisms, parse_cycles)
 from permpoly.linalg import rank
-from permpoly.polytopes import build_polytope
+from permpoly.polytopes import build_polytope, is_face
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
     NotFaithfulError,
@@ -126,6 +126,28 @@ def test_vertex_entry_cap(z4):
     with pytest.raises(SizeCapError):
         PermRep.from_generator_images(
             z4, [parse_cycles("(1 2 3 4)", degree)])
+
+
+def test_vertices_are_built_when_read(s4):
+    from permpoly.characters import constituents
+    rep = PermRep.from_coset_actions(
+        s4, [s4.coset_action(s4.subgroup([])),
+             s4.coset_action(s4.point_stabilizer(1))])
+    # the kernel route, the divisors, the character route, the
+    # polytope's dimension and the combinatorial face routes need no
+    # vertex matrix
+    assert stably_equivalent_by_kernel(rep, regular(s4))
+    rep.cycle_divisors()
+    constituents(rep)
+    poly = build_polytope(rep)
+    assert poly.dim == 23
+    assert is_face(poly, (0, 1)) and is_face(poly, range(24))
+    assert "vertices" not in vars(rep)
+    n = rep.degree
+    verts = rep.vertices
+    assert verts == [tuple(int(p.images[k % n] == k // n)
+                           for k in range(n * n)) for p in rep.action]
+    assert rep.vertices is verts
 
 
 def test_orbit_count(s3, klein):
