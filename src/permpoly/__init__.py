@@ -11,9 +11,9 @@ arithmetic.
 
 from .characters import (CharacterTable, Constituents, IsotypeReport,
                          RealIrreducible, character_table, constituents,
-                         invariant_factors, order_profile,
-                         permutation_character, real_irreducibles,
-                         stably_equivalent_by_characters, verify_isotype)
+                         invariant_factors, permutation_character,
+                         real_irreducibles, stably_equivalent_by_characters,
+                         verify_isotype)
 from .groups import (CosetAction, CycleParseError, FiniteGroup, GroupMap,
                      Permutation, SizeCapError, Subgroup, automorphisms,
                      generator_correspondence, isomorphisms,
@@ -46,7 +46,7 @@ __all__ = [
     "constituents", "cycle_divisor_obstruction", "effectively_equivalent",
     "generator_correspondence", "invariant_factors", "is_face",
     "isomorphisms", "isomorphisms_iter", "lattice_structure",
-    "normalized_volume", "order_profile", "parse_cycles",
+    "normalized_volume", "parse_cycles",
     "permutation_character", "point_membership", "polytopes_equal",
     "real_irreducibles", "run_scenario", "shape_descriptor",
     "stably_equivalent_by_characters", "stably_equivalent_by_kernel",

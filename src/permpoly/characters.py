@@ -27,13 +27,13 @@ these columns; past the first they must vanish, else this raises.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .cyclotomic import cyclo, cyclo_rational, root_log, root_order
 from .groups import FiniteGroup, SizeCapError
-from .intlinalg import smith_divisors
 from .reps import PermRep, affine_kernel, u_action_trace, _same_group
 
 DEFAULT_CLASS_CAP = 30
@@ -210,37 +210,41 @@ def _abelian_characters(group: FiniteGroup):
 
 
 def invariant_factors(group: FiniteGroup):
-    """Invariant factor decomposition Z/d1 x ... x Z/dk (d1 | d2 | ...)
-    of an abelian group, via the relation lattice of its generators."""
+    """Invariant factors (d1, ..., dk), d1 | d2 | ... | dk, of an abelian
+    group G = Z/d1 x ... x Z/dk, read off its element orders.
+
+    For each prime p, |{x : x^(p^j) = 1}| = p^(c_j), and exactly
+    c_j - c_(j-1) factors have p-part at least p^j; so the i-th largest
+    factor takes one p for each j with i < c_j - c_(j-1).  A count that
+    is not a power of p, or factors whose product is not |G|, raise
+    RuntimeError.
+    """
     if not group.is_abelian():
         raise ValueError("invariant factors need an abelian group")
-    gens = group.gens
-    k = len(gens)
-    table = group.table
-    labels = [None] * group.order
-    labels[0] = (0,) * k
-    relations = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            vx = labels[x]
-            for idx, a in enumerate(gens):
-                y = table[x][a]
-                vy = tuple(c + (1 if t == idx else 0)
-                           for t, c in enumerate(vx))
-                if labels[y] is None:
-                    labels[y] = vy
-                    nxt.append(y)
-                else:
-                    rel = [p - q for p, q in zip(vy, labels[y])]
-                    if any(rel):
-                        relations.append(rel)
-        frontier = nxt
-    divisors = smith_divisors(relations)
-    if len(divisors) != k:
-        raise RuntimeError("relation lattice does not have full rank")
-    return tuple(d for d in divisors if d != 1)
+    count = Counter(group.orders)
+    factors = []  # largest first
+    rest, p = group.order, 1
+    while rest > 1:
+        p += 1
+        q = size = 1  # size = |{x : x^q = 1}| = p^c
+        c = 0
+        while rest % p == 0:
+            rest //= p
+            q *= p
+            size += count[q]
+            prev = c
+            while p ** c < size:
+                c += 1
+            if p ** c != size:
+                raise RuntimeError("%d elements have order dividing %d, "
+                                   "not a power of %d" % (size, q, p))
+            factors += [1] * (c - prev - len(factors))
+            for i in range(c - prev):
+                factors[i] *= p
+    if prod(factors) != group.order:
+        raise RuntimeError("invariant factors %r do not multiply to |G| = %d"
+                           % (factors, group.order))
+    return tuple(reversed(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +784,3 @@ def verify_isotype(rep: PermRep, table: CharacterTable | None = None) -> Isotype
             raise RuntimeError("trace identity failed at element %d" % g)
     return IsotypeReport(dim_pred, dim, [real.degree for real in occurring])
 
-
-def order_profile(table: CharacterTable):
-    """Sorted multiset of the multiplicative orders of the degree-1
-    characters (an isomorphism invariant separating abelian groups)."""
-    out = []
-    for i in range(table.count):
-        o = table.char_order(i)
-        if o is not None:
-            out.append(o)
-    return tuple(sorted(out))

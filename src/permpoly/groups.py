@@ -397,15 +397,13 @@ class FiniteGroup:
 
     def subgroup(self, gen_indices) -> "Subgroup":
         """Closure of the given element indices inside this group."""
-        gen_indices = _element_indices(gen_indices)
-        if any(not 0 <= i < self.order for i in gen_indices):
-            raise ValueError("element index out of range")
+        gen_indices = _element_indices(gen_indices, self.order)
         # capped at |G|, so never None
         elements = _close_capped(self.table, gen_indices, self.order)
         return Subgroup(self, tuple(sorted(elements)), tuple(gen_indices))
 
     def subgroup_from_elements(self, indices) -> "Subgroup":
-        indices = tuple(sorted(set(_element_indices(indices))))
+        indices = tuple(sorted(set(_element_indices(indices, self.order))))
         elems = set(indices)
         if 0 not in elems:
             raise ValueError("subgroup must contain the identity")
@@ -610,12 +608,15 @@ def _find_generators(table, indices):
     return tuple(gens)
 
 
-def _element_indices(indices):
-    """The indices as ints; ValueError on one not equal to an integer."""
+def _element_indices(indices, bound):
+    """The indices as ints; ValueError on one not equal to an integer or
+    outside 0..bound-1."""
     indices = list(indices)
     ints = [int(i) for i in indices]
     if ints != indices:
         raise ValueError("element indices must be integers: %r" % (indices,))
+    if ints and not 0 <= min(ints) <= max(ints) < bound:
+        raise ValueError("element index out of range 0..%d" % (bound - 1))
     return ints
 
 

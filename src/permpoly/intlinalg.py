@@ -1,11 +1,10 @@
-"""Integer lattice computations: Hermite and Smith normal forms.
+"""Integer lattice computations on one elimination, the Hermite form.
 
 Row style throughout: the rows of a matrix generate a sublattice of
 Z^n, and hermite_form returns the canonical basis of that lattice
 (positive pivots, entries above each pivot reduced into [0, pivot)).
-Smith divisors d_1 | d_2 | ... are the elementary divisors;
-characters.invariant_factors reads an abelian group's invariant
-factors off them.
+Only the lattice layer (polytopes.lattice_structure and
+point_membership) calls it.
 
 The saturation is read off the rank-r Hermite basis H through the dual
 of the lattice in Z^r spanned by H's columns (see saturation).  Every
@@ -97,71 +96,6 @@ def saturation(rows):
             raise RuntimeError("dual-lattice row %d is not integral" % i)
         y.append([a // piv for a in acc])
     return hermite_form(y)
-
-
-def smith_divisors(rows):
-    """Elementary divisors d_1 | d_2 | ... | d_r (positive, rank many)."""
-    m = [row for row in _check_int_rows(rows) if any(row)]
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    divisors = []
-    top = 0
-    left = 0
-    while top < nrows and left < ncols:
-        pr = pc = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(left, ncols):
-                a = abs(m[i][j])
-                if a and (best is None or a < best):
-                    best, pr, pc = a, i, j
-        if best is None:
-            break
-        m[top], m[pr] = m[pr], m[top]
-        for row in m:
-            row[left], row[pc] = row[pc], row[left]
-        while True:
-            # clear column `left`
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][left]:
-                    q = m[i][left] // m[top][left]
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if m[i][left]:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-            # clear row `top`
-            for j in range(left + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][left]
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[left]
-                    if m[top][j]:
-                        for row in m:
-                            row[left], row[j] = row[j], row[left]
-                        dirty = True
-            if not dirty:
-                break
-        pivot = abs(m[top][left])
-        # enforce divisibility: fold any non-multiple into the working row
-        offender = None
-        for i in range(top + 1, nrows):
-            for j in range(left + 1, ncols):
-                if m[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[offender])]
-            continue
-        divisors.append(pivot)
-        top += 1
-        left += 1
-    return divisors
 
 
 def solve_in_lattice(hermite_rows, target):

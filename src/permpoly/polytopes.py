@@ -167,11 +167,9 @@ class FaceResult:
 def _checked_labels(poly, subset):
     """Sorted distinct labels of a nonempty set of the polytope's vertices;
     ValueError on a label not equal to an integer or out of range."""
-    labels = sorted(set(_element_indices(subset)))
+    labels = sorted(set(_element_indices(subset, poly.vertex_count)))
     if not labels:
         raise ValueError("empty vertex subset")
-    if labels[0] < 0 or labels[-1] >= poly.vertex_count:
-        raise ValueError("vertex label out of range")
     return labels
 
 

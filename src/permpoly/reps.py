@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
-                     isomorphisms_iter)
+                     _element_indices, isomorphisms_iter)
 from .linalg import F0, kernel_sparse
 
 
@@ -356,8 +356,10 @@ def u_action_trace(rep: PermRep, g: int) -> Fraction:
     1 at gp, as M_gp = -sum over pivots q of lambda[q] M_q, contributing
     -lambda[p].  The hull misses the origin, so span{M_h} is
     span{M_h - M_e} plus Q M_e, and g acts trivially on the quotient:
-    the trace on span{M_h - M_e} is one less.
+    the trace on span{M_h - M_e} is one less.  ValueError on an index
+    that is not an integer in 0..|G|-1.
     """
+    (g,) = _element_indices([g], rep.group.order)
     kernel = affine_kernel(rep)
     pivots = kernel.pivots
     row = rep.group.table[g]

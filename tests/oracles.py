@@ -6,13 +6,14 @@ from fractions import Fraction
 from math import gcd
 
 import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from permpoly.characters import permutation_character, predicted_dimension
 from permpoly.cyclotomic import cyclo_rational
 from permpoly.groups import (GroupMap, Subgroup, _close_capped,
                              _respects_generators, isomorphisms_iter)
 from permpoly.intlinalg import (_hermite_left_block, hermite_form,
-                                smith_divisors, solve_in_lattice)
+                                solve_in_lattice)
 from permpoly.linalg import F0, _rref_int, kernel_sparse
 from permpoly.reps import (PermRep, _lambda_annihilates, affine_kernel,
                            u_action_trace)
@@ -518,9 +519,7 @@ def dense_lattice_structure(poly):
     sat = double_kernel_saturation(diffs)
     coords = [solve_in_lattice(sat, row) for row in vlat]
     assert all(c is not None for c in coords)
-    index = 1
-    for d in smith_divisors(coords):
-        index *= d
+    index = abs(int(sympy.Matrix(coords).det()))
     vol = None
     if poly.vertex_count == poly.dim + 1:
         simplex = [solve_in_lattice(sat, row) for row in diffs]
@@ -549,3 +548,34 @@ def dense_point_membership(poly):
         return in_aff, integral, in_sat, in_vert
 
     return membership
+
+
+def relation_lattice_invariant_factors(group):
+    """Invariant factors of an abelian group as the Smith form of the
+    relation lattice of its generators (sympy): a breadth-first walk
+    labels each element by a word vector, and every edge that reaches
+    an element already labelled gives a relation."""
+    gens = group.gens
+    k = len(gens)
+    labels = [None] * group.order
+    labels[0] = (0,) * k
+    relations = set()
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for idx, a in enumerate(gens):
+                y = group.table[x][a]
+                vy = tuple(c + (t == idx) for t, c in enumerate(labels[x]))
+                if labels[y] is None:
+                    labels[y] = vy
+                    nxt.append(y)
+                elif vy != labels[y]:
+                    relations.add(tuple(p - q for p, q in zip(vy, labels[y])))
+        frontier = nxt
+    if not k:
+        return ()
+    snf = smith_normal_form(sympy.Matrix(sorted(relations)))
+    divisors = [abs(int(snf[i, i])) for i in range(k)]
+    assert all(divisors), "relation lattice does not have full rank"
+    return tuple(d for d in divisors if d != 1)

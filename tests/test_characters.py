@@ -1,6 +1,8 @@
 import copy
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,7 +13,6 @@ from permpoly.characters import (
     character_table,
     constituents,
     invariant_factors,
-    order_profile,
     permutation_character,
     predicted_dimension,
     real_irreducibles,
@@ -23,7 +24,8 @@ from permpoly.groups import FiniteGroup, SizeCapError, parse_cycles
 from permpoly.reps import NotFaithfulError, PermRep, stably_equivalent_by_kernel
 
 from oracles import (cyclotomic_constituents, cyclotomic_indicators,
-                     cyclotomic_isotype, with_cyclotomic_indicators)
+                     cyclotomic_isotype, relation_lattice_invariant_factors,
+                     with_cyclotomic_indicators)
 
 
 def build(gens, degree):
@@ -76,15 +78,21 @@ def test_table_is_cached(s3):
 
 
 def test_order_profiles(klein, z4):
-    assert order_profile(character_table(klein)) == (1, 2, 2, 2)
-    assert order_profile(character_table(z4)) == (1, 2, 4, 4)
+    """The sorted orders of the linear characters of an abelian group
+    are its sorted element orders: the dual group is isomorphic to G."""
     z6 = build(["(1 2 3 4 5 6)"], 6)
-    assert order_profile(character_table(z6)) == (1, 2, 3, 3, 6, 6)
     z2xz4 = build(["(1 2)", "(3 4 5 6)"], 6)
-    assert order_profile(character_table(z2xz4)) == (1, 2, 2, 2, 4, 4, 4, 4)
     z12 = build(["(1 2 3 4 5 6 7 8 9 10 11 12)"], 12)
-    assert order_profile(character_table(z12)) == \
-        (1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12)
+    for group, profile in [
+            (klein, (1, 2, 2, 2)),
+            (z4, (1, 2, 4, 4)),
+            (z6, (1, 2, 3, 3, 6, 6)),
+            (z2xz4, (1, 2, 2, 2, 4, 4, 4, 4)),
+            (z12, (1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12))]:
+        table = character_table(group)
+        orders = tuple(sorted(table.char_order(i) for i in range(table.count)))
+        assert orders == profile
+        assert list(orders) == sorted(group.orders)
 
 
 def test_invariant_factors(klein, s3):
@@ -94,6 +102,52 @@ def test_invariant_factors(klein, s3):
     assert invariant_factors(FiniteGroup.generate([], degree=1)) == ()
     with pytest.raises(ValueError):
         invariant_factors(s3)
+
+
+def _cyclic_product(lengths):
+    """Z/l1 x Z/l2 x ... as cycles on disjoint points."""
+    cycles, start = [], 1
+    for n in lengths:
+        cycles.append("(%s)" % " ".join(map(str, range(start, start + n))))
+        start += n
+    return build(cycles, max(start - 1, 1))
+
+
+def _abelian_groups():
+    """Cyclic groups, 2- and 3-groups and mixed products on their cycle
+    generators, then some of them again on scrambled generators."""
+    types = [(n,) for n in range(1, 41)]
+    for powers, cap in (((2, 4, 8, 16, 32), 64), ((3, 9, 27), 81)):
+        for k in range(2, 7):
+            for t in itertools.combinations_with_replacement(powers, k):
+                if prod(t) <= cap:
+                    types.append(t)
+    for t in itertools.combinations_with_replacement((2, 3, 4, 5, 6, 9, 10), 3):
+        if prod(t) <= 150:
+            types.append(t)
+    groups = [_cyclic_product(t) for t in types]
+    rng = random.Random(61)
+    for group in rng.sample(groups[40:], 40):
+        # random non-identity elements until they generate the group
+        picks = []
+        while len(group.subgroup(picks).elements) < group.order:
+            picks.append(rng.randrange(1, group.order))
+        groups.append(FiniteGroup.generate(
+            [group.elements[i] for i in picks], degree=group.degree))
+    return groups
+
+
+def test_invariant_factors_match_the_relation_lattice_oracle():
+    groups = _abelian_groups()
+    assert len(groups) >= 150
+    seen = set()
+    for group in groups:
+        factors = invariant_factors(group)
+        assert factors == relation_lattice_invariant_factors(group)
+        assert prod(factors) == group.order
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        seen.add(factors)
+    assert () in seen and (2, 2, 12) in seen
 
 
 def test_class_matrix_degrees(s3, s4, a4, d4, q8, a5):

@@ -202,7 +202,7 @@ def test_subgroup_from_elements_errors(s3):
         s3.subgroup_from_elements([0, transposition, threecycle])
     sub = s3.subgroup_from_elements([0, transposition])
     assert sub.order == 2
-    for bad in ([0, 1.7], [0, "1"], [Fraction(1, 2)]):
+    for bad in ([0, 1.7], [0, "1"], [Fraction(1, 2)], [0, 6], [0, -1]):
         with pytest.raises(ValueError):
             s3.subgroup_from_elements(bad)
     assert s3.subgroup_from_elements([0.0]).elements == (0,)

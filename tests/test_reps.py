@@ -220,6 +220,9 @@ def test_u_action_trace_matches_matrix_trace(s3, s4, a5, klein_pair,
                 assert coeffs is not None
                 total += coeffs[k]
             assert u_action_trace(rep, g) == total
+        for bad in (-1, rep.group.order, 1.5, "1"):
+            with pytest.raises(ValueError):
+                u_action_trace(rep, bad)
 
 
 def test_stable_equivalence_by_kernel(s3, klein, klein_pair):
