@@ -278,9 +278,11 @@ class FiniteGroup:
         self._class_of = None
         # exhaustive searches, kept once complete (see isomorphisms_iter
         # and subgroups_of_order): ((nodes, image array) per
-        # automorphism, total nodes), and order -> (subgroups, nodes)
+        # automorphism, total nodes), and order -> (subgroups, nodes);
+        # coset actions, kept per subgroup elements (see coset_action)
         self._automorphisms = None
         self._subgroups = {}
+        self._coset_actions = {}
 
     @classmethod
     def generate(cls, gens, degree=None, cap=DEFAULT_ORDER_CAP, label=None):
@@ -520,13 +522,21 @@ class FiniteGroup:
         """Left-multiplication action on left cosets of sub.
 
         Cosets are numbered by their minimal element index, so coset 0
-        is the subgroup itself.
+        is the subgroup itself.  The action depends only on the
+        subgroup's elements, so it is built once per subgroup and kept
+        on the group, keyed by sub.elements as subgroups_of_order keeps
+        its searches: an equal subgroup built again, with other
+        generators, gets the same object.  PermRep.from_coset_actions
+        trusts kept actions to be homomorphisms.
         """
         if sub.parent is not self:
             raise ValueError("subgroup belongs to a different group")
+        h = sub.elements
+        action = self._coset_actions.get(h)
+        if action is not None:
+            return action
         n = self.order
         table = self.table
-        h = sub.elements
         coset_of = [-1] * n
         cosets = []
         for x in range(n):
@@ -545,8 +555,10 @@ class FiniteGroup:
             images.append(Permutation(coset_of[row[r]] for r in reps))
         ident = Permutation.identity(len(cosets))
         kernel = tuple(g for g in range(n) if images[g] == ident)
-        return CosetAction(self, sub, len(cosets), tuple(images), kernel,
-                           len(kernel) == 1, tuple(cosets))
+        action = CosetAction(self, sub, len(cosets), tuple(images), kernel,
+                             len(kernel) == 1, tuple(cosets))
+        self._coset_actions[h] = action
+        return action
 
     def __repr__(self):
         name = self.label or "FiniteGroup"
@@ -666,10 +678,14 @@ class Subgroup:
 
 
 class CosetAction:
-    """The data of a coset action: degree, images, kernel, faithfulness."""
+    """The data of a coset action: degree, images, kernel, faithfulness.
+
+    rows starts as None; reps caches its elimination data there (see
+    reps._summand_rows).
+    """
 
     __slots__ = ("group", "subgroup", "degree", "images", "kernel",
-                 "faithful", "cosets")
+                 "faithful", "cosets", "rows")
 
     def __init__(self, group, subgroup, degree, images, kernel, faithful, cosets):
         self.group = group
@@ -679,6 +695,7 @@ class CosetAction:
         self.kernel = kernel
         self.faithful = faithful
         self.cosets = cosets
+        self.rows = None
 
 
 class GroupMap:

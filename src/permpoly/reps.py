@@ -31,6 +31,17 @@ full system.  This is the one elimination a representation needs: its
 pivot columns P pick the greedy first independent vertices, a basis of
 span{M_g}, and the kernel vector of a free column h expresses M_h in
 that basis.  The polytope chart and u_action_trace are read off it.
+
+A coset sum, the direct sum of actions on G/H_1, ..., G/H_k, acts on
+the disjoint union of their points, so M_g is block diagonal: an entry
+outside the diagonal blocks has the empty incidence set, and an entry
+inside block i has the set it has in the i-th summand.  The sum's
+distinct sets are thus the union of its summands' sets, and its row
+space the sum of theirs.  Each coset action is kept per subgroup
+(FiniteGroup.coset_action) and holds the reduced rows of its own sets,
+so the kernel of a sum is eliminated on its distinct summands' reduced
+rows stacked; the reduced echelon form of a row space is unique, so
+the kernel, rank and pivots are those of the sum's own sets.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from functools import cached_property
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                      _element_indices, isomorphisms_iter)
-from .linalg import F0, kernel_sparse
+from .linalg import F0, _rref_int, kernel_sparse
 
 
 # bound on |G| * degree^2, the entries of all vertices together; checked
@@ -75,7 +86,8 @@ class PermRep:
     cycle divisors, constituents) are computed on first read and kept,
     so a representation that is only compared by kernel never holds
     its |G| * degree^2 vertex entries.  The size cap on those entries
-    is checked at construction all the same.
+    is checked at construction all the same.  A coset sum keeps its
+    distinct summands, on whose rows affine_kernel eliminates.
     """
 
     def __init__(self, group: FiniteGroup, action, check=True):
@@ -95,6 +107,7 @@ class PermRep:
         if check:
             self._validate()
         self._sets = None
+        self._summands = None
         self._kernel = None
         self._divisors = None
         self._constituents = None
@@ -115,7 +128,8 @@ class PermRep:
     def _validate(self):
         """The action must respect every generator edge,
         act[a*s] = act[a]*act[s], which makes it a homomorphism, and
-        must be faithful."""
+        must be faithful.  from_coset_actions skips it for a sum of the
+        group's own kept coset actions and checks only faithfulness."""
         group = self.group
         act = self.action
         for s, col in zip(group.gens, group.gen_columns):
@@ -156,17 +170,38 @@ class PermRep:
 
     @classmethod
     def from_coset_actions(cls, group: FiniteGroup, actions) -> "PermRep":
-        """Direct sum of coset actions, acting on the disjoint union of points."""
-        total = sum(a.degree for a in actions)
-        combined = []
-        for g in range(group.order):
-            imgs = []
-            offset = 0
-            for a in actions:
-                imgs.extend(v + offset for v in a.images[g].images)
-                offset += a.degree
-            combined.append(Permutation(imgs))
-        return cls(group, combined)
+        """Direct sum of coset actions, acting on the disjoint union of points.
+
+        ValueError on an empty list or an action of another group.  The
+        group's own kept actions (FiniteGroup.coset_action) are trusted:
+        a sum of homomorphisms is one, so only faithfulness is checked,
+        as the intersection of the summands' kernels.  A sum with any
+        other action gets the full _validate.  NotFaithfulError carries
+        the same kernel either way.
+        """
+        actions = list(actions)
+        if not actions:
+            raise ValueError("need at least one coset action")
+        if any(a.group is not group for a in actions):
+            raise ValueError("coset action belongs to a different group")
+        parts = []
+        offset = 0
+        for a in actions:
+            shift = offset.__add__
+            parts.append([tuple(map(shift, p.images)) for p in a.images])
+            offset += a.degree
+        combined = [Permutation(sum(imgs, ())) for imgs in zip(*parts)]
+        rep = cls(group, combined, check=False)
+        kept = group._coset_actions
+        if all(kept.get(a.subgroup.elements) is a for a in actions):
+            kernel = set(actions[0].kernel).intersection(
+                *(a.kernel for a in actions[1:]))
+            if len(kernel) != 1:
+                raise NotFaithfulError(tuple(sorted(kernel)))
+        else:
+            rep._validate()
+        rep._summands = list({id(a): a for a in actions}.values())
+        return rep
 
     def cycle_divisors(self):
         """D(g) for each element g, as one bitmask int: bit d is set when
@@ -217,7 +252,8 @@ class AffineKernel:
 
     The kernel is {lambda : sum(lambda) = 0, lambda . row(S) = 0 for each
     distinct nonempty incidence set S}, eliminated on one 0/1 row per
-    distinct set (see _incidence_sets): zero and repeated rows of the
+    distinct set (see _incidence_sets), or for a coset sum on its
+    summands' reduced rows: zero and repeated rows of the
     (degree^2 + 1)-row system, and its all-ones row, which the sets of
     any one column sum to, leave its row space, hence its unique
     reduced echelon form, unchanged.  sparse_int holds the kernel
@@ -269,10 +305,8 @@ def _incidence_sets(rep: PermRep):
 
     Entry (i, j), flattened to k = i*degree + j, has the incidence set
     S_k = {g : rep(g) sends j to i}, so M_g[k] = [g in S_k].  Returns
-    (sets, cls): sets are the distinct nonempty S_k as ascending tuples
-    of elements, numbered in order of their first entry; cls[k] is the
-    number of S_k, or -1 when no element covers entry k.  One pass over
-    the action images, O(|G| * degree), made once per representation.
+    (sets, cls) of _action_sets(rep.action), made once per
+    representation and kept.
 
     affine_kernel eliminates one row per set in place of the all-ones
     row and the degree^2 entry rows, which only adds zero and repeated
@@ -282,11 +316,23 @@ def _incidence_sets(rep: PermRep):
     set, the set's first entry: a repeated or zero column is never a
     pivot.
     """
-    if rep._sets is not None:
-        return rep._sets
-    n = rep.degree
+    if rep._sets is None:
+        rep._sets = _action_sets(rep.action)
+    return rep._sets
+
+
+def _action_sets(action):
+    """(sets, cls) for an image list: one Permutation per group
+    element, a representation's action or a coset action's images.
+
+    sets are the distinct nonempty incidence sets as ascending tuples of
+    elements, numbered in order of their first entry; cls[k] is the
+    number of entry k's set, or -1 when no element covers entry k.  One
+    pass over the images, O(|G| * degree).
+    """
+    n = action[0].degree
     members = {}
-    for g, p in enumerate(rep.action):
+    for g, p in enumerate(action):
         for j, i in enumerate(p.images):
             k = i * n + j
             if k in members:
@@ -301,22 +347,44 @@ def _incidence_sets(rep: PermRep):
         if c is None:
             c = index[key] = len(index)
         cls[k] = c
-    rep._sets = list(index), cls
-    return rep._sets
+    return list(index), cls
 
 
-def affine_kernel(rep: PermRep) -> AffineKernel:
-    if rep._kernel is not None:
-        return rep._kernel
-    order = rep.group.order
-    sets, _ = _incidence_sets(rep)
+def _set_rows(sets, order):
+    """One 0/1 row over the group per incidence set."""
     rows = []
     for elems in sets:
         row = [0] * order
         for g in elems:
             row[g] = 1
         rows.append(row)
-    rank, sparse_int = kernel_sparse(rows)
+    return rows
+
+
+def _summand_rows(action):
+    """The reduced integer rows of a coset action's distinct incidence
+    sets, made on first use and kept on the action."""
+    if action.rows is None:
+        order = len(action.images)
+        sets, _ = _action_sets(action.images)
+        action.rows = _rref_int(_set_rows(sets, order), order)[0]
+    return action.rows
+
+
+def affine_kernel(rep: PermRep) -> AffineKernel:
+    """The AffineKernel of a representation, eliminated once and kept:
+    on a coset sum's distinct summands' reduced rows stacked, otherwise
+    on the rows of its own incidence sets (see the module docstring)."""
+    if rep._kernel is not None:
+        return rep._kernel
+    order = rep.group.order
+    summands = rep._summands
+    if summands is None:
+        rank, sparse_int = kernel_sparse(
+            _set_rows(_incidence_sets(rep)[0], order))
+    else:
+        rank, sparse_int = kernel_sparse(
+            [row for a in summands for row in _summand_rows(a)])
     # a vector's free column is its last entry
     free = {entries[-1][0] for entries in sparse_int}
     pivots = [g for g in range(order) if g not in free]

@@ -10,8 +10,8 @@ from oracles import (dense_affine_kernel, dense_difference_space,
                      exhaustive_effectively_equivalent, first_independent,
                      fraction_rref, is_homomorphism_all_pairs,
                      rowspace_coords)
-from permpoly.groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
-                             isomorphisms, parse_cycles)
+from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
+                             SizeCapError, isomorphisms, parse_cycles)
 from permpoly.linalg import rank
 from permpoly.polytopes import build_polytope, is_face
 from permpoly.reps import (
@@ -81,6 +81,67 @@ def test_not_faithful(s4, z4):
     # quotient map z4 -> z2 extends as a homomorphism but is not faithful
     with pytest.raises(NotFaithfulError):
         PermRep.from_generator_images(z4, [parse_cycles("(1 2)", 2)])
+
+
+def test_coset_action_is_kept_per_subgroup(s4):
+    a = s4.subgroup([s4.element_index(parse_cycles("(1 2 3 4)", 4))])
+    b = s4.subgroup([s4.element_index(parse_cycles("(1 4 3 2)", 4))])
+    assert a.elements == b.elements and a.gens != b.gens
+    assert s4.coset_action(a) is s4.coset_action(b)
+
+
+def test_hand_built_coset_actions_are_fully_validated(s4):
+    a4 = s4.subgroups_of_order(12)[0]
+    kept = s4.coset_action(s4.subgroup([]))
+    images = list(kept.images)
+    images[1], images[2] = images[2], images[1]
+    tampered = CosetAction(s4, kept.subgroup, kept.degree, tuple(images),
+                           kept.kernel, kept.faithful, kept.cosets)
+    with pytest.raises(ValueError, match="inconsistent"):
+        PermRep.from_coset_actions(s4, [tampered])
+    # a false kernel is not read: the full check finds the true one
+    quotient = s4.coset_action(a4)
+    lying = CosetAction(s4, a4, quotient.degree, quotient.images, (0,), True,
+                        quotient.cosets)
+    with pytest.raises(NotFaithfulError) as exc:
+        PermRep.from_coset_actions(s4, [lying])
+    assert exc.value.kernel == a4.elements
+    # a faithful hand-built copy passes and gives the kept sum's kernel
+    copy = CosetAction(s4, kept.subgroup, kept.degree, kept.images,
+                       kept.kernel, kept.faithful, kept.cosets)
+    assert affine_kernel(PermRep.from_coset_actions(s4, [copy])) == \
+        affine_kernel(regular(s4))
+
+
+def test_coset_sum_kernel_is_the_summands_kernels_meet(s4):
+    """S4 on the cosets of A4 and of the normal Klein four-group: the
+    trusted path reads the kernel off the summands, and it is the one
+    the full check finds."""
+    a4 = s4.subgroups_of_order(12)[0]
+    (v4,) = [sub for sub in s4.subgroups_of_order(4)
+             if s4.coset_action(sub).kernel == sub.elements]
+    actions = [s4.coset_action(a4), s4.coset_action(v4)]
+    with pytest.raises(NotFaithfulError) as exc:
+        PermRep.from_coset_actions(s4, actions)
+    assert exc.value.kernel == (0, 5, 15, 21)
+    combined = [Permutation(a + tuple(x + 2 for x in b)) for a, b in
+                zip(*([p.images for p in act.images] for act in actions))]
+    with pytest.raises(NotFaithfulError) as exc:
+        PermRep(s4, combined)
+    assert exc.value.kernel == (0, 5, 15, 21)
+
+
+def test_coset_sum_needs_own_actions(s3, s4):
+    with pytest.raises(ValueError, match="at least one"):
+        PermRep.from_coset_actions(s3, [])
+    trivial = FiniteGroup.from_cycle_strings([], 1)
+    with pytest.raises(ValueError, match="at least one"):
+        PermRep.from_coset_actions(trivial, [])
+    z3 = FiniteGroup.from_cycle_strings(["(1 2 3)"], 3)
+    for other in (z3, s4):
+        action = other.coset_action(other.subgroup([]))
+        with pytest.raises(ValueError, match="different group"):
+            PermRep.from_coset_actions(s3, [action])
 
 
 def test_generator_images_inconsistent(klein):
@@ -528,6 +589,21 @@ def test_kernel_and_chart_match_dense_on_scenario_pairs(main_pair):
     _, _, _, _, a6_1, a6_2 = alt6_reps()
     for rep in (*main_pair, a6_1, a6_2):
         check_against_dense(rep)
+
+
+def test_coset_sum_kernels_match_their_incidence_sets(s4, a4, d6, q8,
+                                                     main_pair):
+    """The kernel eliminated on the summands' reduced rows is the one
+    eliminated on the sum's own incidence sets."""
+    _, _, _, _, a6_1, a6_2 = alt6_reps()
+    reps = [rep for g in (s4, a4, d6, q8) for rep in coset_sums(g)]
+    for rep in reps + [*main_pair, a6_1, a6_2]:
+        assert rep._summands
+        plain = PermRep(rep.group, rep.action)
+        assert plain._summands is None
+        fast, slow = affine_kernel(rep), affine_kernel(plain)
+        assert (fast.rank, fast.sparse_int, fast.pivots) == \
+            (slow.rank, slow.sparse_int, slow.pivots)
 
 
 def g48_equal_dimension_pairs():
