@@ -16,6 +16,7 @@ KLEIN = {"label": "klein", "degree": 4, "generators": ["(1 2)", "(3 4)"]}
 KLEIN_REGULAR = {"degree": 4, "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]}
 Z4 = {"degree": 4, "generators": ["(1 2 3 4)"]}
 Z4_DEG6 = {"degree": 6, "generators": ["(1 2 3 4)(5 6)"]}
+Z4_SQUARE = {"degree": 4, "generators": ["(1 3 2 4)"]}
 S3 = {"degree": 3, "generators": ["(1 2)", "(1 2 3)"]}
 S3_Z11 = {"degree": 14, "generators": ["(1 2)", "(1 2 3)",
                                        "(4 5 6 7 8 9 10 11 12 13 14)"]}
@@ -67,8 +68,7 @@ def test_effective_negative(tmp_path, capsys):
 
 
 def test_effective_positive(tmp_path, capsys):
-    z4b = {"degree": 4, "generators": ["(1 3 2 4)"]}
-    pair = pair_file(tmp_path, "p.json", Z4, z4b)
+    pair = pair_file(tmp_path, "p.json", Z4, Z4_SQUARE)
     assert cli.main(["effective", pair]) == 0
     out = capsys.readouterr().out
     assert "effectively_equivalent: true" in out
@@ -160,6 +160,49 @@ def test_lattice_text_is_pinned(tmp_path, capsys):
         if hashlib.sha256(out.encode()).hexdigest() != pin:
             moved.append(name)
     assert not moved, "lattice text changed for: %s" % ", ".join(moved)
+
+
+# sha256 of the full text of the other spec commands, as for
+# LATTICE_TEXT_PINS: name -> (arguments before the file, spec or pair
+# document, pin).  Each text prints cycle strings or group data.
+SUBCOMMAND_TEXT_PINS = {
+    "dim-klein": (["dim"], KLEIN,
+                  "7fd9ce19e9cb3edf34440f137aa6bf22b8f3fdb830b5fa946a0fd69687a7d66b"),
+    "dim-klein-regular": (["dim"], KLEIN_REGULAR,
+                          "b63489b9b9d481fd945506d8383a0333fb276f332e976fd0c7efda3f54be82a0"),
+    "dim-z4-deg6": (["dim"], Z4_DEG6,
+                    "8464d9c6dabed6da3a1b6a175a8d31a02e38403dfb651a211f67c87461ea6083"),
+    "dim-s3": (["dim"], S3,
+               "b134b42508ea72cf45eaad2f18294bc3507427e710b3e4a543b231abf9989f5b"),
+    "stable-z4": (["stable"], {"first": Z4, "second": Z4_DEG6},
+                  "d7cefac078fd354900a669ca6673191b347f4d294df16f55e155c7ceca4d09c1"),
+    "stable-klein": (["stable"], {"first": KLEIN, "second": KLEIN_REGULAR},
+                     "8dc5d72ada1224340a8ef01fae97fabe529407f137973699abd5555cb0975c9d"),
+    "effective-klein": (["effective"], {"first": KLEIN, "second": KLEIN_REGULAR},
+                        "6a2a970414df3898cbfdb3696983775e06e9370f47ff70506175dcadaccd662d"),
+    "effective-z4": (["effective"], {"first": Z4, "second": Z4_SQUARE},
+                     "54c4892da35becb14a7ca6f76f0e8ec170a9ad3188f3776f07e75a451dfeb1de"),
+    "chartable-s3": (["chartable"], S3,
+                     "4738267b197e9b6ebd63457bdb059467cc80fcd2e07ca0602a83fa64941f716e"),
+    "chartable-klein": (["chartable"], KLEIN,
+                        "3d6aef412590bec13fb403d52c9c9559b483335c8b82441cbe651246adca1ddf"),
+    "chartable-z4-deg6": (["chartable"], Z4_DEG6,
+                          "88b12ac5fc4b7dfee4e08d90f98823bfbba5216b774683c18f6bef4049356810"),
+    "faces-klein": (["faces", "--order", "2"], KLEIN,
+                    "e4ceea7a158abc5c3e421aeda2128f5b537a30343abd203bbc81f6b7c841083e"),
+    "faces-s3": (["faces", "--order", "2"], S3,
+                 "32f4049aae73447ddec9d934ea8b77f19cbe7b4de624384b879a5b2f90b0f8a6"),
+}
+
+
+def test_subcommand_text_is_pinned(tmp_path, capsys):
+    moved = []
+    for name, (argv, doc, pin) in SUBCOMMAND_TEXT_PINS.items():
+        assert cli.main(argv + [spec_file(tmp_path, name + ".json", doc)]) == 0
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != pin:
+            moved.append(name)
+    assert not moved, "text changed for: %s" % ", ".join(moved)
 
 
 def test_reproduce_unknown_id(capsys):
