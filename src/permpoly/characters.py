@@ -621,8 +621,7 @@ def permutation_character(rep: PermRep, table: CharacterTable):
     """Fixed-point counts on class representatives."""
     out = []
     for rp in table.reps:
-        imgs = rep.action[rp].images
-        out.append(sum(1 for a, b in enumerate(imgs) if a == b))
+        out.append(sum(1 for a, b in enumerate(rep.action[rp]) if a == b))
     return out
 
 

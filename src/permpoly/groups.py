@@ -1,14 +1,15 @@
 """Finite permutation groups, element-complete.
 
-Groups are stored as the full element list in a canonical order (BFS
-layers from the identity under right multiplication by the generators,
-each layer sorted lexicographically by image tuple).  Each group keeps
-one BFS spanning tree of its Cayley graph over the stored generators
-(every element's parent and generator position) and the generator
-columns x -> x*s.  The multiplication table is filled along that tree
-from the columns.  Everything downstream (classes, subgroups, coset
-actions, isomorphism search) works on the table, so results are
-deterministic for a fixed input.
+A permutation is the tuple of its 0-based images.  Groups are stored as
+the full element list in a canonical order (BFS layers from the
+identity under right multiplication by the generators, each layer
+sorted lexicographically).  Each group keeps one BFS spanning tree of
+its Cayley graph over the stored generators (every element's parent and
+generator position) and the generator columns x -> x*s.  The
+multiplication table is filled along that tree from the columns.
+Everything downstream (classes, subgroups, coset actions, isomorphism
+search) works on the table, so results are deterministic for a fixed
+input.
 
 A map defined on a group is proved a homomorphism on generator edges
 only: if f(x*s) = f(x)*f(s) for every element x and every stored
@@ -26,10 +27,10 @@ without a fill.
 
 A FiniteGroup is immutable, so its two exhaustive searches are kept on
 it once they complete: the automorphisms (each as its full image array,
-an array('H') or, past 65,535 elements, an array('I'), copied into a
-tuple on replay) and the subgroups of each order.  Each is computed
-once per group; a replay honours node_cap exactly as a fresh search
-would, and a search stopped early keeps nothing.
+an array('H'), copied into a tuple on replay) and the subgroups of each
+order.  Each is computed once per group; a replay honours node_cap
+exactly as a fresh search would, and a search stopped early keeps
+nothing.
 
 Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 """
@@ -53,17 +54,21 @@ class CycleParseError(ValueError):
         self.position = position
 
 
-class Permutation:
-    """A permutation of {1..degree}, stored 0-based as a tuple of images."""
+class Permutation(tuple):
+    """A permutation of {1..degree}: the tuple of its 0-based images, so
+    it compares, sorts and hashes as that tuple.  p * q is composition;
+    p + q and n * p raise TypeError rather than concatenate or repeat."""
 
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        self.images = tuple(images)
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
+
+    @property
+    def images(self) -> "Permutation":
+        """The permutation itself, its image tuple."""
+        return self
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -71,21 +76,25 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q) applies q first, then p."""
-        if len(self.images) != len(other.images):
+        if len(self) != len(other):
             raise ValueError("degree mismatch")
-        p = self.images
-        return Permutation(map(p.__getitem__, other.images))
+        return Permutation(map(self.__getitem__, other))
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __rmul__ = __add__
 
     def inverse(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        out = [0] * len(self)
+        for i, j in enumerate(self):
             out[j] = i
         return Permutation(out)
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(len(self.images))
+        result = Permutation.identity(len(self))
         base = self
         while n:
             if n & 1:
@@ -101,14 +110,14 @@ class Permutation:
         return n
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return all(i == j for i, j in enumerate(self))
 
     def cycles(self):
         """Nontrivial cycles as tuples of 1-based points, canonical order."""
-        seen = [False] * len(self.images)
+        seen = [False] * len(self)
         out = []
-        for i in range(len(self.images)):
-            if seen[i] or self.images[i] == i:
+        for i, image in enumerate(self):
+            if seen[i] or image == i:
                 seen[i] = True
                 continue
             cyc = []
@@ -116,7 +125,7 @@ class Permutation:
             while not seen[j]:
                 seen[j] = True
                 cyc.append(j + 1)
-                j = self.images[j]
+                j = self[j]
             out.append(tuple(cyc))
         return out
 
@@ -126,17 +135,28 @@ class Permutation:
             return "id"
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __repr__(self):
-        return "Permutation(%r)" % (list(self.images),)
+        return "Permutation(%r)" % (list(self),)
+
+
+def count_orbits(perms, degree: int) -> int:
+    """Orbits on {0..degree-1} of the group generated by perms, counted
+    in one walk over their images."""
+    seen = bytearray(degree)
+    count = 0
+    for start in range(degree):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = 1
+        reached = [start]
+        for point in reached:
+            for p in perms:
+                q = p[point]
+                if not seen[q]:
+                    seen[q] = 1
+                    reached.append(q)
+    return count
 
 
 _DIGITS = frozenset("0123456789")
@@ -229,7 +249,7 @@ class FiniteGroup:
         self.degree = degree
         self.elements = list(elements)
         self.label = label
-        self._index = {p.images: i for i, p in enumerate(self.elements)}
+        self._index = {p: i for i, p in enumerate(self.elements)}
         if not self.elements[0].is_identity():
             raise ValueError("element 0 must be the identity")
         self.gens = tuple(gen_indices)
@@ -237,8 +257,8 @@ class FiniteGroup:
         idx = self._index
         columns = []
         for s in self.gens:
-            q = self.elements[s].images
-            columns.append([idx[tuple(map(p.images.__getitem__, q))]
+            q = self.elements[s]
+            columns.append([idx[tuple(map(p.__getitem__, q))]
                             for p in self.elements])
         self.gen_columns = tuple(columns)
         seen = bytearray(n)
@@ -300,7 +320,7 @@ class FiniteGroup:
         if any(g.degree != degree for g in gens):
             raise ValueError("generators have mixed degrees")
         ident = Permutation.identity(degree)
-        seen = {ident.images}
+        seen = {ident}
         ordered = [ident]
         layer = [ident]
         while layer:
@@ -308,18 +328,18 @@ class FiniteGroup:
             for x in layer:
                 for g in gens:
                     y = x * g
-                    if y.images not in seen:
-                        nxt.add(y.images)
+                    if y not in seen:
+                        nxt.add(y)
             if len(seen) + len(nxt) > cap:
                 raise SizeCapError(
                     "group order exceeds cap %d" % cap)
-            layer = [Permutation(t) for t in sorted(nxt)]
+            layer = sorted(nxt)
             seen.update(nxt)
             ordered.extend(layer)
-        index = {p.images: i for i, p in enumerate(ordered)}
+        index = {p: i for i, p in enumerate(ordered)}
         gen_indices = []
         for g in gens:
-            gi = index[g.images]
+            gi = index[g]
             if gi not in gen_indices and gi != 0:
                 gen_indices.append(gi)
         if not gen_indices:
@@ -342,7 +362,8 @@ class FiniteGroup:
         return self.inverse[i]
 
     def element_index(self, perm: Permutation) -> int:
-        return self._index[perm.images]
+        """Index of a permutation, or of the plain tuple of its images."""
+        return self._index[perm]
 
     def power_index(self, i: int, s: int) -> int:
         """Index of elements[i] ** s."""
@@ -422,7 +443,7 @@ class FiniteGroup:
             raise ValueError("point %r out of range 1..%d"
                              % (point, self.degree))
         p = point - 1
-        idxs = [i for i, e in enumerate(self.elements) if e.images[p] == p]
+        idxs = [i for i, e in enumerate(self.elements) if e[p] == p]
         sub = tuple(sorted(idxs))
         return Subgroup(self, sub, _find_generators(self.table, sub))
 
@@ -650,21 +671,11 @@ class Subgroup:
         return idx in set(self.elements)
 
     def is_transitive(self) -> bool:
-        """Transitivity of the parent-degree point action restricted here."""
-        deg = self.parent.degree
-        reached = {0}
-        frontier = [0]
-        elems = [self.parent.elements[i] for i in self.elements]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for e in elems:
-                    q = e.images[p]
-                    if q not in reached:
-                        reached.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return len(reached) == deg
+        """Transitivity of the parent-degree point action restricted
+        here, read off the stored generators."""
+        group = self.parent
+        return count_orbits([group.elements[g] for g in self.gens],
+                            group.degree) == 1
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -817,10 +828,10 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     same either way.
 
     Automorphisms are enumerated once per group: a search that runs to
-    completion keeps each map's full image array (an array('H'), or
-    array('I') past 65,535 elements), with the node count at which it
-    was found and the search's total, on the group.  A later call
-    replays them, each map's images copied from its array.  node_cap
+    completion keeps each map's full image array, an array('H'), with
+    the node count at which it was found and the search's total, on the
+    group.  A later call replays them, each map's images copied from its
+    array.  node_cap
     behaves as for a fresh search: the maps found within node_cap nodes
     are yielded, then SizeCapError is raised if the search took more.
     A search stopped early (a caller's break, a close, or SizeCapError)
@@ -854,7 +865,6 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     t1, t2 = g1.table, g2.table
     chosen = [0] * len(gens)
     found = []
-    typecode = "H" if g1.order <= 65_535 else "I"
     if g1 is g2:
         # generator images -> image tuple of every automorphism in the
         # group generated by proven, starting from the identity
@@ -874,7 +884,7 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
                     if len(closure) < node_cap:
                         _extend_closure(closure, proven, images, gens,
                                         node_cap)
-                found.append((nodes, array(typecode, images)))
+                found.append((nodes, array("H", images)))
             else:
                 images = _fill_isomorphism(g1, g2, chosen)
                 if images is None:

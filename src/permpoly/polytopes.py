@@ -192,10 +192,10 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
     # Birkhoff face containing S
     allowed = [set() for _ in range(n)]
     for g in labels:
-        for col, i in zip(allowed, action[g].images):
+        for col, i in zip(allowed, action[g]):
             col.add(i)
     closure = [x for x in range(poly.vertex_count)
-               if all(i in col for col, i in zip(allowed, action[x].images))]
+               if all(i in col for col, i in zip(allowed, action[x]))]
 
     if len(closure) == len(labels):
         support = {i * n + j for j, col in enumerate(allowed) for i in col}
@@ -203,13 +203,13 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
         return FaceResult(True, functional=(a, Fraction(n)), route="support")
 
     if len(labels) == 2:
-        img_a, img_b = (action[g].images for g in labels)
+        img_a, img_b = (action[g] for g in labels)
         x = next(g for g in closure if g not in labels)
         # x follows a or b in each column; taking the other choice in
         # every column gives the complementary cycle product
         img_y = tuple(ib if ix == ia else ia
-                      for ia, ib, ix in zip(img_a, img_b, action[x].images))
-        y = next((g for g in closure if action[g].images == img_y), None)
+                      for ia, ib, ix in zip(img_a, img_b, action[x]))
+        y = next((g for g in closure if action[g] == img_y), None)
         if y is None:
             raise RuntimeError("vertex pair %r: M_a + M_b - M_%d is not a "
                                "vertex" % (tuple(labels), x))
@@ -219,7 +219,7 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
 
     def column_counts(members):
         return Counter((j, i) for g in members
-                       for j, i in enumerate(action[g].images))
+                       for j, i in enumerate(action[g]))
 
     m, f = len(labels), len(closure)
     in_s = column_counts(labels)

@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
-                     _element_indices, isomorphisms_iter)
+                     _element_indices, count_orbits, isomorphisms_iter)
 from .linalg import F0, _rref_int, kernel_sparse
 
 
@@ -120,7 +120,7 @@ class PermRep:
         verts = []
         for p in self.action:
             flat = [0] * (n * n)
-            for j, i in enumerate(p.images):
+            for j, i in enumerate(p):
                 flat[i * n + j] = 1
             verts.append(tuple(flat))
         return verts
@@ -133,9 +133,9 @@ class PermRep:
         group = self.group
         act = self.action
         for s, col in zip(group.gens, group.gen_columns):
-            ps = act[s].images
+            ps = act[s]
             for a, y in enumerate(col):
-                if act[y].images != tuple(map(act[a].images.__getitem__, ps)):
+                if act[y] != tuple(map(act[a].__getitem__, ps)):
                     raise ValueError(
                         "images are inconsistent at element %d times "
                         "generator %d" % (a, s))
@@ -188,7 +188,7 @@ class PermRep:
         offset = 0
         for a in actions:
             shift = offset.__add__
-            parts.append([tuple(map(shift, p.images)) for p in a.images])
+            parts.append([tuple(map(shift, p)) for p in a.images])
             offset += a.degree
         combined = [Permutation(sum(imgs, ())) for imgs in zip(*parts)]
         rep = cls(group, combined, check=False)
@@ -219,24 +219,8 @@ class PermRep:
         return self._divisors
 
     def orbit_count(self) -> int:
-        seen = [False] * self.degree
-        count = 0
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            count += 1
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for g in self.group.gens:
-                        q = self.action[g].images[p]
-                        if not seen[q]:
-                            seen[q] = True
-                            nxt.append(q)
-                frontier = nxt
-        return count
+        return count_orbits([self.action[g] for g in self.group.gens],
+                            self.degree)
 
     def __repr__(self):
         return "<PermRep: order %d on %d points>" % (self.group.order, self.degree)
@@ -333,7 +317,7 @@ def _action_sets(action):
     n = action[0].degree
     members = {}
     for g, p in enumerate(action):
-        for j, i in enumerate(p.images):
+        for j, i in enumerate(p):
             k = i * n + j
             if k in members:
                 members[k].append(g)
@@ -398,18 +382,18 @@ def _lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
 
     lam is a sparse integer vector over the source group; phi defaults
     to the identity correspondence.  Column j of the sum holds c at row
-    images[j] for each term, so the columns are summed one at a time
-    and the first nonzero one rejects; the answer is True only when
-    every entry of every column vanishes.
+    p[j] for each term's permutation p, so the columns are summed one at
+    a time and the first nonzero one rejects; the answer is True only
+    when every entry of every column vanishes.
     """
     action = rep.action
     f = phi.images if phi is not None else range(len(action))
-    terms = [(action[f[g]].images, c) for g, c in lam]
+    terms = [(action[f[g]], c) for g, c in lam]
     n = rep.degree
     for j in range(n):
         col = [0] * n
-        for images, c in terms:
-            col[images[j]] += c
+        for p, c in terms:
+            col[p[j]] += c
         if any(col):
             return False
     return True

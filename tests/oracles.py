@@ -54,6 +54,13 @@ def brute_force_faces(poly):
         faces |= fresh
 
 
+def brute_force_orbit_count(perms, degree):
+    """Orbits on range(degree) of a permutation group given by all of its
+    elements: the orbit of a point is its set of images."""
+    return len({frozenset(p.images[i] for p in perms)
+                for i in range(degree)})
+
+
 def indecomposable(rep, g):
     """Guralnick and Perkinson's edge criterion by brute force: M_e and
     M_g span an edge iff no product of a nonempty proper subset of the

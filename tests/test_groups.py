@@ -8,8 +8,8 @@ from sympy.combinatorics import Permutation as SPerm
 from sympy.combinatorics import PermutationGroup
 
 from oracles import (all_pairs_table, brute_force_isomorphisms,
-                     exhaustive_isomorphisms, exhaustive_subgroups_of_order,
-                     is_homomorphism_all_pairs)
+                     brute_force_orbit_count, exhaustive_isomorphisms,
+                     exhaustive_subgroups_of_order, is_homomorphism_all_pairs)
 from permpoly.groups import (
     CycleParseError,
     FiniteGroup,
@@ -42,6 +42,29 @@ def test_parse_round_trip():
         rng.shuffle(images)
         p = Permutation(images)
         assert parse_cycles(p.cycle_string(), p.degree) == p
+
+
+def test_permutation_is_its_image_tuple(s4):
+    rng = random.Random(11)
+    perms, plain = [], []
+    for _ in range(40):
+        images = list(range(rng.randint(1, 6)))
+        rng.shuffle(images)
+        perms.append(Permutation(images))
+        plain.append(tuple(images))
+    for p, t in zip(perms, plain):
+        assert p == t and t == p and hash(p) == hash(t)
+        assert p.images is p and p.degree == len(p) == len(t)
+    assert sorted(perms) == sorted(plain)
+    assert {p: i for i, p in enumerate(perms)} == \
+        {t: i for i, t in enumerate(plain)}
+    for i, e in enumerate(s4.elements):
+        assert s4.element_index(tuple(e)) == i
+    p, q = s4.elements[1], s4.elements[2]
+    assert p * q == tuple(p[i] for i in q) and type(p * q) is Permutation
+    for misuse in (lambda: p + q, lambda: 3 * p, lambda: p * 3):
+        with pytest.raises(TypeError):
+            misuse()
 
 
 def test_parse_errors():
@@ -186,6 +209,21 @@ def test_subgroup_properties(s4):
     assert whole.order == 24 and whole.is_transitive()
     assert 0 in stab
     assert s4.subgroup([]).elements == (0,)
+    # transitivity is read off the stored generators: check it against
+    # the orbits under all elements, on every subgroup of S4 and on
+    # trivial groups of degree 1 and 3
+    subs = [sub for k in (1, 2, 3, 4, 6, 8, 12, 24)
+            for sub in s4.subgroups_of_order(k)]
+    subs += [FiniteGroup.generate([], degree=d).subgroup([]) for d in (1, 3)]
+    for sub in subs:
+        group = sub.parent
+        elems = [group.elements[i] for i in sub.elements]
+        assert sub.is_transitive() == (
+            brute_force_orbit_count(elems, group.degree) == 1)
+    assert [sub.is_transitive() for sub in subs[-2:]] == [True, False]
+    # some are transitive on fewer generators than elements, as Z4 is
+    assert any(sub.is_transitive() and len(sub.gens) < sub.order
+               for sub in subs)
     for bad in ([-1], [24], [1.7], [0, "1"], [Fraction(3, 2)]):
         with pytest.raises(ValueError):
             s4.subgroup(bad)

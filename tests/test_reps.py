@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 import sympy
 
-from oracles import (dense_affine_kernel, dense_difference_space,
-                     dict_lambda_annihilates,
+from oracles import (brute_force_orbit_count, dense_affine_kernel,
+                     dense_difference_space, dict_lambda_annihilates,
                      exhaustive_effectively_equivalent, first_independent,
                      fraction_rref, is_homomorphism_all_pairs,
                      rowspace_coords)
@@ -124,8 +124,9 @@ def test_coset_sum_kernel_is_the_summands_kernels_meet(s4):
     with pytest.raises(NotFaithfulError) as exc:
         PermRep.from_coset_actions(s4, actions)
     assert exc.value.kernel == (0, 5, 15, 21)
-    combined = [Permutation(a + tuple(x + 2 for x in b)) for a, b in
-                zip(*([p.images for p in act.images] for act in actions))]
+    # a permutation does not concatenate: p + q raises TypeError
+    combined = [Permutation((*a.images, *(x + 2 for x in b.images)))
+                for a, b in zip(*(act.images for act in actions))]
     with pytest.raises(NotFaithfulError) as exc:
         PermRep(s4, combined)
     assert exc.value.kernel == (0, 5, 15, 21)
@@ -211,12 +212,24 @@ def test_vertices_are_built_when_read(s4):
     assert rep.vertices is verts
 
 
-def test_orbit_count(s3, klein):
+def test_orbit_count(s3, klein, s4):
     assert PermRep.natural(s3).orbit_count() == 1
     assert PermRep.natural(klein).orbit_count() == 2
     rep = PermRep.from_generator_images(
         klein, [parse_cycles("(1 2)(3 4)", 6), parse_cycles("(1 2)(5 6)", 6)])
     assert rep.orbit_count() == 3
+    # trivial groups: every point is its own orbit
+    trivials = [PermRep.natural(FiniteGroup.generate([], degree=d))
+                for d in (1, 3)]
+    assert [t.orbit_count() for t in trivials] == [1, 3]
+    # a coset sum has one orbit per summand
+    subs = [s4.point_stabilizer(1), s4.subgroups_of_order(12)[0],
+            s4.subgroup([])]
+    coset_sum = PermRep.from_coset_actions(
+        s4, [s4.coset_action(sub) for sub in subs])
+    assert coset_sum.orbit_count() == 3
+    for r in [rep, coset_sum, regular(s4), PermRep.natural(s4)] + trivials:
+        assert r.orbit_count() == brute_force_orbit_count(r.action, r.degree)
 
 
 def test_affine_kernel_dims(s3, klein, z4, klein_pair):
