@@ -3,17 +3,26 @@
 Two construction routes share one verified table format.  Abelian
 groups get the cyclic-chain construction: characters of a subgroup
 chain are extended one generator at a time, tracked as discrete logs of
-root-of-unity values.  Everything else goes through class matrices: the
-common eigenvectors of the class-constant matrices over a suitable
-prime field determine the central characters, degrees are recovered
-from the second orthogonality residue, and actual character values are
-lifted by exact discrete Fourier inversion over the eigenvalue lattice.
+root-of-unity values.  Everything else goes through class matrices
+(Dixon, Numer. Math. 10, 1967): the class constants are counted in one
+pass over G per class, the common eigenvectors of the class matrices
+over a suitable prime field determine the central characters, degrees
+are recovered from the second orthogonality residue, and actual
+character values are lifted by exact discrete Fourier inversion over
+the eigenvalue lattice.  The lift stays in integers: each value is kept
+as the multiplicities of the powers of zeta_m among its eigenvalues, the
+row orthogonality check convolves those counts and reduces each sum
+once through the field's integer power table, and only the final
+values become Cyclotomic objects, one per distinct value.
 
 All values are elements of the cyclotomic field whose conductor is the
 group exponent.  Tables are canonically ordered (trivial character
 first, the rest by degree then value key) and checked against the
 orthogonality relations before use, so downstream equivalence tests do
-not depend on which route produced the table.
+not depend on which route produced the table.  Both routes share one
+Cyclotomic among the entries holding the same value, and sort keys,
+conjugate partners, pair sums and integer coordinates are found once
+per distinct value object.
 
 Constituents, indicators and isotype traces are found with Python ints.
 Character values are algebraic integers, so their power-basis
@@ -22,7 +31,9 @@ and coordinate k, the column of coordinate k of size_j * conj(chi(g_j))
 over the classes j.  The coordinates of |G| <f, chi> for an integer
 class function f (the permutation character, or the count of square
 roots for the Frobenius-Schur indicator) are the dot products of f with
-these columns; past the first they must vanish, else this raises.
+these columns; past the first they must vanish, else this raises.  A
+coset sum of kept coset actions adds its summands' constituents, which
+each kept action computes and checks once per table.
 """
 
 from __future__ import annotations
@@ -30,13 +41,29 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import eq, mul
 
-from .cyclotomic import cyclo, cyclo_rational, root_log, root_order
+from .cyclotomic import Cyclotomic, cyclo, root_log, root_order, root_powers
 from .groups import FiniteGroup, SizeCapError
-from .reps import PermRep, affine_kernel, u_action_trace, _same_group
+from .reps import (PermRep, affine_kernel, kept_actions, u_action_trace,
+                   _same_group)
 
 DEFAULT_CLASS_CAP = 30
+
+
+def _value_keys():
+    """value -> value.key(), computed once per value object: both routes
+    share one Cyclotomic among the entries holding the same value.  The
+    memo is keyed by id, so it must not outlive the values it has seen."""
+    keys = {}
+
+    def key(value):
+        k = keys.get(id(value))
+        if k is None:
+            k = keys[id(value)] = value.key()
+        return k
+
+    return key
 
 
 class CharacterTable:
@@ -59,8 +86,9 @@ class CharacterTable:
         if len(trivial) != 1:
             raise RuntimeError("expected exactly one trivial character")
         first = rows.pop(trivial[0])
+        key = _value_keys()
         rows.sort(key=lambda row: (self._row_degree(row),
-                                   tuple(v.key() for v in row)))
+                                   tuple(map(key, row))))
         self.values = tuple([first] + rows)
         self.degrees = tuple(self._row_degree(row) for row in self.values)
         self._indicators = None
@@ -206,7 +234,8 @@ def _abelian_characters(group: FiniteGroup):
             for x in range(n):
                 if logs[table[x][a]] != (logs[x] + la) % m:
                     raise RuntimeError("character row is not multiplicative")
-    return [[cyclo(m, logs[j]) for j in range(n)] for logs in chars]
+    roots = [cyclo(m, k) for k in range(m)]
+    return [[roots[logs[j]] for j in range(n)] for logs in chars]
 
 
 def invariant_factors(group: FiniteGroup):
@@ -350,24 +379,28 @@ def _poly_eval_mod(coeffs, x, p):
 
 
 def _class_constants(group: FiniteGroup):
+    """a[i][j][l], the number of pairs (x, y) with x in class i, y in
+    class j and xy = z_l, the first element of class l.
+
+    One pass over G per representative z_l: each x pairs with the one
+    y = x^-1 z_l, so O(|G| * r) steps, and row i of class l must sum to
+    |C_i|, which is checked.
+    """
     classes = group.conjugacy_classes()
     cls = group.class_of()
     r = len(classes)
-    sizes = [len(c) for c in classes]
-    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
     table = group.table
-    for x in range(group.order):
-        cx = counts[cls[x]]
-        row = table[x]
-        for y in range(group.order):
-            cx[cls[y]][cls[row[y]]] += 1
-    for i in range(r):
-        for j in range(r):
-            for l in range(r):
-                q, rem = divmod(counts[i][j][l], sizes[l])
-                if rem:
-                    raise RuntimeError("class constant is not integral")
-                counts[i][j][l] = q
+    inverse = group.inverse
+    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for l, members in enumerate(classes):
+        z = members[0]
+        for x in range(group.order):
+            counts[cls[x]][cls[table[inverse[x]][z]]][l] += 1
+    for i, members in enumerate(classes):
+        for l in range(r):
+            if sum(row[l] for row in counts[i]) != len(members):
+                raise RuntimeError("class constants of class %d do not sum "
+                                   "to its size" % i)
     return counts
 
 
@@ -452,8 +485,27 @@ def _class_matrix_characters(group: FiniteGroup):
     jstar = [cls[group.inverse[rep]] for rep in reps]
     constants = _class_constants(group)
 
-    # strictly above twice any degree, so lifted multiplicities in
-    # [0, sqrt(n)] sit strictly below p/2 and degrees are recovered uniquely
+    powers = root_powers(m)
+    last = None
+    primes = _lift_primes(n, m, r)
+    for p in primes:
+        try:
+            degrees, fmod = _central_characters(constants, sizes, jstar, n, r, p)
+            counts = _lift_counts(group, fmod, degrees, reps, m, p)
+            _check_orthogonality(counts, sizes, jstar, n, powers)
+        except _SplitFailure as exc:
+            last = exc
+        else:
+            return _cyclotomic_values(counts, powers)
+    raise RuntimeError("character construction failed for primes %s: %s"
+                       % (primes, last))
+
+
+def _lift_primes(n, m, r):
+    """The first 8 primes p = 1 mod m that are at least max(2 sqrt(n) + 2,
+    r + 1, 3): strictly above twice any degree, so lifted multiplicities
+    in [0, sqrt(n)] sit strictly below p/2 and degrees are recovered
+    uniquely."""
     lower = max(2 * isqrt(n) + 2, r + 1, 3)
     primes = []
     k = 1
@@ -462,19 +514,13 @@ def _class_matrix_characters(group: FiniteGroup):
         if p >= lower and _is_prime(p):
             primes.append(p)
         k += 1
-
-    last = None
-    for p in primes:
-        try:
-            return _characters_mod_p(group, constants, sizes, reps, jstar,
-                                     n, m, r, p)
-        except _SplitFailure as exc:
-            last = exc
-    raise RuntimeError("character construction failed for primes %s: %s"
-                       % (primes, last))
+    return primes
 
 
-def _characters_mod_p(group, constants, sizes, reps, jstar, n, m, r, p):
+def _central_characters(constants, sizes, jstar, n, r, p):
+    """(degrees, fmod): each irreducible's degree and its values mod p,
+    fmod[i][j] = chi_i(g_j), from the joint eigenvectors over F_p of the
+    class matrices, scaled by the degree read off the norm residue."""
     omegas = _split_eigenvectors(constants, r, p)
     if len(omegas) != r:
         raise _SplitFailure("wrong number of joint eigenvectors")
@@ -496,41 +542,102 @@ def _characters_mod_p(group, constants, sizes, reps, jstar, n, m, r, p):
         fmod.append([(d * u[j] * inv_sizes[j]) % p for j in range(r)])
     if sum(d * d for d in degrees) != n:
         raise _SplitFailure("degree squares do not sum to the group order")
+    return degrees, fmod
 
+
+def _lift_counts(group, fmod, degrees, reps, m, p):
+    """Each chi_i(g_j) as the tuple of (e, count) pairs with
+    chi_i(g_j) = sum of count * zeta_m^e, e ascending, counts positive.
+
+    g = g_j of order o has eigenvalues zeta_o^t, whose multiplicities
+    n_t are the discrete Fourier inverse of chi_i(g^s) = fmod at the
+    class of g^s, over F_p with w a primitive o-th root of unity mod p:
+    n_t = (1/o) sum over s of chi(g^s) w^(-st).  Each n_t must lie below
+    p/2 and they must sum to the degree; e = (m/o) t.
+    """
     w = _primitive_root(p)
     cls = group.class_of()
-    values = []
-    for i in range(r):
+    # per class: its power classes and the inverse Fourier matrix mod p
+    fourier = []
+    for rep in reps:
+        o = group.orders[rep]
+        z = pow(w, (p - 1) // o, p)
+        inv_o = pow(o, p - 2, p)
+        power_classes = [cls[group.power_index(rep, s)] for s in range(o)]
+        rows = [[pow(z, (-s * t) % (p - 1), p) * inv_o % p for s in range(o)]
+                for t in range(o)]
+        fourier.append((m // o, power_classes, rows))
+    half = p // 2
+    counts = []
+    for f, degree in zip(fmod, degrees):
         row = []
-        for j in range(r):
-            o = group.orders[reps[j]]
-            z = pow(w, (p - 1) // o, p)
-            f = [fmod[i][cls[group.power_index(reps[j], s)]]
-                 for s in range(o)]
-            inv_o = pow(o, p - 2, p)
-            val = cyclo_rational(m, 0)
+        for step, power_classes, rows in fourier:
+            values = [f[c] for c in power_classes]
+            terms = []
             total = 0
-            for t in range(o):
-                nt = sum(f[s] * pow(z, (-s * t) % (p - 1), p)
-                         for s in range(o)) * inv_o % p
-                if nt >= p // 2:
+            for t, coeffs in enumerate(rows):
+                nt = sum(map(mul, values, coeffs)) % p
+                if nt >= half:
                     raise _SplitFailure("eigenvalue multiplicity too large")
-                total += nt
                 if nt:
-                    val = val + nt * cyclo(m, (m // o) * t)
-            if total != degrees[i]:
+                    terms.append((step * t, nt))
+                    total += nt
+            if total != degree:
                 raise _SplitFailure("multiplicities do not sum to the degree")
-            row.append(val)
-        values.append(row)
+            row.append(tuple(terms))
+        counts.append(row)
+    return counts
 
-    # exact orthogonality before the table is trusted
+
+def _coordinates(terms, powers):
+    """Power-basis coordinates of the sum of c * zeta_m^e over the
+    (e, c) in terms, read off the field's integer power table."""
+    coords = [0] * len(powers[0])
+    for e, c in terms:
+        if c:
+            for k, x in enumerate(powers[e]):
+                if x:
+                    coords[k] += c * x
+    return coords
+
+
+def _check_orthogonality(counts, sizes, jstar, n, powers):
+    """Exact row orthogonality of the lifted values, in integers:
+    sum over j of size_j chi_i(g_j) chi_k(g_j^-1) is |G| [i = k].
+
+    The product of two exponent counts is their convolution mod m; the
+    sum over classes is kept as counts and reduced to power-basis
+    coordinates once per pair (i, k)."""
+    r, m = len(counts), len(powers)
+    expected = [0] * len(powers[0])
     for i in range(r):
-        for k2 in range(i, r):
-            s = cyclo_rational(m, 0)
-            for j in range(r):
-                s = s + sizes[j] * (values[i][j] * values[k2][jstar[j]])
-            if s != (n if i == k2 else 0):
+        for k in range(i, r):
+            acc = [0] * m
+            for size, terms, inverse in zip(sizes, counts[i],
+                                            map(counts[k].__getitem__, jstar)):
+                for e1, c1 in terms:
+                    c1 *= size
+                    for e2, c2 in inverse:
+                        acc[(e1 + e2) % m] += c1 * c2
+            expected[0] = n if i == k else 0
+            if _coordinates(enumerate(acc), powers) != expected:
                 raise _SplitFailure("orthogonality failed after lifting")
+
+
+def _cyclotomic_values(counts, powers):
+    """The Cyclotomic value rows of the lifted counts, one object per
+    distinct value, shared by the entries that hold it."""
+    made = {}
+    values = []
+    for row in counts:
+        out = []
+        for terms in row:
+            coords = tuple(_coordinates(terms, powers))
+            value = made.get(coords)
+            if value is None:
+                value = made[coords] = Cyclotomic(len(powers), coords)
+            out.append(value)
+        values.append(out)
     return values
 
 
@@ -570,11 +677,26 @@ class RealIrreducible:
 def real_irreducibles(table: CharacterTable):
     """Real irreducible characters, canonically ordered (trivial first).
 
+    Conjugate partners are matched on rows of value keys, and keys, pair
+    sums and doubles are formed once per distinct value object.
     Computed once per table and stored on it.
     """
     if table._reals is not None:
         return table._reals
     r = table.count
+    key = _value_keys()
+    keyed = [tuple(map(key, row)) for row in table.values]
+    rows_by_key = {}
+    for i, row in enumerate(keyed):
+        rows_by_key.setdefault(row, []).append(i)
+    made = {}
+
+    def combined(a, b):
+        c = made.get((id(a), id(b)))
+        if c is None:
+            c = made[id(a), id(b)] = a + b
+        return c
+
     used = [False] * r
     items = []
     for i in range(r):
@@ -587,21 +709,21 @@ def real_irreducibles(table: CharacterTable):
             items.append(RealIrreducible((i,), row, table.degrees[i], 1))
             continue
         if ind == -1:
-            vals = [2 * v for v in row]
+            vals = [combined(v, v) for v in row]
             items.append(RealIrreducible((i,), vals, 2 * table.degrees[i], -1))
             continue
-        conj_row = tuple(row[table.inverse_class[j]] for j in range(len(row)))
-        partner = next((k for k in range(i + 1, r)
-                        if not used[k] and table.values[k] == conj_row), None)
+        conj = tuple(map(keyed[i].__getitem__, table.inverse_class))
+        partner = next((k for k in rows_by_key.get(conj, ())
+                        if k > i and not used[k]), None)
         if partner is None:
             raise RuntimeError("complex character is missing its conjugate")
         used[partner] = True
-        vals = [a + b for a, b in zip(row, table.values[partner])]
+        vals = [combined(a, b) for a, b in zip(row, table.values[partner])]
         items.append(RealIrreducible((i, partner), vals,
                                      2 * table.degrees[i], 0))
     trivial = next(k for k, it in enumerate(items) if it.is_trivial)
     first = items.pop(trivial)
-    items.sort(key=lambda it: (it.degree, tuple(v.key() for v in it.values)))
+    items.sort(key=lambda it: (it.degree, tuple(map(key, it.values))))
     table._reals = tuple([first] + items)
     return table._reals
 
@@ -619,10 +741,12 @@ class Constituents:
 
 def permutation_character(rep: PermRep, table: CharacterTable):
     """Fixed-point counts on class representatives."""
-    out = []
-    for rp in table.reps:
-        out.append(sum(1 for a, b in enumerate(rep.action[rp]) if a == b))
-    return out
+    return _fixed_points(rep.action, table)
+
+
+def _fixed_points(action, table: CharacterTable):
+    """Fixed points of action[g] for each class representative g."""
+    return [sum(map(eq, action[g], range(len(action[g])))) for g in table.reps]
 
 
 def _coordinate_columns(table: CharacterTable):
@@ -635,15 +759,20 @@ def _coordinate_columns(table: CharacterTable):
     once per table and stored on it.
     """
     if table._coordinate_columns is None:
+        integers = {}  # id of a value -> its integer coordinates
         columns = []
         for values in table.values:
             coords = []
-            for j, size in enumerate(table.sizes):
-                value = values[table.inverse_class[j]]
-                if any(c.denominator != 1 for c in value.coeffs):
-                    raise RuntimeError(
-                        "character value %s is not an algebraic integer" % value)
-                coords.append([size * c.numerator for c in value.coeffs])
+            for size, value in zip(table.sizes,
+                                   map(values.__getitem__, table.inverse_class)):
+                ints = integers.get(id(value))
+                if ints is None:
+                    if any(c.denominator != 1 for c in value.coeffs):
+                        raise RuntimeError("character value %s is not an "
+                                           "algebraic integer" % value)
+                    ints = integers[id(value)] = [c.numerator
+                                                  for c in value.coeffs]
+                coords.append([size * c for c in ints])
             columns.extend(zip(*coords))
         table._coordinate_columns = tuple(columns)
     return table._coordinate_columns
@@ -672,9 +801,19 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
     unless every coordinate past the first is 0 (the inner product is
     rational), the first is a nonnegative multiple of |G|, the degrees
     sum to the action degree, and the trivial multiplicity is the orbit
-    count.  The result is kept on rep, with its table, once every check
-    has passed, and returned again for that same table object; another
-    table is computed and checked afresh.
+    count.
+
+    A coset sum of the group's own kept coset actions (the trusted path
+    of PermRep.from_coset_actions) adds up its summands instead: pi and
+    the multiplicities are additive over a direct sum, repeats included,
+    and each kept CosetAction computes and checks its own once per
+    table (its trivial multiplicity must be 1, as a coset action is
+    transitive).  The sum's degree and orbit-count checks still run.
+
+    The result is kept on rep, with its table, once every check has
+    passed, and returned again for that same table object; another table
+    is computed and checked afresh.  A summand keeps its own result by
+    the same rule.
     """
     if table is None:
         table = character_table(rep.group)
@@ -683,23 +822,52 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
         return memo[1]
     if table.group is not rep.group and table.group.elements != rep.group.elements:
         raise ValueError("table belongs to a different group")
-    pi = permutation_character(rep, table)
-    n = rep.group.order
-    totals = _inner_products(table, pi)
+    summands = rep._summands
+    if summands is not None and kept_actions(rep.group, summands):
+        parts = [_summand_constituents(a, table) for a in summands]
+        cons = Constituents(
+            map(sum, zip(*(c.multiplicities for c in parts))),
+            map(sum, zip(*(c.character for c in parts))))
+    else:
+        pi = permutation_character(rep, table)
+        cons = Constituents(_multiplicities(table, pi, rep.group.order), pi)
+    _check_constituents(cons, table, rep.degree, rep.orbit_count())
+    rep._constituents = table, cons
+    return cons
+
+
+def _summand_constituents(action, table: CharacterTable) -> Constituents:
+    """Constituents of a kept CosetAction, checked and kept on it per
+    table as constituents keeps a representation's."""
+    memo = action.constituents
+    if memo is not None and memo[0] is table:
+        return memo[1]
+    pi = _fixed_points(action.images, table)
+    cons = Constituents(_multiplicities(table, pi, action.group.order), pi)
+    _check_constituents(cons, table, action.degree, 1)
+    action.constituents = table, cons
+    return cons
+
+
+def _multiplicities(table: CharacterTable, pi, n):
+    """<pi, chi_i> for every i; RuntimeError unless each is a
+    nonnegative integer."""
     mults = []
-    for total in totals:
+    for total in _inner_products(table, pi):
         mult, rem = divmod(total, n)
         if rem or mult < 0:
             raise RuntimeError("multiplicity %s is not a nonnegative integer"
                                % Fraction(total, n))
         mults.append(mult)
-    cons = Constituents(mults, pi)
-    if sum(mv * d for mv, d in zip(mults, table.degrees)) != rep.degree:
+    return mults
+
+
+def _check_constituents(cons: Constituents, table: CharacterTable, degree,
+                        orbits):
+    if sum(map(mul, cons.multiplicities, table.degrees)) != degree:
         raise RuntimeError("constituent degrees do not sum to the action degree")
-    if cons.trivial_multiplicity != rep.orbit_count():
+    if cons.trivial_multiplicity != orbits:
         raise RuntimeError("trivial multiplicity differs from the orbit count")
-    rep._constituents = table, cons
-    return cons
 
 
 def stably_equivalent_by_characters(repA: PermRep, repB: PermRep,

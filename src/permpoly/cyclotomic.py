@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import gcd
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 _POLY_CACHE: dict[int, list[int]] = {}
 _FIELD_CACHE: dict[int, "CycloField"] = {}
@@ -51,7 +50,12 @@ def cyclotomic_polynomial(m: int) -> list[int]:
 
 
 class CycloField:
-    """Shared tables for one conductor: reduction rows and root powers."""
+    """Shared tables for one conductor: reduction rows and root powers.
+
+    Phi_m is monic with integer coefficients, so x^k reduced mod Phi_m,
+    and with it every power of zeta_m, has integer coordinates: both
+    tables hold ints.
+    """
 
     def __init__(self, m: int):
         self.m = m
@@ -60,10 +64,10 @@ class CycloField:
         deg = self.degree
         # x^k for k in [deg, 2deg-2], reduced mod Phi_m
         red = []
-        cur = [Fraction(-c) for c in self.poly[:deg]]
+        cur = [-c for c in self.poly[:deg]]
         red.append(cur)
         for _ in range(deg - 2):
-            nxt = [F0] + cur[:-1]
+            nxt = [0] + cur[:-1]
             top = cur[-1]
             if top:
                 base = red[0]
@@ -72,14 +76,14 @@ class CycloField:
             cur = nxt
         self.reduction = red
         powers = []
-        vec = [F0] * deg
-        vec[0] = F1
+        vec = [0] * deg
+        vec[0] = 1
         for _ in range(m):
             powers.append(tuple(vec))
             if deg == 1:
-                vec = [vec[0] * Fraction(-self.poly[0])]
+                vec = [vec[0] * -self.poly[0]]
             else:
-                shifted = [F0] + vec[:-1]
+                shifted = [0] + vec[:-1]
                 top = vec[-1]
                 if top:
                     shifted = [a + top * b for a, b in zip(shifted, red[0])]
@@ -204,6 +208,12 @@ def cyclo(m: int, k: int = 1) -> Cyclotomic:
     """zeta_m^k as an exact field element."""
     field = _field(m)
     return Cyclotomic(m, field.powers[k % m])
+
+
+def root_powers(m: int):
+    """The integer coordinates of zeta_m^k for k = 0..m-1, shared per
+    conductor."""
+    return _field(m).powers
 
 
 def cyclo_rational(m: int, value) -> Cyclotomic:

@@ -57,7 +57,10 @@ class CycleParseError(ValueError):
 class Permutation(tuple):
     """A permutation of {1..degree}: the tuple of its 0-based images, so
     it compares, sorts and hashes as that tuple.  p * q is composition;
-    p + q and n * p raise TypeError rather than concatenate or repeat."""
+    p + q, t + p for a plain tuple t, and n * p raise TypeError rather
+    than concatenate or repeat.  t + p asks p's __radd__ first, as p's
+    type subclasses tuple, and must raise there: NotImplemented would
+    let tuple concatenation run."""
 
     __slots__ = ()
 
@@ -84,6 +87,10 @@ class Permutation(tuple):
         return NotImplemented
 
     __rmul__ = __add__
+
+    def __radd__(self, other):
+        raise TypeError("a permutation cannot be concatenated to %s"
+                        % type(other).__name__)
 
     def inverse(self) -> "Permutation":
         out = [0] * len(self)
@@ -691,12 +698,15 @@ class Subgroup:
 class CosetAction:
     """The data of a coset action: degree, images, kernel, faithfulness.
 
-    rows starts as None; reps caches its elimination data there (see
-    reps._summand_rows).
+    rows and constituents start as None.  reps caches the action's
+    reduced elimination rows in rows (see reps._summand_rows), and
+    characters keeps its checked constituents there, with their table
+    (see characters.constituents), so a coset sum of kept actions reads
+    both off its summands.
     """
 
     __slots__ = ("group", "subgroup", "degree", "images", "kernel",
-                 "faithful", "cosets", "rows")
+                 "faithful", "cosets", "rows", "constituents")
 
     def __init__(self, group, subgroup, degree, images, kernel, faithful, cosets):
         self.group = group
@@ -707,6 +717,7 @@ class CosetAction:
         self.faithful = faithful
         self.cosets = cosets
         self.rows = None
+        self.constituents = None
 
 
 class GroupMap:

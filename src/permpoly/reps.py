@@ -87,7 +87,9 @@ class PermRep:
     so a representation that is only compared by kernel never holds
     its |G| * degree^2 vertex entries.  The size cap on those entries
     is checked at construction all the same.  A coset sum keeps its
-    distinct summands, on whose rows affine_kernel eliminates.
+    summands as given, repeats included: affine_kernel eliminates on the
+    rows of the distinct ones, and characters.constituents adds up all
+    of them when they are the group's kept actions.
     """
 
     def __init__(self, group: FiniteGroup, action, check=True):
@@ -173,11 +175,13 @@ class PermRep:
         """Direct sum of coset actions, acting on the disjoint union of points.
 
         ValueError on an empty list or an action of another group.  The
-        group's own kept actions (FiniteGroup.coset_action) are trusted:
-        a sum of homomorphisms is one, so only faithfulness is checked,
-        as the intersection of the summands' kernels.  A sum with any
-        other action gets the full _validate.  NotFaithfulError carries
-        the same kernel either way.
+        group's own kept actions (FiniteGroup.coset_action, see
+        kept_actions) are trusted: a sum of homomorphisms is one, so only
+        faithfulness is checked, as the intersection of the summands'
+        kernels, and characters.constituents sums the summands' own
+        checked constituents.  A sum with any other action gets the full
+        _validate and has its constituents computed on its own action.
+        NotFaithfulError carries the same kernel either way.
         """
         actions = list(actions)
         if not actions:
@@ -192,15 +196,14 @@ class PermRep:
             offset += a.degree
         combined = [Permutation(sum(imgs, ())) for imgs in zip(*parts)]
         rep = cls(group, combined, check=False)
-        kept = group._coset_actions
-        if all(kept.get(a.subgroup.elements) is a for a in actions):
+        if kept_actions(group, actions):
             kernel = set(actions[0].kernel).intersection(
                 *(a.kernel for a in actions[1:]))
             if len(kernel) != 1:
                 raise NotFaithfulError(tuple(sorted(kernel)))
         else:
             rep._validate()
-        rep._summands = list({id(a): a for a in actions}.values())
+        rep._summands = actions
         return rep
 
     def cycle_divisors(self):
@@ -224,6 +227,13 @@ class PermRep:
 
     def __repr__(self):
         return "<PermRep: order %d on %d points>" % (self.group.order, self.degree)
+
+
+def kept_actions(group: FiniteGroup, actions) -> bool:
+    """Whether every action is the group's own kept coset action
+    (FiniteGroup.coset_action), the ones a coset sum trusts."""
+    kept = group._coset_actions
+    return all(kept.get(a.subgroup.elements) is a for a in actions)
 
 
 def divisors_of_mask(mask):
@@ -367,8 +377,9 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
         rank, sparse_int = kernel_sparse(
             _set_rows(_incidence_sets(rep)[0], order))
     else:
+        distinct = {id(a): a for a in summands}.values()
         rank, sparse_int = kernel_sparse(
-            [row for a in summands for row in _summand_rows(a)])
+            [row for a in distinct for row in _summand_rows(a)])
     # a vector's free column is its last entry
     free = {entries[-1][0] for entries in sparse_int}
     pivots = [g for g in range(order) if g not in free]

@@ -8,8 +8,11 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from permpoly.characters import permutation_character, predicted_dimension
-from permpoly.cyclotomic import cyclo_rational
+from permpoly.characters import (RealIrreducible, _SplitFailure,
+                                  _central_characters, _lift_primes,
+                                  _primitive_root, permutation_character,
+                                  predicted_dimension)
+from permpoly.cyclotomic import cyclo, cyclo_rational
 from permpoly.groups import (GroupMap, Subgroup, _close_capped,
                              _respects_generators, isomorphisms_iter)
 from permpoly.intlinalg import (_hermite_left_block, hermite_form,
@@ -333,6 +336,149 @@ def exhaustive_isomorphisms(g1, g2):
 
     descend(0)
     return found, nodes
+
+
+def pairwise_class_constants(group):
+    """Class constants a[i][j][l] counted over all |G|^2 pairs (x, y) at
+    (class of x, class of y, class of xy), each count divided by |C_l|."""
+    classes = group.conjugacy_classes()
+    cls = group.class_of()
+    r = len(classes)
+    sizes = [len(c) for c in classes]
+    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
+    table = group.table
+    for x in range(group.order):
+        cx = counts[cls[x]]
+        row = table[x]
+        for y in range(group.order):
+            cx[cls[y]][cls[row[y]]] += 1
+    for i in range(r):
+        for j in range(r):
+            for l in range(r):
+                q, rem = divmod(counts[i][j][l], sizes[l])
+                if rem:
+                    raise RuntimeError("class constant is not integral")
+                counts[i][j][l] = q
+    return counts
+
+
+def cyclotomic_lift(group, fmod, degrees, reps, m, p):
+    """chi_i(g_j) by discrete Fourier inversion mod p, one eigenvalue
+    multiplicity at a time, each value summed as a Cyclotomic."""
+    r = len(reps)
+    w = _primitive_root(p)
+    cls = group.class_of()
+    values = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            o = group.orders[reps[j]]
+            z = pow(w, (p - 1) // o, p)
+            f = [fmod[i][cls[group.power_index(reps[j], s)]]
+                 for s in range(o)]
+            inv_o = pow(o, p - 2, p)
+            val = cyclo_rational(m, 0)
+            total = 0
+            for t in range(o):
+                nt = sum(f[s] * pow(z, (-s * t) % (p - 1), p)
+                         for s in range(o)) * inv_o % p
+                if nt >= p // 2:
+                    raise _SplitFailure("eigenvalue multiplicity too large")
+                total += nt
+                if nt:
+                    val = val + nt * cyclo(m, (m // o) * t)
+            if total != degrees[i]:
+                raise _SplitFailure("multiplicities do not sum to the degree")
+            row.append(val)
+        values.append(row)
+    return values
+
+
+def cyclotomic_orthogonality(values, sizes, jstar, n, m):
+    """Row orthogonality summed in Q(zeta_m); _SplitFailure if it fails."""
+    r = len(values)
+    for i in range(r):
+        for k in range(i, r):
+            s = cyclo_rational(m, 0)
+            for j in range(r):
+                s = s + sizes[j] * (values[i][j] * values[k][jstar[j]])
+            if s != (n if i == k else 0):
+                raise _SplitFailure("orthogonality failed after lifting")
+
+
+def cyclotomic_class_matrix_values(group, check=True):
+    """Value rows of the class-matrix route for any group, with no class
+    cap: pairwise class constants, the same primes and mod-p split as
+    the library, then the Cyclotomic lift and, with check, the Cyclotomic
+    orthogonality check (r^3 / 2 products, about 2 s at 48 classes)."""
+    classes = group.conjugacy_classes()
+    r = len(classes)
+    n = group.order
+    m = group.exponent()
+    sizes = [len(c) for c in classes]
+    reps = [c[0] for c in classes]
+    cls = group.class_of()
+    jstar = [cls[group.inverse[rep]] for rep in reps]
+    constants = pairwise_class_constants(group)
+    for p in _lift_primes(n, m, r):
+        try:
+            degrees, fmod = _central_characters(constants, sizes, jstar, n, r, p)
+            values = cyclotomic_lift(group, fmod, degrees, reps, m, p)
+            if check:
+                cyclotomic_orthogonality(values, sizes, jstar, n, m)
+        except _SplitFailure:
+            continue
+        return values
+    raise RuntimeError("character construction failed")
+
+
+def per_entry_real_irreducibles(table):
+    """Real irreducibles paired, summed and sorted entry by entry, with
+    Cyclotomic equality and keys."""
+    r = table.count
+    used = [False] * r
+    items = []
+    for i in range(r):
+        if used[i]:
+            continue
+        used[i] = True
+        ind = table.indicator(i)
+        row = table.values[i]
+        if ind == 1:
+            items.append(RealIrreducible((i,), row, table.degrees[i], 1))
+            continue
+        if ind == -1:
+            vals = [2 * v for v in row]
+            items.append(RealIrreducible((i,), vals, 2 * table.degrees[i], -1))
+            continue
+        conj_row = tuple(row[table.inverse_class[j]] for j in range(len(row)))
+        partner = next((k for k in range(i + 1, r)
+                        if not used[k] and table.values[k] == conj_row), None)
+        if partner is None:
+            raise RuntimeError("complex character is missing its conjugate")
+        used[partner] = True
+        vals = [a + b for a, b in zip(row, table.values[partner])]
+        items.append(RealIrreducible((i, partner), vals,
+                                     2 * table.degrees[i], 0))
+    trivial = next(k for k, it in enumerate(items) if it.is_trivial)
+    first = items.pop(trivial)
+    items.sort(key=lambda it: (it.degree, tuple(v.key() for v in it.values)))
+    return tuple([first] + items)
+
+
+def per_entry_coordinate_columns(table):
+    """The integer coordinate columns read entry by entry: column
+    i * phi(m) + k lists coordinate k of size_j * conj(chi_i(g_j))."""
+    columns = []
+    for values in table.values:
+        coords = []
+        for j, size in enumerate(table.sizes):
+            value = values[table.inverse_class[j]]
+            if any(c.denominator != 1 for c in value.coeffs):
+                raise RuntimeError("character value is not an algebraic integer")
+            coords.append([size * c.numerator for c in value.coeffs])
+        columns.extend(zip(*coords))
+    return tuple(columns)
 
 
 def cyclotomic_constituents(rep, table):

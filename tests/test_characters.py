@@ -8,6 +8,7 @@ import pytest
 
 import permpoly.characters as characters
 from permpoly.characters import (
+    CharacterTable,
     Constituents,
     RealIrreducible,
     character_table,
@@ -19,12 +20,15 @@ from permpoly.characters import (
     stably_equivalent_by_characters,
     verify_isotype,
 )
-from permpoly.cyclotomic import cyclo, cyclo_rational
+from permpoly.cyclotomic import Cyclotomic, cyclo, cyclo_rational, root_powers
 from permpoly.groups import FiniteGroup, SizeCapError, parse_cycles
 from permpoly.reps import NotFaithfulError, PermRep, stably_equivalent_by_kernel
 
-from oracles import (cyclotomic_constituents, cyclotomic_indicators,
-                     cyclotomic_isotype, relation_lattice_invariant_factors,
+from oracles import (cyclotomic_class_matrix_values, cyclotomic_constituents,
+                     cyclotomic_indicators, cyclotomic_isotype,
+                     cyclotomic_orthogonality, pairwise_class_constants,
+                     per_entry_coordinate_columns, per_entry_real_irreducibles,
+                     relation_lattice_invariant_factors,
                      with_cyclotomic_indicators)
 
 
@@ -173,6 +177,96 @@ def test_orthogonality_nonabelian(s4, q8, a5):
         table = character_table(group)
         check_row_orthogonality(table)
         check_column_orthogonality(table)
+
+
+def real_data(reals):
+    return [(r.complex_indices, r.values, r.degree, r.indicator,
+             r.schur_fraction) for r in reals]
+
+
+def test_character_layer_matches_cyclotomic_oracles(s3, d4, d6, q8, a4, s4,
+                                                    a5, klein, main_pair):
+    """The class constants counted per representative, the tables lifted
+    in integers, the real irreducibles paired on value numbers and the
+    coordinate columns read per value object equal the pairwise class
+    constants, the Cyclotomic lift and the per-entry oracles."""
+    s5 = build(["(1 2 3 4 5)", "(1 2)"], 5)
+    a6 = build(["(1 2 3 4 5)", "(4 5 6)"], 6)
+    g48 = main_pair[0].group
+    for group in (s3, d4, d6, q8, a4, s4, a5, s5, a6, g48, klein):
+        table = character_table(group)
+        assert characters._class_constants(group) \
+            == pairwise_class_constants(group)
+        # the oracle's orthogonality sum takes about 2 s at g48's 48
+        # classes; its values are compared with a table verified anyway
+        oracle = CharacterTable(
+            group, cyclotomic_class_matrix_values(group, check=group is not g48),
+            table.route)
+        assert oracle.values == table.values
+        assert oracle.degrees == table.degrees
+        assert real_data(real_irreducibles(table)) \
+            == real_data(per_entry_real_irreducibles(table))
+        assert characters._coordinate_columns(table) \
+            == per_entry_coordinate_columns(table)
+
+
+def test_integer_orthogonality_rejects_a_conjugated_value(monkeypatch):
+    """Conjugating one non-real lifted value keeps its multiplicities and
+    their sum, so only the exact orthogonality check can catch it; the
+    Cyclotomic oracle rejects the same values."""
+    lift = characters._lift_counts
+    lifted = []
+
+    def conjugated(group, fmod, degrees, reps, m, p):
+        counts = lift(group, fmod, degrees, reps, m, p)
+        i, j, terms = next(
+            (i, j, terms) for i, row in enumerate(counts)
+            for j, terms in enumerate(row)
+            if sorted(terms) != sorted(((-e) % m, c) for e, c in terms))
+        counts[i][j] = tuple(sorted(((-e) % m, c) for e, c in terms))
+        lifted.append(counts)
+        return counts
+
+    # A4 and the dicyclic group of order 12 have non-real values
+    for gens, degree in ((["(1 2 3)", "(2 3 4)"], 4),
+                         (["(1 2 3)", "(2 3)(4 5 6 7)"], 7)):
+        group = build(gens, degree)
+        monkeypatch.setattr(characters, "_lift_counts", conjugated)
+        with pytest.raises(RuntimeError, match="orthogonality failed"):
+            character_table(group)
+        monkeypatch.undo()
+        classes = group.conjugacy_classes()
+        jstar = [group.class_of()[group.inverse[c[0]]] for c in classes]
+        m = group.exponent()
+        values = characters._cyclotomic_values(lifted[-1], root_powers(m))
+        with pytest.raises(characters._SplitFailure):
+            cyclotomic_orthogonality(values, [len(c) for c in classes], jstar,
+                                     group.order, m)
+        assert character_table(group).count == len(classes)
+
+
+def test_tables_make_one_cyclotomic_per_distinct_value(monkeypatch):
+    """Building the A6 table (class matrices) and the order-48 table
+    (cyclic chain) constructs at most r^2 + m Cyclotomic objects."""
+    made = []
+    init = Cyclotomic.__init__
+
+    def counted(self, m, coeffs):
+        made.append(m)
+        init(self, m, coeffs)
+
+    for gens, degree in ((["(1 2 3 4 5)", "(4 5 6)"], 6),
+                         (["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11)):
+        group = build(gens, degree)
+        group.conjugacy_classes()
+        monkeypatch.setattr(Cyclotomic, "__init__", counted)
+        del made[:]
+        table = character_table(group)
+        monkeypatch.undo()
+        assert 0 < len(made) <= table.count ** 2 + table.conductor
+        # entries holding equal values hold one object
+        entries = [v for row in table.values for v in row]
+        assert len({id(v) for v in entries}) == len({v.key() for v in entries})
 
 
 def test_s3_table_values(s3):
@@ -429,6 +523,45 @@ def test_failed_constituents_keep_no_memo(s3, q8):
         assert rep._constituents is None
         assert constituents(rep, table).multiplicities \
             == cyclotomic_constituents(rep, table)[0]
+
+
+def test_failed_summand_constituents_keep_no_memo():
+    """A kept coset action keeps its constituents for a table only once
+    its own checks pass; a failure leaves no memo on it or on the sum."""
+    group = build(["(1 2)", "(1 2 3)"], 3)
+    table = character_table(group)
+    m = table.conductor
+    regular = group.coset_action(group.subgroup([]))
+    points = group.coset_action(group.subgroup(
+        [group.element_index(parse_cycles("(1 2)", 3))]))
+    actions = [regular, points]
+    transpositions = table.class_of[group.element_index(parse_cycles("(1 2)", 3))]
+    value = table.values[1][0]
+    wrong = copy.copy(table)
+    wrong.degrees = (table.degrees[0] + 1,) + table.degrees[1:]
+    for bad, message in (
+            (corrupted(table, 1, 0, value * cyclo(m)), "not rational"),
+            (corrupted(table, 1, 0, value + cyclo(m) * Fraction(1, 2)),
+             "not an algebraic integer"),
+            (wrong, "degrees do not sum")):
+        rep = PermRep.from_coset_actions(group, actions)
+        with pytest.raises(RuntimeError, match=message):
+            constituents(rep, bad)
+        assert rep._constituents is None
+        assert regular.constituents is None and points.constituents is None
+    # the regular character vanishes off the identity, so a value
+    # corrupted at the transpositions fails only the second summand
+    bad = corrupted(table, 1, transpositions,
+                    table.values[1][transpositions] * cyclo(m))
+    rep = PermRep.from_coset_actions(group, actions)
+    with pytest.raises(RuntimeError, match="not rational"):
+        constituents(rep, bad)
+    assert rep._constituents is None and points.constituents is None
+    assert regular.constituents[0] is bad
+    cons = constituents(rep, table)
+    assert (cons.multiplicities, cons.character) \
+        == cyclotomic_constituents(rep, table)
+    assert regular.constituents[0] is table and points.constituents[0] is table
 
 
 def test_conjugate_constituents_must_occur_together(monkeypatch):

@@ -18,6 +18,13 @@ Z4 = {"degree": 4, "generators": ["(1 2 3 4)"]}
 Z4_DEG6 = {"degree": 6, "generators": ["(1 2 3 4)(5 6)"]}
 Z4_SQUARE = {"degree": 4, "generators": ["(1 3 2 4)"]}
 S3 = {"degree": 3, "generators": ["(1 2)", "(1 2 3)"]}
+A5 = {"label": "a5", "degree": 5, "generators": ["(1 2 3 4 5)", "(3 4 5)"]}
+A6 = {"label": "a6", "degree": 6, "generators": ["(1 2 3 4 5)", "(4 5 6)"]}
+Q8 = {"label": "q8", "degree": 8,
+      "generators": ["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"]}
+D6 = {"label": "d6", "degree": 6, "generators": ["(1 2 3 4 5 6)", "(2 6)(3 5)"]}
+G48 = {"label": "g48", "degree": 11,
+       "generators": ["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"]}
 S3_Z11 = {"degree": 14, "generators": ["(1 2)", "(1 2 3)",
                                        "(4 5 6 7 8 9 10 11 12 13 14)"]}
 
@@ -188,6 +195,16 @@ SUBCOMMAND_TEXT_PINS = {
                         "3d6aef412590bec13fb403d52c9c9559b483335c8b82441cbe651246adca1ddf"),
     "chartable-z4-deg6": (["chartable"], Z4_DEG6,
                           "88b12ac5fc4b7dfee4e08d90f98823bfbba5216b774683c18f6bef4049356810"),
+    "chartable-a5": (["chartable"], A5,
+                     "442e9984f6af7541aa28ff03da163e13ec5bc79324a7984e9dd6a32eb231af92"),
+    "chartable-a6": (["chartable"], A6,
+                     "d1c1261209fc4377eb33b66c08d7df95c6cb4d83be67901df4e5651c4fa0161f"),
+    "chartable-q8": (["chartable"], Q8,
+                     "31cd00f58af878e5c45eb6caddbfa5fea010220bdd00808266783807384430dc"),
+    "chartable-d6": (["chartable"], D6,
+                     "ce178b1891203ccb85d3c82e90c8dd515592d8723129ce360674b189bed34e1b"),
+    "chartable-g48": (["chartable"], G48,
+                      "e21d7bb17ec4f2a93378bfa4bb38f9c9e4b6eb3506ca5dbe3061374261cf1fc6"),
     "faces-klein": (["faces", "--order", "2"], KLEIN,
                     "e4ceea7a158abc5c3e421aeda2128f5b537a30343abd203bbc81f6b7c841083e"),
     "faces-s3": (["faces", "--order", "2"], S3,

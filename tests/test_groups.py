@@ -67,6 +67,17 @@ def test_permutation_is_its_image_tuple(s4):
             misuse()
 
 
+def test_plain_tuple_plus_permutation_raises(s4):
+    """A plain tuple or list on the left of + does not concatenate a
+    permutation; the permutation refuses through __radd__."""
+    p = s4.elements[1]
+    for misuse in (lambda: (1, 2) + p, lambda: () + p, lambda: [0] + p,
+                   lambda: sum([p], ())):
+        with pytest.raises(TypeError):
+            misuse()
+    assert tuple(p) + (1,) == (*p, 1)
+
+
 def test_parse_errors():
     bad = [
         ("(1 2", 4),          # unclosed

@@ -12,6 +12,7 @@ from oracles import (brute_force_orbit_count, dense_affine_kernel,
                      rowspace_coords)
 from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
                              SizeCapError, isomorphisms, parse_cycles)
+from permpoly.characters import character_table, constituents
 from permpoly.linalg import rank
 from permpoly.polytopes import build_polytope, is_face
 from permpoly.reps import (
@@ -617,6 +618,23 @@ def test_coset_sum_kernels_match_their_incidence_sets(s4, a4, d6, q8,
         fast, slow = affine_kernel(rep), affine_kernel(plain)
         assert (fast.rank, fast.sparse_int, fast.pivots) == \
             (slow.rank, slow.sparse_int, slow.pivots)
+
+
+def test_coset_sum_constituents_match_their_action(s4, a4, d6, q8):
+    """The constituents a sum of kept coset actions adds up from its
+    summands, with one more repeated summand too, are those computed on
+    its own action."""
+    for g in (s4, a4, d6, q8):
+        table = character_table(g)
+        for rep in coset_sums(g):
+            again = PermRep.from_coset_actions(
+                g, rep._summands + rep._summands[-1:])
+            for summed in (rep, again):
+                cons = constituents(summed, table)
+                assert all(a.constituents[0] is table for a in summed._summands)
+                plain = constituents(PermRep(g, summed.action), table)
+                assert (cons.multiplicities, cons.character) \
+                    == (plain.multiplicities, plain.character)
 
 
 def g48_equal_dimension_pairs():
