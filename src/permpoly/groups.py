@@ -26,18 +26,18 @@ proven so far (at most node_cap of them) and accepts a leaf found in it
 without a fill.
 
 A FiniteGroup is immutable, so its two exhaustive searches are kept on
-it once they complete: the automorphisms (each as its full image array,
-an array('H'), copied into a tuple on replay) and the subgroups of each
-order.  Each is computed once per group; a replay honours node_cap
-exactly as a fresh search would, and a search stopped early keeps
-nothing.
+it once they complete: the automorphisms (each as the image tuple the
+search itself built, which a replayed GroupMap holds without a copy)
+and the subgroups of each order.  Each is computed once per group; a
+replay honours node_cap exactly as a fresh search would, and a search
+stopped early keeps nothing.  Subgroups generated by given indices are
+kept per generator tuple.
 
 Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 """
 
 from __future__ import annotations
 
-from array import array
 from math import gcd
 
 DEFAULT_ORDER_CAP = 1000
@@ -304,12 +304,14 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         # exhaustive searches, kept once complete (see isomorphisms_iter
-        # and subgroups_of_order): ((nodes, image array) per
+        # and subgroups_of_order): ((nodes, image tuple) per
         # automorphism, total nodes), and order -> (subgroups, nodes);
-        # coset actions, kept per subgroup elements (see coset_action)
+        # coset actions, kept per subgroup elements (see coset_action);
+        # generated subgroups, kept per generator tuple (see subgroup)
         self._automorphisms = None
         self._subgroups = {}
         self._coset_actions = {}
+        self._generated = {}
 
     @classmethod
     def generate(cls, gens, degree=None, cap=DEFAULT_ORDER_CAP, label=None):
@@ -426,11 +428,17 @@ class FiniteGroup:
         return self._class_of
 
     def subgroup(self, gen_indices) -> "Subgroup":
-        """Closure of the given element indices inside this group."""
-        gen_indices = _element_indices(gen_indices, self.order)
-        # capped at |G|, so never None
-        elements = _close_capped(self.table, gen_indices, self.order)
-        return Subgroup(self, tuple(sorted(elements)), tuple(gen_indices))
+        """Closure of the given element indices inside this group, kept
+        per generator tuple as given: a repeat call returns the same
+        Subgroup, whose gens are those indices in that order."""
+        gens = tuple(_element_indices(gen_indices, self.order))
+        sub = self._generated.get(gens)
+        if sub is None:
+            # capped at |G|, so never None
+            elements = _close_capped(self.table, gens, self.order)
+            sub = self._generated[gens] = Subgroup(
+                self, tuple(sorted(elements)), gens)
+        return sub
 
     def subgroup_from_elements(self, indices) -> "Subgroup":
         indices = tuple(sorted(set(_element_indices(indices, self.order))))
@@ -721,7 +729,7 @@ class CosetAction:
 
 
 class GroupMap:
-    """A homomorphism between element-complete groups, as an image array."""
+    """A homomorphism between element-complete groups, as an image tuple."""
 
     __slots__ = ("source", "target", "images")
 
@@ -839,12 +847,12 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     same either way.
 
     Automorphisms are enumerated once per group: a search that runs to
-    completion keeps each map's full image array, an array('H'), with
-    the node count at which it was found and the search's total, on the
-    group.  A later call replays them, each map's images copied from its
-    array.  node_cap
-    behaves as for a fresh search: the maps found within node_cap nodes
-    are yielded, then SizeCapError is raised if the search took more.
+    completion keeps each map's image tuple, the one its closure already
+    holds rather than a copy, with the node count at which it was found
+    and the search's total, on the group.  A later call replays them,
+    each GroupMap holding the kept tuple itself.  node_cap behaves as
+    for a fresh search: the maps found within node_cap nodes are
+    yielded, then SizeCapError is raised if the search took more.
     A search stopped early (a caller's break, a close, or SizeCapError)
     keeps nothing.
     """
@@ -895,7 +903,7 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
                     if len(closure) < node_cap:
                         _extend_closure(closure, proven, images, gens,
                                         node_cap)
-                found.append((nodes, array("H", images)))
+                found.append((nodes, images))
             else:
                 images = _fill_isomorphism(g1, g2, chosen)
                 if images is None:

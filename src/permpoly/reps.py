@@ -11,6 +11,19 @@ sum(lambda_g M_g) = 0.  Two representations of one group are stably
 equivalent iff their affine kernels coincide; effective equivalence
 additionally allows precomposing one side with a group isomorphism.
 
+The kernel trace t(g) of an element is the trace of left multiplication
+by g on span{M_h - M_e} (u_action_trace).  That space carries each
+nontrivial constituent chi of the representation chi(1) times, so
+t(g) = sum over the set S of nontrivial constituents of chi(1) chi(g),
+and t is read off the affine kernel in integers (kernel_traces).  The
+functions sum(chi(1) chi) over distinct sets S differ, the irreducible
+characters being independent, so t determines S.  Precomposing B with
+an isomorphism phi gives the traces t_B o phi, hence phi is a witness
+of effective equivalence, S_B o phi = S_A, exactly when t_B o phi =
+t_A.  The trace comparison is an exact filter: the first map that
+passes it is the first witness, and the kernel test run on it audits
+the character identity.
+
 The cycle divisors D(g) of an element are the divisors of the cycle
 lengths of rep(g).  The span of the powers of a permutation matrix P has
 dimension sum(phi(d) for d in D), the degree of the minimal polynomial
@@ -19,7 +32,10 @@ of A restricted to <g> is its affine kernel meet Q^<g>, which is fixed
 by the Q-irreducibles of <g> occurring in A, indexed by D_A(g).  So an
 isomorphism phi can witness effective equivalence only if D_A(g) =
 D_B(phi(g)) for every g, and two representations whose multisets
-{(order g, D(g))} differ are not effectively equivalent.
+{(order g, D(g))} differ are not effectively equivalent.  Equal traces
+along phi imply equal D, so D serves only as the up-front obstruction,
+which needs no elimination and names the element order at which the
+two representations part.
 
 Entry (i, j) of M_g is 1 exactly for g in the incidence set S_ij, the
 elements sending j to i, and only a few distinct sets occur among the
@@ -30,7 +46,7 @@ all-ones row of sum(lambda) = 0 and the reduced form is that of the
 full system.  This is the one elimination a representation needs: its
 pivot columns P pick the greedy first independent vertices, a basis of
 span{M_g}, and the kernel vector of a free column h expresses M_h in
-that basis.  The polytope chart and u_action_trace are read off it.
+that basis.  The polytope chart and the kernel traces are read off it.
 
 A coset sum, the direct sum of actions on G/H_1, ..., G/H_k, acts on
 the disjoint union of their points, so M_g is block diagonal: an entry
@@ -46,10 +62,10 @@ the kernel, rank and pivots are those of the sum's own sets.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                      _element_indices, count_orbits, isomorphisms_iter)
@@ -83,13 +99,14 @@ class PermRep:
 
     action holds one Permutation per element.  The vertex matrices and
     everything derived from the action (incidence sets, affine kernel,
-    cycle divisors, constituents) are computed on first read and kept,
-    so a representation that is only compared by kernel never holds
-    its |G| * degree^2 vertex entries.  The size cap on those entries
-    is checked at construction all the same.  A coset sum keeps its
-    summands as given, repeats included: affine_kernel eliminates on the
-    rows of the distinct ones, and characters.constituents adds up all
-    of them when they are the group's kept actions.
+    kernel traces, cycle divisors and their counts, constituents) are
+    computed on first read and kept, so a representation that is only
+    compared by kernel never holds its |G| * degree^2 vertex entries.
+    The size cap on those entries is checked at construction all the
+    same.  A coset sum keeps its summands as given, repeats included:
+    affine_kernel eliminates on the rows of the distinct ones, and
+    characters.constituents adds up all of them when they are the
+    group's kept actions.
     """
 
     def __init__(self, group: FiniteGroup, action, check=True):
@@ -111,7 +128,9 @@ class PermRep:
         self._sets = None
         self._summands = None
         self._kernel = None
+        self._traces = None
         self._divisors = None
+        self._divisor_counts = None
         self._constituents = None
 
     @cached_property
@@ -410,36 +429,58 @@ def _lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
     return True
 
 
-def u_action_trace(rep: PermRep, g: int) -> Fraction:
-    """Trace of left multiplication by element g on span{M_h - M_e}.
+def kernel_traces(rep: PermRep):
+    """The kernel traces t(g) = u_action_trace(rep, g) of every element,
+    as a tuple of ints, made once per representation and kept.
 
     The pivot vertices M_p of the affine kernel are a basis of span{M_h},
-    and g sends M_p to M_gp.  A pivot gp contributes [gp = p] to the
-    trace; a free gp expands through its kernel vector lambda, scaled to
-    1 at gp, as M_gp = -sum over pivots q of lambda[q] M_q, contributing
-    -lambda[p].  The hull misses the origin, so span{M_h} is
-    span{M_h - M_e} plus Q M_e, and g acts trivially on the quotient:
-    the trace on span{M_h - M_e} is one less.  ValueError on an index
-    that is not an integer in 0..|G|-1.
+    and g sends M_p to M_gp.  At the identity every pivot is fixed; for
+    g != e no element is, so a pivot gp contributes nothing, and a free
+    gp expands through its kernel vector lambda as M_gp = -sum over
+    pivots q of (lambda[q] / lambda[gp]) M_q, contributing
+    -lambda[p] / lambda[gp].  The hull misses the origin, so span{M_h}
+    is span{M_h - M_e} plus Q M_e, and g acts trivially on the quotient:
+    the trace on span{M_h - M_e} is one less, rank - 1 at the identity.
+
+    The sums run over the pivots, in integers scaled by the lcm of the
+    kernel vectors' free entries; each trace is sum(chi(1) chi(g)) over
+    the nontrivial constituents, a rational algebraic integer, and
+    RuntimeError is raised if a scaled sum does not divide out.
     """
-    (g,) = _element_indices([g], rep.group.order)
+    if rep._traces is not None:
+        return rep._traces
     kernel = affine_kernel(rep)
-    pivots = kernel.pivots
-    row = rep.group.table[g]
-    total = Fraction(-1)
-    for p in pivots:
-        gp = row[p]
-        k = bisect_left(pivots, gp)
-        if k < len(pivots) and pivots[k] == gp:
-            total += gp == p
-        else:
-            # k pivots lie below gp, so its vector is the (gp - k)-th
-            lam = kernel.sparse_int[gp - k]
-            for i, c in lam:
-                if i == p:
-                    total -= Fraction(c, lam[-1][1])
-                    break
-    return total
+    order = rep.group.order
+    scale = lcm(*(entries[-1][1] for entries in kernel.sparse_int))
+    # coefficient of pivot p in the scaled expansion of each free vertex
+    expansion = {p: [0] * order for p in kernel.pivots}
+    for entries in kernel.sparse_int:
+        free, c_free = entries[-1]
+        factor = scale // c_free
+        for p, c in entries[:-1]:
+            expansion[p][free] = c * factor
+    columns = [list(map(expansion[p].__getitem__,
+                        [row[p] for row in rep.group.table]))
+               for p in kernel.pivots]
+    traces = [kernel.rank - 1]
+    for g, total in enumerate(map(sum, zip(*columns))):
+        if g:
+            quotient, rest = divmod(total, scale)
+            if rest:
+                raise RuntimeError(
+                    "kernel trace at element %d is not an integer" % g)
+            traces.append(-1 - quotient)
+    rep._traces = tuple(traces)
+    return rep._traces
+
+
+def u_action_trace(rep: PermRep, g: int) -> Fraction:
+    """Trace of left multiplication by element g on span{M_h - M_e},
+    read off kernel_traces: sum(chi(1) chi(g)) over the nontrivial
+    constituents chi.  ValueError on an index that is not an integer in
+    0..|G|-1."""
+    (g,) = _element_indices([g], rep.group.order)
+    return Fraction(kernel_traces(rep)[g])
 
 
 def compose_with_map(rep: PermRep, phi: GroupMap) -> PermRep:
@@ -468,7 +509,14 @@ def stably_equivalent_by_kernel(repA: PermRep, repB: PermRep) -> bool:
     kB = affine_kernel(repB)
     if kA.dim != kB.dim:
         return False
-    return all(_lambda_annihilates(repB, lam) for lam in kA.sparse_int)
+    return _annihilates_kernel(repB, kA)
+
+
+def _annihilates_kernel(rep: PermRep, kernel: AffineKernel,
+                        phi: GroupMap | None = None) -> bool:
+    """The kernel test: does rep o phi annihilate every vector of kernel,
+    the affine kernel of a representation of phi's source?"""
+    return all(_lambda_annihilates(rep, lam, phi) for lam in kernel.sparse_int)
 
 
 def cycle_divisor_obstruction(repA: PermRep, repB: PermRep):
@@ -485,13 +533,21 @@ def cycle_divisor_obstruction(repA: PermRep, repB: PermRep):
     certifies that no isomorphism is a witness.  O(|G| * degree), with no
     elimination.
     """
-    count_a, count_b = (Counter(zip(rep.group.orders, rep.cycle_divisors()))
-                        for rep in (repA, repB))
+    count_a, count_b = _divisor_counts(repA), _divisor_counts(repB)
     if count_a == count_b:
         return None
     key = max(k for k in count_a.keys() | count_b.keys()
               if count_a[k] != count_b[k])
     return key[0], divisors_of_mask(key[1]), count_a[key], count_b[key]
+
+
+def _divisor_counts(rep: PermRep) -> Counter:
+    """The multiset {(order g, D(g))} as a Counter, made once per
+    representation and kept."""
+    if rep._divisor_counts is None:
+        rep._divisor_counts = Counter(
+            zip(rep.group.orders, rep.cycle_divisors()))
+    return rep._divisor_counts
 
 
 def effectively_equivalent(repA: PermRep, repB: PermRep,
@@ -505,9 +561,13 @@ def effectively_equivalent(repA: PermRep, repB: PermRep,
     The cycle-divisor invariant runs first: when
     cycle_divisor_obstruction finds one, the answer is None with no
     affine kernel and no search, so no SizeCapError is raised whatever
-    node_cap is.  In the search, a map phi is tested on the kernel only
-    if D_B(phi(g)) = D_A(g) for every g; every witness passes, so the
-    first witness found is the same as without the filter.
+    node_cap is.  Unequal kernel dimensions answer None next.  In the
+    search, a map phi passes when the kernel traces agree along it,
+    t_B(phi(g)) = t_A(g) for every g, compared on the stored generators
+    first; that holds exactly for the witnesses (see the module
+    docstring), so the first map to pass is the first witness.  The
+    kernel test runs on that map alone and audits the trace identity:
+    RuntimeError if it fails.
     """
     if cycle_divisor_obstruction(repA, repB) is not None:
         return None
@@ -515,13 +575,20 @@ def effectively_equivalent(repA: PermRep, repB: PermRep,
     kB = affine_kernel(repB)
     if kA.dim != kB.dim:
         return None
-    dA = repA.cycle_divisors()
-    dB = repB.cycle_divisors()
+    tA = kernel_traces(repA)
+    tB = kernel_traces(repB)
+    at_gens = [(s, tA[s]) for s in repA.group.gens]
     for phi in isomorphisms_iter(repA.group, repB.group, node_cap=node_cap):
-        if tuple(map(dB.__getitem__, phi.images)) != dA:
+        f = phi.images
+        if any(tB[f[s]] != t for s, t in at_gens):
             continue
-        if all(_lambda_annihilates(repB, lam, phi) for lam in kA.sparse_int):
+        if tuple(map(tB.__getitem__, f)) != tA:
+            continue
+        if _annihilates_kernel(repB, kA, phi):
             return phi
+        raise RuntimeError(
+            "kernel traces agree along an isomorphism whose kernel test "
+            "fails")
     return None
 
 

@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -13,13 +15,14 @@ from permpoly.characters import (RealIrreducible, _SplitFailure,
                                   _primitive_root, permutation_character,
                                   predicted_dimension)
 from permpoly.cyclotomic import cyclo, cyclo_rational
-from permpoly.groups import (GroupMap, Subgroup, _close_capped,
-                             _respects_generators, isomorphisms_iter)
+from permpoly.groups import (FiniteGroup, GroupMap, Permutation, Subgroup,
+                             _close_capped, _respects_generators,
+                             isomorphisms_iter)
 from permpoly.intlinalg import (_hermite_left_block, hermite_form,
                                 solve_in_lattice)
 from permpoly.linalg import F0, _rref_int, kernel_sparse
 from permpoly.reps import (PermRep, _lambda_annihilates, affine_kernel,
-                           u_action_trace)
+                           cycle_divisor_obstruction, u_action_trace)
 
 
 def brute_force_faces(poly):
@@ -608,6 +611,62 @@ def dense_difference_space(rep: PermRep):
         rows.append([a - b for a, b in zip(v, base)])
     reduced, pivots = integer_rref(rows)
     return [tuple(r) for r in reduced], pivots
+
+
+def pivot_walk_trace(rep: PermRep, g: int) -> Fraction:
+    """Trace of left multiplication by g on span{M_h - M_e}, walked over
+    the affine kernel's pivots p in Fractions: a pivot gp contributes
+    [gp = p], a free gp minus the coefficient of p in its kernel vector
+    scaled to 1 at gp; minus one for the quotient by Q M_e."""
+    kernel = affine_kernel(rep)
+    pivots = kernel.pivots
+    row = rep.group.table[g]
+    total = Fraction(-1)
+    for p in pivots:
+        gp = row[p]
+        k = bisect_left(pivots, gp)
+        if k < len(pivots) and pivots[k] == gp:
+            total += gp == p
+        else:
+            # k pivots lie below gp, so its vector is the (gp - k)-th
+            lam = kernel.sparse_int[gp - k]
+            for i, c in lam:
+                if i == p:
+                    total -= Fraction(c, lam[-1][1])
+                    break
+    return total
+
+
+def divisor_filter_effectively_equivalent(repA: PermRep, repB: PermRep):
+    """(first witness or None, kernel tests run): the isomorphisms in the
+    canonical order, each with the same cycle divisors D_B(phi(g)) =
+    D_A(g) on every element tested on the kernel, after the
+    cycle-divisor obstruction and the kernel dimensions."""
+    if cycle_divisor_obstruction(repA, repB) is not None:
+        return None, 0
+    kA = affine_kernel(repA)
+    kB = affine_kernel(repB)
+    if kA.dim != kB.dim:
+        return None, 0
+    dA = repA.cycle_divisors()
+    dB = repB.cycle_divisors()
+    tests = 0
+    for phi in isomorphisms_iter(repA.group, repB.group):
+        if tuple(map(dB.__getitem__, phi.images)) != dA:
+            continue
+        tests += 1
+        if all(_lambda_annihilates(repB, lam, phi) for lam in kA.sparse_int):
+            return phi, tests
+    return None, tests
+
+
+def relabelled(group, seed):
+    """The same abstract group on points permuted by a seeded shuffle."""
+    sigma = list(range(group.degree))
+    random.Random(seed).shuffle(sigma)
+    inv = Permutation(sigma).inverse()
+    gens = [Permutation(sigma) * group.elements[s] * inv for s in group.gens]
+    return FiniteGroup.generate(gens, degree=group.degree)
 
 
 def exhaustive_effectively_equivalent(repA: PermRep, repB: PermRep):

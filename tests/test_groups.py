@@ -1,6 +1,5 @@
 import hashlib
 import random
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,8 @@ from sympy.combinatorics import PermutationGroup
 
 from oracles import (all_pairs_table, brute_force_isomorphisms,
                      brute_force_orbit_count, exhaustive_isomorphisms,
-                     exhaustive_subgroups_of_order, is_homomorphism_all_pairs)
+                     exhaustive_subgroups_of_order, is_homomorphism_all_pairs,
+                     relabelled)
 from permpoly.groups import (
     CycleParseError,
     FiniteGroup,
@@ -240,6 +240,22 @@ def test_subgroup_properties(s4):
             s4.subgroup(bad)
     # indices equal to integers are taken as those integers
     assert s4.subgroup([1.0]).elements == s4.subgroup([1]).elements
+
+
+def test_subgroup_memo_keeps_one_subgroup_per_generator_tuple():
+    group = fresh("s4")
+    sub = group.subgroup([1, 2])
+    assert group.subgroup((1, 2)) is sub and sub.gens == (1, 2)
+    # keyed on the tuple as given, so the gens are the caller's
+    swapped = group.subgroup([2, 1])
+    assert swapped is not sub and swapped.gens == (2, 1)
+    assert swapped.elements == sub.elements
+    # an index equal to an integer is kept under that integer
+    assert group.subgroup([1.0]) is group.subgroup([1])
+    for bad in ([-1], [24], [1.7], [0, "1"], [Fraction(3, 2)]):
+        with pytest.raises(ValueError):
+            group.subgroup(bad)
+    assert sorted(group._generated) == [(1,), (1, 2), (2, 1)]
 
 
 def test_subgroup_from_elements_errors(s3):
@@ -516,7 +532,7 @@ def test_node_caps_hold_after_full_search():
 
 # the 13 benchmark corpus groups, each with its automorphism count and a
 # digest of its automorphism image list as the search yielded it when the
-# memo kept generator images; a replay from the image arrays must match
+# memo kept generator images; a replay from the kept image tuples must match
 CORPUS_AUTOMORPHISMS = {
     "klein": ((["(1 2)", "(3 4)"], 4), 6, "0181b97d88286082"),
     "klein-regular": ((["(1 2)(3 4)", "(1 3)(2 4)"], 4), 6,
@@ -543,10 +559,13 @@ def test_memo_replays_pinned_automorphism_lists():
         group = FiniteGroup.from_cycle_strings(gens, degree)
         first = [phi.images for phi in isomorphisms(group, group)]
         found, _ = group._automorphisms
-        # the memo keeps one compact image array per map
-        assert all(isinstance(images, array) and images.typecode == "H"
-                   for _, images in found), name
-        replayed = [phi.images for phi in isomorphisms(group, group)]
+        # the memo keeps each map's image tuple
+        assert all(type(images) is tuple for _, images in found), name
+        maps = isomorphisms(group, group)
+        # a replayed map holds the memo's own tuple, not a copy
+        assert all(phi.images is images
+                   for phi, (_, images) in zip(maps, found)), name
+        replayed = [phi.images for phi in maps]
         assert replayed == first, name
         assert all(type(images) is tuple for images in replayed)
         assert len(replayed) == count, name
@@ -624,15 +643,6 @@ def test_automorphism_memo_matches_the_exhaustive_search():
         assert len(oracle) == count, name
         assert [(nodes, tuple(images)) for nodes, images in found] == oracle
         assert total == oracle_total, name
-
-
-def relabelled(group, seed):
-    """The same abstract group on points permuted by a seeded shuffle."""
-    sigma = list(range(group.degree))
-    random.Random(seed).shuffle(sigma)
-    inv = Permutation(sigma).inverse()
-    gens = [Permutation(sigma) * group.elements[s] * inv for s in group.gens]
-    return FiniteGroup.generate(gens, degree=group.degree)
 
 
 def test_isomorphisms_to_a_relabelled_group_match_the_exhaustive_search():

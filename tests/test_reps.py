@@ -5,13 +5,16 @@ from math import gcd
 import pytest
 import sympy
 
+import permpoly.reps as reps_module
 from oracles import (brute_force_orbit_count, dense_affine_kernel,
                      dense_difference_space, dict_lambda_annihilates,
+                     divisor_filter_effectively_equivalent,
                      exhaustive_effectively_equivalent, first_independent,
                      fraction_rref, is_homomorphism_all_pairs,
-                     rowspace_coords)
+                     pivot_walk_trace, relabelled, rowspace_coords)
 from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
-                             SizeCapError, isomorphisms, parse_cycles)
+                             SizeCapError, isomorphisms, isomorphisms_iter,
+                             parse_cycles)
 from permpoly.characters import character_table, constituents
 from permpoly.linalg import rank
 from permpoly.polytopes import build_polytope, is_face
@@ -20,6 +23,7 @@ from permpoly.reps import (
     NotFaithfulError,
     NotStablyEquivalentError,
     PermRep,
+    _annihilates_kernel,
     _incidence_sets,
     _lambda_annihilates,
     affine_kernel,
@@ -28,6 +32,7 @@ from permpoly.reps import (
     cycle_divisor_obstruction,
     divisors_of_mask,
     effectively_equivalent,
+    kernel_traces,
     stably_equivalent_by_kernel,
     u_action_trace,
 )
@@ -697,6 +702,82 @@ def test_effectively_equivalent_obstruction_runs_no_search(main_pair):
     with pytest.raises(SizeCapError):
         isomorphisms(main_pair[0].group, main_pair[0].group, node_cap=1)
     assert effectively_equivalent(*main_pair, node_cap=1) is None
+
+
+def test_kernel_traces_match_the_pivot_walk(s4, a4, d6, q8, main_pair):
+    _, _, _, _, a6_1, a6_2 = alt6_reps()
+    reps = [rep for g in (s4, a4, d6, q8) for rep in coset_sums(g)]
+    for rep in reps + list(main_pair) + [a6_1, a6_2]:
+        traces = kernel_traces(rep)
+        assert all(type(t) is int for t in traces)
+        assert traces[0] == affine_kernel(rep).rank - 1
+        assert list(traces) == [pivot_walk_trace(rep, g)
+                                for g in range(rep.group.order)]
+        assert kernel_traces(rep) is traces
+        assert u_action_trace(rep, 1) == Fraction(traces[1])
+
+
+def test_witnesses_match_the_divisor_filter_walk_on_relabelled_twins(
+        s4, a4, d6, q8):
+    late_nones = 0
+    for seed, group in enumerate((s4, a4, d6, q8)):
+        twin = relabelled(group, seed)
+        # a repeated or trivial summand leaves the kernel as it is, so
+        # the sums of distinct summands, every third of coset_sums, do
+        reps_b = coset_sums(twin)[::3]
+        for repA in coset_sums(group)[::3]:
+            for repB in reps_b:
+                expected, tests = divisor_filter_effectively_equivalent(
+                    repA, repB)
+                phi = effectively_equivalent(repA, repB)
+                if expected is None:
+                    assert phi is None
+                    late_nones += tests > 0
+                else:
+                    assert phi.images == expected.images
+    # Nones that the old walk reached only after kernel tests occur
+    assert late_nones
+
+
+def g48_late_witness_pair():
+    """Two sums of coset actions of Z2 x Z2 x Z4 x Z3 whose first witness
+    comes late: the divisor-filter walk runs 57 kernel tests to reach
+    it."""
+    g = FiniteGroup.from_cycle_strings(
+        ["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11)
+
+    def coset_sum(*keys):
+        return PermRep.from_coset_actions(
+            g, [g.coset_action(g.subgroups_of_order(k)[i]) for k, i in keys])
+
+    return coset_sum((4, 0), (12, 10)), coset_sum((4, 6), (12, 1))
+
+
+def test_effectively_equivalent_runs_one_kernel_test_per_witness(
+        monkeypatch):
+    repA, repB = g48_late_witness_pair()
+    expected, tests = divisor_filter_effectively_equivalent(repA, repB)
+    assert expected is not None and tests == 57
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _annihilates_kernel(*args)
+
+    monkeypatch.setattr(reps_module, "_annihilates_kernel", counted)
+    phi = effectively_equivalent(repA, repB)
+    assert phi.images == expected.images
+    assert len(calls) == 1
+
+
+def test_effectively_equivalent_audits_the_traces_by_the_kernel():
+    repA, repB = g48_late_witness_pair()
+    first = next(isomorphisms_iter(repA.group, repB.group))
+    assert not _annihilates_kernel(repB, affine_kernel(repA), first)
+    # equal constant traces pass the first map to the kernel test
+    repA._traces = repB._traces = (0,) * repA.group.order
+    with pytest.raises(RuntimeError, match="kernel test fails"):
+        effectively_equivalent(repA, repB)
 
 
 def euler_phi(d):
