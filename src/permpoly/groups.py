@@ -307,11 +307,14 @@ class FiniteGroup:
         # and subgroups_of_order): ((nodes, image tuple) per
         # automorphism, total nodes), and order -> (subgroups, nodes);
         # coset actions, kept per subgroup elements (see coset_action);
-        # generated subgroups, kept per generator tuple (see subgroup)
+        # generated subgroups, kept per generator tuple (see subgroup);
+        # affine kernels of coset sums, kept per set of kept summands
+        # (see reps.affine_kernel)
         self._automorphisms = None
         self._subgroups = {}
         self._coset_actions = {}
         self._generated = {}
+        self._kernels = {}
 
     @classmethod
     def generate(cls, gens, degree=None, cap=DEFAULT_ORDER_CAP, label=None):
@@ -707,10 +710,10 @@ class CosetAction:
     """The data of a coset action: degree, images, kernel, faithfulness.
 
     rows and constituents start as None.  reps caches the action's
-    reduced elimination rows in rows (see reps._summand_rows), and
-    characters keeps its checked constituents there, with their table
-    (see characters.constituents), so a coset sum of kept actions reads
-    both off its summands.
+    reduced elimination rows and their pivots in rows (see
+    reps._summand_rows), and characters keeps its checked constituents
+    there, with their table (see characters.constituents), so a coset
+    sum of kept actions reads both off its summands.
     """
 
     __slots__ = ("group", "subgroup", "degree", "images", "kernel",

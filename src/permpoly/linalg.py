@@ -2,9 +2,11 @@
 
 Matrices are dense lists of rows with int or fractions.Fraction entries.
 Row reduction runs fraction-free in one integer core, _rref_int, which
-returns primitive integer rows with their pivots; kernel_sparse,
-pivot_columns and rank read those rows directly, and no elimination
-emits a Fraction.
+returns integer rows with their pivots; pivot_columns and rank read
+those rows directly, and no elimination emits a Fraction.  The kernel
+basis is read off reduced rows by kernel_from_rref, so a caller that
+keeps its reduced rows (reps.AffineKernel) builds the basis only when
+it is read; kernel_sparse is the two in turn.
 Everything here is deterministic: row echelon forms pick the first
 usable pivot, kernels are emitted in ascending free-column order, so
 equal subspaces always produce identical bases.
@@ -96,21 +98,26 @@ def rank(rows) -> int:
 
 
 def kernel_sparse(rows):
-    """Rank of the matrix and a canonical basis of {x : rows @ x = 0}.
-
-    The kernel basis is the standard one read off the reduced echelon
-    form, one vector per free column f: 1 at f and the negated
-    reduced-form entries at the pivot columns, scaled to the primitive
-    integer vector with a positive entry at f.  Vectors are ordered by
-    free column, which makes the basis a canonical invariant of the row
-    space.  Each vector is a sorted list of (index, int) pairs; its last
-    pair is its free column, since reduced rows vanish left of their
-    pivots.
-    """
+    """Rank of the matrix and a canonical basis of {x : rows @ x = 0}:
+    _rref_int, then kernel_from_rref."""
     if not rows:
         return 0, []
     ncols = len(rows[0])
     red, pivots = _rref_int(rows, ncols)
+    return len(pivots), kernel_from_rref(red, pivots, ncols)
+
+
+def kernel_from_rref(red, pivots, ncols):
+    """The canonical kernel basis read off rows reduced by _rref_int.
+
+    The basis is the standard one read off the reduced echelon form, one
+    vector per free column f: 1 at f and the negated reduced-form
+    entries at the pivot columns, scaled to the primitive integer vector
+    with a positive entry at f.  Vectors are ordered by free column,
+    which makes the basis a canonical invariant of the row space.  Each
+    vector is a sorted list of (index, int) pairs; its last pair is its
+    free column, since reduced rows vanish left of their pivots.
+    """
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -126,7 +133,7 @@ def kernel_sparse(rows):
             entries = [(p, c // content) for p, c in entries]
         entries.append((f, scale // content))
         basis.append(entries)
-    return len(pivots), basis
+    return basis
 
 
 def dot(u, v):

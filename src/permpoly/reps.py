@@ -57,7 +57,12 @@ space the sum of theirs.  Each coset action is kept per subgroup
 (FiniteGroup.coset_action) and holds the reduced rows of its own sets,
 so the kernel of a sum is eliminated on its distinct summands' reduced
 rows stacked; the reduced echelon form of a row space is unique, so
-the kernel, rank and pivots are those of the sum's own sets.
+the kernel, rank and pivots are those of the sum's own sets.  Order,
+repeats and a degree-1 summand beside others (its one row is the
+all-ones row, which the sets of any one column add up to) leave that
+row space as it is, so a sum of kept actions shares its kernel through
+the group with every sum of the same other summands, and a sum of one
+such summand reads its kernel off that summand's rows.
 """
 
 from __future__ import annotations
@@ -65,11 +70,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
                      _element_indices, count_orbits, isomorphisms_iter)
-from .linalg import F0, _rref_int, kernel_sparse
+from .linalg import F0, _rref_int, kernel_from_rref, kernel_sparse
 
 
 # bound on |G| * degree^2, the entries of all vertices together; checked
@@ -104,9 +109,10 @@ class PermRep:
     compared by kernel never holds its |G| * degree^2 vertex entries.
     The size cap on those entries is checked at construction all the
     same.  A coset sum keeps its summands as given, repeats included:
-    affine_kernel eliminates on the rows of the distinct ones, and
-    characters.constituents adds up all of them when they are the
-    group's kept actions.
+    affine_kernel reads its kernel off the rows of the distinct ones,
+    sharing it through the group with every sum of the same kept
+    summands, and characters.constituents adds up all of them when they
+    are the group's kept actions.
     """
 
     def __init__(self, group: FiniteGroup, action, check=True):
@@ -261,31 +267,38 @@ def divisors_of_mask(mask):
 
 
 class AffineKernel:
-    """Canonical basis of the affine kernel of a representation.
+    """The affine kernel of a representation, kept as reduced rows.
 
     The kernel is {lambda : sum(lambda) = 0, lambda . row(S) = 0 for each
-    distinct nonempty incidence set S}, eliminated on one 0/1 row per
-    distinct set (see _incidence_sets), or for a coset sum on its
-    summands' reduced rows: zero and repeated rows of the
-    (degree^2 + 1)-row system, and its all-ones row, which the sets of
-    any one column sum to, leave its row space, hence its unique
-    reduced echelon form, unchanged.  sparse_int holds the kernel
-    vectors as linalg.kernel_sparse gives them, one per free column of
-    that form in ascending order, each a sorted list of (element, int),
-    primitive and positive at its free column, its last entry; basis,
-    built on first read, holds them over Q^|G| with 1 at the free
-    column.  Both are canonical.  pivots are the pivot columns: the
-    greedy first independent vertices, since the vertices satisfy the
-    same linear relations (each matrix column sums to 1, so the
-    all-ones row is implied).
+    distinct nonempty incidence set S}.  rows and pivots are the system's
+    reduced rows as linalg._rref_int gives them, each a nonzero multiple
+    of its row in the unique rational reduced form, and dim = |G| - rank.
+    The pivots are the greedy first independent vertices, since the
+    vertices satisfy the same linear relations (each matrix column sums
+    to 1, so the all-ones row is implied).  sparse_int, built on first
+    read, holds the kernel vectors as linalg.kernel_from_rref gives
+    them, one per free column in ascending order, each a sorted list of
+    (element, int), primitive and positive at its free column, its last
+    entry; basis holds them over Q^|G| with 1 at the free column.  Both
+    are canonical.  Equality and hashing compare the rows made primitive
+    with a positive pivot, a canonical form of the row space.
     """
 
-    def __init__(self, dim, sparse_int, rank, pivots):
-        self.dim = dim
-        self.sparse_int = sparse_int
-        self.rank = rank
+    def __init__(self, order, rows, pivots):
+        self.rows = rows
         self.pivots = pivots
+        self.rank = len(pivots)
+        self.dim = order - self.rank
+        self._sparse_int = None
         self._basis = None
+        self._canonical = None
+
+    @property
+    def sparse_int(self):
+        if self._sparse_int is None:
+            self._sparse_int = kernel_from_rref(
+                self.rows, self.pivots, self.rank + self.dim)
+        return self._sparse_int
 
     @property
     def basis(self):
@@ -294,14 +307,27 @@ class AffineKernel:
             self._basis = [_dense_vector(v, order) for v in self.sparse_int]
         return self._basis
 
+    def _canonical_rows(self):
+        """The reduced rows, each primitive with a positive pivot."""
+        if self._canonical is None:
+            out = []
+            for row, p in zip(self.rows, self.pivots):
+                content = gcd(*row)
+                if row[p] < 0:
+                    content = -content
+                out.append(tuple(x // content for x in row))
+            self._canonical = tuple(out)
+        return self._canonical
+
     def __eq__(self, other):
         if not isinstance(other, AffineKernel):
             return NotImplemented
-        # rank + dim is the group order, the length of the vectors
-        return (self.rank, self.sparse_int) == (other.rank, other.sparse_int)
+        return self is other or (
+            self.pivots == other.pivots
+            and self._canonical_rows() == other._canonical_rows())
 
     def __hash__(self):
-        return hash((self.rank, tuple(map(tuple, self.sparse_int))))
+        return hash(self._canonical_rows())
 
 
 def _dense_vector(entries, order):
@@ -375,34 +401,42 @@ def _set_rows(sets, order):
 
 
 def _summand_rows(action):
-    """The reduced integer rows of a coset action's distinct incidence
-    sets, made on first use and kept on the action."""
+    """(reduced integer rows, pivots) of a coset action's distinct
+    incidence sets, made on first use and kept on the action."""
     if action.rows is None:
         order = len(action.images)
         sets, _ = _action_sets(action.images)
-        action.rows = _rref_int(_set_rows(sets, order), order)[0]
+        action.rows = _rref_int(_set_rows(sets, order), order)
     return action.rows
 
 
 def affine_kernel(rep: PermRep) -> AffineKernel:
-    """The AffineKernel of a representation, eliminated once and kept:
-    on a coset sum's distinct summands' reduced rows stacked, otherwise
-    on the rows of its own incidence sets (see the module docstring)."""
+    """The AffineKernel of a representation, made once and kept on it:
+    a coset sum's on its distinct summands' reduced rows, a degree-1
+    summand left out beside others, and kept on the group per set of
+    summands when they are its kept actions (see the module docstring);
+    any other representation's on the rows of its own incidence sets."""
     if rep._kernel is not None:
         return rep._kernel
-    order = rep.group.order
+    group = rep.group
+    order = group.order
     summands = rep._summands
     if summands is None:
-        rank, sparse_int = kernel_sparse(
-            _set_rows(_incidence_sets(rep)[0], order))
+        kernel = AffineKernel(order, *_rref_int(
+            _set_rows(_incidence_sets(rep)[0], order), order))
     else:
-        distinct = {id(a): a for a in summands}.values()
-        rank, sparse_int = kernel_sparse(
-            [row for a in distinct for row in _summand_rows(a)])
-    # a vector's free column is its last entry
-    free = {entries[-1][0] for entries in sparse_int}
-    pivots = [g for g in range(order) if g not in free]
-    kernel = AffineKernel(len(sparse_int), sparse_int, rank, pivots)
+        distinct = dict.fromkeys(a for a in summands if a.degree > 1)
+        key = frozenset(distinct or summands[:1])
+        memo = group._kernels if kept_actions(group, summands) else {}
+        kernel = memo.get(key)
+        if kernel is None:
+            if len(key) == 1:
+                rows, pivots = _summand_rows(next(iter(key)))
+            else:
+                rows, pivots = _rref_int(
+                    [row for a in distinct for row in _summand_rows(a)[0]],
+                    order)
+            kernel = memo[key] = AffineKernel(order, rows, pivots)
     rep._kernel = kernel
     return kernel
 
@@ -502,14 +536,11 @@ def _same_group(repA: PermRep, repB: PermRep) -> bool:
 
 
 def stably_equivalent_by_kernel(repA: PermRep, repB: PermRep) -> bool:
-    """Equality of affine kernels (representations of one group)."""
+    """Equality of affine kernels (representations of one group), as
+    equality of their canonical reduced rows; no kernel vector is built."""
     if not _same_group(repA, repB):
         raise ValueError("stable equivalence needs representations of one group")
-    kA = affine_kernel(repA)
-    kB = affine_kernel(repB)
-    if kA.dim != kB.dim:
-        return False
-    return _annihilates_kernel(repB, kA)
+    return affine_kernel(repA) == affine_kernel(repB)
 
 
 def _annihilates_kernel(rep: PermRep, kernel: AffineKernel,

@@ -637,6 +637,17 @@ def pivot_walk_trace(rep: PermRep, g: int) -> Fraction:
     return total
 
 
+def annihilation_stably_equivalent(repA: PermRep, repB: PermRep) -> bool:
+    """Stable equivalence by the kernel test: equal kernel dimensions,
+    and rep_B annihilates every kernel vector of rep_A, so rep_A's
+    kernel lies in rep_B's and the two are equal."""
+    kA = affine_kernel(repA)
+    kB = affine_kernel(repB)
+    if kA.dim != kB.dim:
+        return False
+    return all(_lambda_annihilates(repB, lam) for lam in kA.sparse_int)
+
+
 def divisor_filter_effectively_equivalent(repA: PermRep, repB: PermRep):
     """(first witness or None, kernel tests run): the isomorphisms in the
     canonical order, each with the same cycle divisors D_B(phi(g)) =

@@ -6,17 +6,18 @@ import pytest
 import sympy
 
 import permpoly.reps as reps_module
-from oracles import (brute_force_orbit_count, dense_affine_kernel,
+from oracles import (annihilation_stably_equivalent,
+                     brute_force_orbit_count, dense_affine_kernel,
                      dense_difference_space, dict_lambda_annihilates,
                      divisor_filter_effectively_equivalent,
                      exhaustive_effectively_equivalent, first_independent,
                      fraction_rref, is_homomorphism_all_pairs,
                      pivot_walk_trace, relabelled, rowspace_coords)
 from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
-                             SizeCapError, isomorphisms, isomorphisms_iter,
-                             parse_cycles)
+                             SizeCapError, generator_correspondence,
+                             isomorphisms, isomorphisms_iter, parse_cycles)
 from permpoly.characters import character_table, constituents
-from permpoly.linalg import rank
+from permpoly.linalg import kernel_sparse, rank
 from permpoly.polytopes import build_polytope, is_face
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
@@ -26,6 +27,7 @@ from permpoly.reps import (
     _annihilates_kernel,
     _incidence_sets,
     _lambda_annihilates,
+    _set_rows,
     affine_kernel,
     build_equivariant_map,
     compose_with_map,
@@ -36,7 +38,7 @@ from permpoly.reps import (
     stably_equivalent_by_kernel,
     u_action_trace,
 )
-from permpoly.scenarios import alt6_reps
+from permpoly.scenarios import alt6_reps, main_example_reps
 
 
 def regular(group):
@@ -623,6 +625,120 @@ def test_coset_sum_kernels_match_their_incidence_sets(s4, a4, d6, q8,
         fast, slow = affine_kernel(rep), affine_kernel(plain)
         assert (fast.rank, fast.sparse_int, fast.pivots) == \
             (slow.rank, slow.sparse_int, slow.pivots)
+        # the plain twin is eliminated on its own, into an equal kernel
+        assert fast is not slow
+        assert fast == slow and hash(fast) == hash(slow)
+
+
+def test_stable_equivalence_matches_the_annihilation_oracle(
+        a4, q8, klein_pair, main_pair):
+    _, _, _, _, a6_1, a6_2 = alt6_reps()
+    sums = [coset_sums(g) for g in (a4, q8)]
+    pairs = [pair for reps in sums
+             for pair in itertools.product(reps, repeat=2)]
+    pairs += [main_pair, (a6_1, a6_2), klein_pair]
+    # ppt stable's pairs: the first natural rep and the second pulled
+    # back along the generator correspondence
+    specs = [((["(1 2 3 4)"], 4), (["(1 2 3 4)(5 6)"], 6)),
+             ((["(1 2)", "(3 4)"], 4), (["(1 2)(3 4)", "(1 3)(2 4)"], 4)),
+             ((["(1 2 3 4)"], 4), (["(1 3 2 4)"], 4))]
+    for (gens1, n1), (gens2, n2) in specs:
+        g1 = FiniteGroup.from_cycle_strings(gens1, n1)
+        g2 = FiniteGroup.from_cycle_strings(gens2, n2)
+        pulled = compose_with_map(PermRep.natural(g2),
+                                  generator_correspondence(g1, g2))
+        pairs.append((PermRep.natural(g1), pulled))
+    verdicts = []
+    for repA, repB in pairs + [pair[::-1] for pair in pairs[-6:]]:
+        answer = stably_equivalent_by_kernel(repA, repB)
+        assert answer == annihilation_stably_equivalent(repA, repB)
+        if answer:
+            assert hash(affine_kernel(repA)) == hash(affine_kernel(repB))
+        verdicts.append(answer)
+    # the named pairs, each way round
+    assert verdicts[-12:] == [False, False, True, True, False, True] * 2
+    # each sum is stably equivalent to itself and its two twins at least
+    assert sum(verdicts[:-12]) >= 3 * sum(map(len, sums))
+
+
+def fresh_s4():
+    return FiniteGroup.from_cycle_strings(["(1 2 3 4)", "(1 2)"], 4)
+
+
+def test_coset_sums_of_one_summand_set_share_one_kernel(monkeypatch):
+    g = fresh_s4()
+    a = g.coset_action(g.point_stabilizer(1))
+    b = g.coset_action(g.subgroups_of_order(8)[0])
+    trivial = g.coset_action(g.subgroup(g.gens))
+    assert trivial.degree == 1
+    raw = reps_module._rref_int
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(reps_module, "_rref_int", counted)
+
+    def kernel(*actions):
+        return affine_kernel(PermRep.from_coset_actions(g, list(actions)))
+
+    # one summand: its reduced rows are the kernel's, eliminated once
+    single = kernel(a)
+    assert len(calls) == 1 and single.rows is a.rows[0]
+    for twin in ([a, a], [a, trivial], [trivial, a, a]):
+        assert kernel(*twin) is single
+    assert len(calls) == 1
+    # two summands: b's own rows, then one stacked elimination
+    pair = kernel(a, b)
+    assert len(calls) == 3
+    for twin in ([b, a], [a, b, a], [a, b, trivial], [trivial, b, a, b]):
+        assert kernel(*twin) is pair
+    assert len(calls) == 3
+    assert g._kernels == {frozenset([a]): single, frozenset([a, b]): pair}
+    # an unfaithful sum raises before any kernel and leaves no entry
+    a4_quotient = g.coset_action(g.subgroups_of_order(12)[0])
+    with pytest.raises(NotFaithfulError):
+        PermRep.from_coset_actions(g, [a4_quotient, trivial])
+    assert len(g._kernels) == 2
+
+
+def test_hand_built_coset_actions_skip_the_kernel_memo():
+    g = fresh_s4()
+    kept = g.coset_action(g.subgroup([]))
+    copy = CosetAction(g, kept.subgroup, kept.degree, kept.images,
+                       kept.kernel, kept.faithful, kept.cosets)
+    other = g.coset_action(g.point_stabilizer(1))
+    # a planted entry for the copy's set is not read
+    planted = object()
+    g._kernels[frozenset([copy])] = planted
+    alone = affine_kernel(PermRep.from_coset_actions(g, [copy]))
+    assert alone is not planted
+    del g._kernels[frozenset([copy])]
+    mixed = affine_kernel(PermRep.from_coset_actions(g, [other, copy]))
+    assert g._kernels == {}
+    # nor filled, and the kernels are the kept sums'
+    assert alone == affine_kernel(regular(g))
+    assert mixed == affine_kernel(
+        PermRep.from_coset_actions(g, [other, kept]))
+    assert len(g._kernels) == 2
+
+
+def test_kernel_basis_is_built_only_when_read():
+    g, rep1, rep2 = main_example_reps()
+    table = character_table(g)
+    assert not stably_equivalent_by_kernel(rep1, rep2)
+    for rep in (rep1, rep2):
+        assert build_polytope(rep, table).dim == 14
+        kern = affine_kernel(rep)
+        assert kern.dim == 33
+        assert (kern._sparse_int, kern._basis) == (None, None)
+    # read later, the basis is kernel_sparse's on the sum's own sets
+    a4 = FiniteGroup.from_cycle_strings(["(1 2 3)", "(2 3 4)"], 4)
+    for rep in [rep1, rep2] + coset_sums(a4):
+        kern = affine_kernel(rep)
+        rows = _set_rows(_incidence_sets(rep)[0], rep.group.order)
+        assert kernel_sparse(rows) == (kern.rank, kern.sparse_int)
 
 
 def test_coset_sum_constituents_match_their_action(s4, a4, d6, q8):
