@@ -32,8 +32,8 @@ over the classes j.  The coordinates of |G| <f, chi> for an integer
 class function f (the permutation character, or the count of square
 roots for the Frobenius-Schur indicator) are the dot products of f with
 these columns; past the first they must vanish, else this raises.  A
-coset sum of kept coset actions adds its summands' constituents, which
-each kept action computes and checks once per table.
+coset sum adds its summands' constituents, which each of the group's
+kept coset actions computes and checks once per table.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from operator import eq, mul
 
 from .cyclotomic import Cyclotomic, cyclo, root_log, root_order, root_powers
 from .groups import FiniteGroup, SizeCapError
-from .reps import (PermRep, affine_kernel, kept_actions, u_action_trace,
-                   _same_group)
+from .reps import PermRep, _same_group, affine_kernel, kernel_traces
 
 DEFAULT_CLASS_CAP = 30
 
@@ -803,12 +802,12 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
     sum to the action degree, and the trivial multiplicity is the orbit
     count.
 
-    A coset sum of the group's own kept coset actions (the trusted path
-    of PermRep.from_coset_actions) adds up its summands instead: pi and
-    the multiplicities are additive over a direct sum, repeats included,
-    and each kept CosetAction computes and checks its own once per
-    table (its trivial multiplicity must be 1, as a coset action is
-    transitive).  The sum's degree and orbit-count checks still run.
+    A coset sum (PermRep.from_coset_actions) adds up its summands
+    instead: pi and the multiplicities are additive over a direct sum,
+    repeats included, and each summand, a kept CosetAction, computes and
+    checks its own once per table (its trivial multiplicity must be 1,
+    as a coset action is transitive).  The sum's degree and orbit-count
+    checks still run.
 
     The result is kept on rep, with its table, once every check has
     passed, and returned again for that same table object; another table
@@ -823,7 +822,7 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
     if table.group is not rep.group and table.group.elements != rep.group.elements:
         raise ValueError("table belongs to a different group")
     summands = rep._summands
-    if summands is not None and kept_actions(rep.group, summands):
+    if summands is not None:
         parts = [_summand_constituents(a, table) for a in summands]
         cons = Constituents(
             map(sum, zip(*(c.multiplicities for c in parts))),
@@ -946,8 +945,8 @@ def verify_isotype(rep: PermRep, table: CharacterTable | None = None) -> Isotype
     if any(map(any, scaled[1:])):
         raise RuntimeError("isotype trace is not rational")
     cls = table.class_of
-    for g in range(rep.group.order):
-        if table.sizes[cls[g]] * u_action_trace(rep, g) != scaled[0][cls[g]]:
+    for g, trace in enumerate(kernel_traces(rep)):
+        if table.sizes[cls[g]] * trace != scaled[0][cls[g]]:
             raise RuntimeError("trace identity failed at element %d" % g)
     return IsotypeReport(dim_pred, dim, [real.degree for real in occurring])
 

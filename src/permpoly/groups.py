@@ -566,7 +566,7 @@ class FiniteGroup:
         on the group, keyed by sub.elements as subgroups_of_order keeps
         its searches: an equal subgroup built again, with other
         generators, gets the same object.  PermRep.from_coset_actions
-        trusts kept actions to be homomorphisms.
+        takes only these kept actions, homomorphisms by construction.
         """
         if sub.parent is not self:
             raise ValueError("subgroup belongs to a different group")
@@ -576,26 +576,23 @@ class FiniteGroup:
             return action
         n = self.order
         table = self.table
+        # each coset's representative is its least element, the first
+        # one the walk meets
         coset_of = [-1] * n
-        cosets = []
+        reps = []
         for x in range(n):
-            if coset_of[x] >= 0:
-                continue
-            row = table[x]
-            members = tuple(sorted(row[y] for y in h))
-            cid = len(cosets)
-            for m in members:
-                coset_of[m] = cid
-            cosets.append(members)
-        reps = [c[0] for c in cosets]
+            if coset_of[x] < 0:
+                row = table[x]
+                for y in h:
+                    coset_of[row[y]] = len(reps)
+                reps.append(x)
         images = []
         for g in range(n):
             row = table[g]
             images.append(Permutation(coset_of[row[r]] for r in reps))
-        ident = Permutation.identity(len(cosets))
+        ident = Permutation.identity(len(reps))
         kernel = tuple(g for g in range(n) if images[g] == ident)
-        action = CosetAction(self, sub, len(cosets), tuple(images), kernel,
-                             len(kernel) == 1, tuple(cosets))
+        action = CosetAction(self, sub, len(reps), tuple(images), kernel)
         self._coset_actions[h] = action
         return action
 
@@ -707,26 +704,26 @@ class Subgroup:
 
 
 class CosetAction:
-    """The data of a coset action: degree, images, kernel, faithfulness.
+    """The data of a coset action: degree, images and kernel.
 
-    rows and constituents start as None.  reps caches the action's
-    reduced elimination rows and their pivots in rows (see
-    reps._summand_rows), and characters keeps its checked constituents
-    there, with their table (see characters.constituents), so a coset
-    sum of kept actions reads both off its summands.
+    Made and kept by FiniteGroup.coset_action, the only source of the
+    summands PermRep.from_coset_actions takes.  rows and constituents
+    start as None.  reps caches the action's reduced elimination rows
+    and their pivots in rows (see reps._summand_rows), and characters
+    keeps its checked constituents there, with their table (see
+    characters.constituents), so a coset sum reads both off its
+    summands.
     """
 
-    __slots__ = ("group", "subgroup", "degree", "images", "kernel",
-                 "faithful", "cosets", "rows", "constituents")
+    __slots__ = ("group", "subgroup", "degree", "images", "kernel", "rows",
+                 "constituents")
 
-    def __init__(self, group, subgroup, degree, images, kernel, faithful, cosets):
+    def __init__(self, group, subgroup, degree, images, kernel):
         self.group = group
         self.subgroup = subgroup
         self.degree = degree
         self.images = images
         self.kernel = kernel
-        self.faithful = faithful
-        self.cosets = cosets
         self.rows = None
         self.constituents = None
 

@@ -15,7 +15,7 @@ The kernel trace t(g) of an element is the trace of left multiplication
 by g on span{M_h - M_e} (u_action_trace).  That space carries each
 nontrivial constituent chi of the representation chi(1) times, so
 t(g) = sum over the set S of nontrivial constituents of chi(1) chi(g),
-and t is read off the affine kernel in integers (kernel_traces).  The
+and t is read off the reduced rows in integers (kernel_traces).  The
 functions sum(chi(1) chi) over distinct sets S differ, the irreducible
 characters being independent, so t determines S.  Precomposing B with
 an isomorphism phi gives the traces t_B o phi, hence phi is a witness
@@ -45,24 +45,27 @@ the sets of any one column j partition G, so their rows sum to the
 all-ones row of sum(lambda) = 0 and the reduced form is that of the
 full system.  This is the one elimination a representation needs: its
 pivot columns P pick the greedy first independent vertices, a basis of
-span{M_g}, and the kernel vector of a free column h expresses M_h in
-that basis.  The polytope chart and the kernel traces are read off it.
+span{M_g}, and the reduced row of pivot p holds the coefficient of
+M_p in every free vertex M_f, as R_p[f] / R_p[p].  The polytope chart
+and the kernel traces are read off it; the kernel vectors are built
+only for the kernel test.
 
 A coset sum, the direct sum of actions on G/H_1, ..., G/H_k, acts on
 the disjoint union of their points, so M_g is block diagonal: an entry
 outside the diagonal blocks has the empty incidence set, and an entry
 inside block i has the set it has in the i-th summand.  The sum's
 distinct sets are thus the union of its summands' sets, and its row
-space the sum of theirs.  Each coset action is kept per subgroup
-(FiniteGroup.coset_action) and holds the reduced rows of its own sets,
-so the kernel of a sum is eliminated on its distinct summands' reduced
-rows stacked; the reduced echelon form of a row space is unique, so
-the kernel, rank and pivots are those of the sum's own sets.  Order,
-repeats and a degree-1 summand beside others (its one row is the
-all-ones row, which the sets of any one column add up to) leave that
-row space as it is, so a sum of kept actions shares its kernel through
-the group with every sum of the same other summands, and a sum of one
-such summand reads its kernel off that summand's rows.
+space the sum of theirs.  A coset sum takes only the group's own coset
+actions, the one FiniteGroup.coset_action keeps per subgroup, and each
+holds the reduced rows of its own sets, so the kernel of a sum is
+eliminated on its distinct summands' reduced rows stacked; the reduced
+echelon form of a row space is unique, so the kernel, rank and pivots
+are those of the sum's own sets.  Order, repeats and a degree-1
+summand beside others (its one row is the all-ones row, which the sets
+of any one column add up to) leave that row space as it is, so a sum
+shares its kernel through the group with every sum of the same other
+summands, and a sum of one summand reads its kernel off that
+summand's rows.
 """
 
 from __future__ import annotations
@@ -110,9 +113,8 @@ class PermRep:
     The size cap on those entries is checked at construction all the
     same.  A coset sum keeps its summands as given, repeats included:
     affine_kernel reads its kernel off the rows of the distinct ones,
-    sharing it through the group with every sum of the same kept
-    summands, and characters.constituents adds up all of them when they
-    are the group's kept actions.
+    sharing it through the group with every sum of the same summands,
+    and characters.constituents adds up all of them.
     """
 
     def __init__(self, group: FiniteGroup, action, check=True):
@@ -155,8 +157,9 @@ class PermRep:
     def _validate(self):
         """The action must respect every generator edge,
         act[a*s] = act[a]*act[s], which makes it a homomorphism, and
-        must be faithful.  from_coset_actions skips it for a sum of the
-        group's own kept coset actions and checks only faithfulness."""
+        must be faithful.  from_coset_actions does not call it: a sum of
+        the group's own coset actions is a homomorphism by construction,
+        so only its faithfulness is checked."""
         group = self.group
         act = self.action
         for s, col in zip(group.gens, group.gen_columns):
@@ -199,20 +202,23 @@ class PermRep:
     def from_coset_actions(cls, group: FiniteGroup, actions) -> "PermRep":
         """Direct sum of coset actions, acting on the disjoint union of points.
 
-        ValueError on an empty list or an action of another group.  The
-        group's own kept actions (FiniteGroup.coset_action, see
-        kept_actions) are trusted: a sum of homomorphisms is one, so only
-        faithfulness is checked, as the intersection of the summands'
-        kernels, and characters.constituents sums the summands' own
-        checked constituents.  A sum with any other action gets the full
-        _validate and has its constituents computed on its own action.
-        NotFaithfulError carries the same kernel either way.
+        Takes only the actions FiniteGroup.coset_action returned for
+        this group: ValueError on an empty list, an action of another
+        group, or any other CosetAction, before anything is built or
+        kept.  A sum of homomorphisms is one, so only faithfulness is
+        checked, as the intersection of the summands' kernels
+        (NotFaithfulError carries it), and characters.constituents sums
+        the summands' own checked constituents.
         """
         actions = list(actions)
         if not actions:
             raise ValueError("need at least one coset action")
         if any(a.group is not group for a in actions):
             raise ValueError("coset action belongs to a different group")
+        kept = group._coset_actions
+        if any(kept.get(a.subgroup.elements) is not a for a in actions):
+            raise ValueError("coset sums take only the actions returned by "
+                             "FiniteGroup.coset_action")
         parts = []
         offset = 0
         for a in actions:
@@ -221,13 +227,10 @@ class PermRep:
             offset += a.degree
         combined = [Permutation(sum(imgs, ())) for imgs in zip(*parts)]
         rep = cls(group, combined, check=False)
-        if kept_actions(group, actions):
-            kernel = set(actions[0].kernel).intersection(
-                *(a.kernel for a in actions[1:]))
-            if len(kernel) != 1:
-                raise NotFaithfulError(tuple(sorted(kernel)))
-        else:
-            rep._validate()
+        kernel = set(actions[0].kernel).intersection(
+            *(a.kernel for a in actions[1:]))
+        if len(kernel) != 1:
+            raise NotFaithfulError(tuple(sorted(kernel)))
         rep._summands = actions
         return rep
 
@@ -254,13 +257,6 @@ class PermRep:
         return "<PermRep: order %d on %d points>" % (self.group.order, self.degree)
 
 
-def kept_actions(group: FiniteGroup, actions) -> bool:
-    """Whether every action is the group's own kept coset action
-    (FiniteGroup.coset_action), the ones a coset sum trusts."""
-    kept = group._coset_actions
-    return all(kept.get(a.subgroup.elements) is a for a in actions)
-
-
 def divisors_of_mask(mask):
     """The ascending tuple of the d with bit d set in mask."""
     return tuple(d for d in range(mask.bit_length()) if mask >> d & 1)
@@ -275,12 +271,13 @@ class AffineKernel:
     of its row in the unique rational reduced form, and dim = |G| - rank.
     The pivots are the greedy first independent vertices, since the
     vertices satisfy the same linear relations (each matrix column sums
-    to 1, so the all-ones row is implied).  sparse_int, built on first
-    read, holds the kernel vectors as linalg.kernel_from_rref gives
-    them, one per free column in ascending order, each a sorted list of
-    (element, int), primitive and positive at its free column, its last
-    entry; basis holds them over Q^|G| with 1 at the free column.  Both
-    are canonical.  Equality and hashing compare the rows made primitive
+    to 1, so the all-ones row is implied), and R_p[f] / R_p[p] is the
+    coefficient of M_p in a free vertex M_f.  sparse_int, built on
+    first read by the kernel test and its certificates, holds the
+    kernel vectors as linalg.kernel_from_rref gives them, one per free
+    column in ascending order, each a sorted list of (element, int),
+    primitive and positive at its free column, its last entry; it is
+    canonical.  Equality and hashing compare the rows made primitive
     with a positive pivot, a canonical form of the row space.
     """
 
@@ -290,7 +287,6 @@ class AffineKernel:
         self.rank = len(pivots)
         self.dim = order - self.rank
         self._sparse_int = None
-        self._basis = None
         self._canonical = None
 
     @property
@@ -299,13 +295,6 @@ class AffineKernel:
             self._sparse_int = kernel_from_rref(
                 self.rows, self.pivots, self.rank + self.dim)
         return self._sparse_int
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            order = self.rank + self.dim
-            self._basis = [_dense_vector(v, order) for v in self.sparse_int]
-        return self._basis
 
     def _canonical_rows(self):
         """The reduced rows, each primitive with a positive pivot."""
@@ -414,8 +403,8 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
     """The AffineKernel of a representation, made once and kept on it:
     a coset sum's on its distinct summands' reduced rows, a degree-1
     summand left out beside others, and kept on the group per set of
-    summands when they are its kept actions (see the module docstring);
-    any other representation's on the rows of its own incidence sets."""
+    summands (see the module docstring); any other representation's on
+    the rows of its own incidence sets."""
     if rep._kernel is not None:
         return rep._kernel
     group = rep.group
@@ -427,7 +416,7 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
     else:
         distinct = dict.fromkeys(a for a in summands if a.degree > 1)
         key = frozenset(distinct or summands[:1])
-        memo = group._kernels if kept_actions(group, summands) else {}
+        memo = group._kernels
         kernel = memo.get(key)
         if kernel is None:
             if len(key) == 1:
@@ -468,34 +457,29 @@ def kernel_traces(rep: PermRep):
     as a tuple of ints, made once per representation and kept.
 
     The pivot vertices M_p of the affine kernel are a basis of span{M_h},
-    and g sends M_p to M_gp.  At the identity every pivot is fixed; for
-    g != e no element is, so a pivot gp contributes nothing, and a free
-    gp expands through its kernel vector lambda as M_gp = -sum over
-    pivots q of (lambda[q] / lambda[gp]) M_q, contributing
-    -lambda[p] / lambda[gp].  The hull misses the origin, so span{M_h}
-    is span{M_h - M_e} plus Q M_e, and g acts trivially on the quotient:
-    the trace on span{M_h - M_e} is one less, rank - 1 at the identity.
+    and g sends M_p to M_gp, whose coefficient on M_p is the reduced-row
+    entry R_p[gp] / R_p[p].  At the identity every pivot is fixed; for
+    g != e no element is, and R_p vanishes at every other pivot, so the
+    trace is the sum over pivots p of R_p[gp] / R_p[p].  The hull misses
+    the origin, so span{M_h} is span{M_h - M_e} plus Q M_e, and g acts
+    trivially on the quotient: the trace on span{M_h - M_e} is one
+    less, rank - 1 at the identity.
 
     The sums run over the pivots, in integers scaled by the lcm of the
-    kernel vectors' free entries; each trace is sum(chi(1) chi(g)) over
-    the nontrivial constituents, a rational algebraic integer, and
-    RuntimeError is raised if a scaled sum does not divide out.
+    pivot entries, so no kernel vector is built; each trace is
+    sum(chi(1) chi(g)) over the nontrivial constituents, a rational
+    algebraic integer, and RuntimeError is raised if a scaled sum does
+    not divide out.
     """
     if rep._traces is not None:
         return rep._traces
     kernel = affine_kernel(rep)
-    order = rep.group.order
-    scale = lcm(*(entries[-1][1] for entries in kernel.sparse_int))
-    # coefficient of pivot p in the scaled expansion of each free vertex
-    expansion = {p: [0] * order for p in kernel.pivots}
-    for entries in kernel.sparse_int:
-        free, c_free = entries[-1]
-        factor = scale // c_free
-        for p, c in entries[:-1]:
-            expansion[p][free] = c * factor
-    columns = [list(map(expansion[p].__getitem__,
-                        [row[p] for row in rep.group.table]))
-               for p in kernel.pivots]
+    table = rep.group.table
+    scale = lcm(*(row[p] for row, p in zip(kernel.rows, kernel.pivots)))
+    columns = []
+    for row, p in zip(kernel.rows, kernel.pivots):
+        factor = scale // row[p]
+        columns.append([row[t[p]] * factor for t in table])
     traces = [kernel.rank - 1]
     for g, total in enumerate(map(sum, zip(*columns))):
         if g:
@@ -503,7 +487,7 @@ def kernel_traces(rep: PermRep):
             if rest:
                 raise RuntimeError(
                     "kernel trace at element %d is not an integer" % g)
-            traces.append(-1 - quotient)
+            traces.append(quotient - 1)
     rep._traces = tuple(traces)
     return rep._traces
 

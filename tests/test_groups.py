@@ -198,8 +198,10 @@ def test_coset_action(s4):
     stab = s4.point_stabilizer(1)
     act = s4.coset_action(stab)
     assert act.degree == 4
-    assert act.faithful and act.kernel == (0,)
-    assert act.cosets[0] == stab.elements
+    assert act.kernel == (0,)
+    # coset 0 is the subgroup itself: its stabilizer
+    assert tuple(g for g in range(24) if act.images[g][0] == 0) \
+        == stab.elements
     # action homomorphism: image of a product is the product of images
     rng = random.Random(13)
     for _ in range(40):
@@ -208,8 +210,7 @@ def test_coset_action(s4):
     normal = s4.subgroups_of_order(12)[0]
     act2 = s4.coset_action(normal)
     assert act2.degree == 2
-    assert not act2.faithful
-    assert len(act2.kernel) == 12
+    assert act2.kernel == normal.elements
 
 
 def test_subgroup_properties(s4):

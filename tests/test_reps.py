@@ -16,7 +16,7 @@ from oracles import (annihilation_stably_equivalent,
 from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
                              SizeCapError, generator_correspondence,
                              isomorphisms, isomorphisms_iter, parse_cycles)
-from permpoly.characters import character_table, constituents
+from permpoly.characters import character_table, constituents, verify_isotype
 from permpoly.linalg import kernel_sparse, rank
 from permpoly.polytopes import build_polytope, is_face
 from permpoly.reps import (
@@ -25,6 +25,7 @@ from permpoly.reps import (
     NotStablyEquivalentError,
     PermRep,
     _annihilates_kernel,
+    _dense_vector,
     _incidence_sets,
     _lambda_annihilates,
     _set_rows,
@@ -99,26 +100,53 @@ def test_coset_action_is_kept_per_subgroup(s4):
 
 
 def test_hand_built_coset_actions_are_fully_validated(s4):
+    """A hand-built CosetAction is refused, alone or beside a kept one,
+    before any kernel or elimination is made: a tampered action, one
+    with a false kernel and a faithful copy alike. Only the group's own
+    actions make a coset sum."""
     a4 = s4.subgroups_of_order(12)[0]
     kept = s4.coset_action(s4.subgroup([]))
+    quotient = s4.coset_action(a4)
     images = list(kept.images)
     images[1], images[2] = images[2], images[1]
     tampered = CosetAction(s4, kept.subgroup, kept.degree, tuple(images),
-                           kept.kernel, kept.faithful, kept.cosets)
-    with pytest.raises(ValueError, match="inconsistent"):
-        PermRep.from_coset_actions(s4, [tampered])
-    # a false kernel is not read: the full check finds the true one
-    quotient = s4.coset_action(a4)
-    lying = CosetAction(s4, a4, quotient.degree, quotient.images, (0,), True,
-                        quotient.cosets)
-    with pytest.raises(NotFaithfulError) as exc:
-        PermRep.from_coset_actions(s4, [lying])
-    assert exc.value.kernel == a4.elements
-    # a faithful hand-built copy passes and gives the kept sum's kernel
+                           kept.kernel)
+    lying = CosetAction(s4, a4, quotient.degree, quotient.images, (0,))
     copy = CosetAction(s4, kept.subgroup, kept.degree, kept.images,
-                       kept.kernel, kept.faithful, kept.cosets)
-    assert affine_kernel(PermRep.from_coset_actions(s4, [copy])) == \
+                       kept.kernel)
+    for bad in (tampered, lying, copy):
+        for summands in ([bad], [kept, bad]):
+            with pytest.raises(ValueError, match="FiniteGroup.coset_action"):
+                PermRep.from_coset_actions(s4, summands)
+    # the kept action itself makes the regular representation
+    assert affine_kernel(PermRep.from_coset_actions(s4, [kept])) == \
         affine_kernel(regular(s4))
+
+
+def test_hand_built_coset_actions_skip_the_kernel_memo():
+    """A refused sum reads no kernel memo entry and leaves the kernel
+    and action memos as they were; the kept sums then fill the memo."""
+    g = fresh_s4()
+    kept = g.coset_action(g.subgroup([]))
+    other = g.coset_action(g.point_stabilizer(1))
+    copy = CosetAction(g, kept.subgroup, kept.degree, kept.images,
+                       kept.kernel)
+    actions = dict(g._coset_actions)
+    # a planted entry for the copy's set is not read
+    planted = object()
+    g._kernels[frozenset([copy])] = planted
+    with pytest.raises(ValueError, match="FiniteGroup.coset_action"):
+        PermRep.from_coset_actions(g, [copy])
+    assert g._kernels == {frozenset([copy]): planted}
+    del g._kernels[frozenset([copy])]
+    with pytest.raises(ValueError, match="FiniteGroup.coset_action"):
+        PermRep.from_coset_actions(g, [other, copy])
+    assert g._kernels == {} and g._coset_actions == actions
+    assert kept.rows is None and other.rows is None
+    # nor filled: the kept sums make their own entries
+    affine_kernel(PermRep.from_coset_actions(g, [kept]))
+    affine_kernel(PermRep.from_coset_actions(g, [other, kept]))
+    assert len(g._kernels) == 2
 
 
 def test_coset_sum_kernel_is_the_summands_kernels_meet(s4):
@@ -256,7 +284,8 @@ def test_affine_kernel_vectors_annihilate(s3, klein):
     for rep in (PermRep.natural(s3), PermRep.natural(klein)):
         kern = affine_kernel(rep)
         n2 = rep.degree ** 2
-        for vec in kern.basis:
+        dense = [_dense_vector(v, rep.group.order) for v in kern.sparse_int]
+        for vec in dense:
             assert sum(vec) == 0
             acc = [Fraction(0)] * n2
             for lam, v in zip(vec, rep.vertices):
@@ -266,7 +295,7 @@ def test_affine_kernel_vectors_annihilate(s3, klein):
                             acc[k] += lam
             assert all(x == 0 for x in acc)
         # sparse form carries the same vectors up to scale
-        for entries, vec in zip(kern.sparse_int, kern.basis):
+        for entries, vec in zip(kern.sparse_int, dense):
             support = {i for i, c in entries if c}
             assert support == {i for i, c in enumerate(vec) if c}
 
@@ -276,7 +305,8 @@ def test_affine_kernel_is_canonical(klein):
     b = affine_kernel(PermRep.natural(klein))
     assert a == b and hash(a) == hash(b)
     # the square relation: e + (1 2)(3 4) = (1 2) + (3 4)
-    (vec,) = a.basis
+    (entries,) = a.sparse_int
+    vec = _dense_vector(entries, 4)
     assert sorted(vec) == [-1, -1, 1, 1]
 
 
@@ -535,7 +565,8 @@ def check_against_dense(rep, full=True):
     full, the kernel's pivots and the chart's coordinates are checked
     too."""
     kern = affine_kernel(rep)
-    assert (kern.dim, kern.rank, kern.basis, kern.sparse_int) == \
+    dense = [_dense_vector(v, rep.group.order) for v in kern.sparse_int]
+    assert (kern.dim, kern.rank, dense, kern.sparse_int) == \
         dense_affine_kernel(rep)
     if full:
         # the kernel's pivots are those of the matrix whose columns are
@@ -703,27 +734,6 @@ def test_coset_sums_of_one_summand_set_share_one_kernel(monkeypatch):
     assert len(g._kernels) == 2
 
 
-def test_hand_built_coset_actions_skip_the_kernel_memo():
-    g = fresh_s4()
-    kept = g.coset_action(g.subgroup([]))
-    copy = CosetAction(g, kept.subgroup, kept.degree, kept.images,
-                       kept.kernel, kept.faithful, kept.cosets)
-    other = g.coset_action(g.point_stabilizer(1))
-    # a planted entry for the copy's set is not read
-    planted = object()
-    g._kernels[frozenset([copy])] = planted
-    alone = affine_kernel(PermRep.from_coset_actions(g, [copy]))
-    assert alone is not planted
-    del g._kernels[frozenset([copy])]
-    mixed = affine_kernel(PermRep.from_coset_actions(g, [other, copy]))
-    assert g._kernels == {}
-    # nor filled, and the kernels are the kept sums'
-    assert alone == affine_kernel(regular(g))
-    assert mixed == affine_kernel(
-        PermRep.from_coset_actions(g, [other, kept]))
-    assert len(g._kernels) == 2
-
-
 def test_kernel_basis_is_built_only_when_read():
     g, rep1, rep2 = main_example_reps()
     table = character_table(g)
@@ -732,7 +742,7 @@ def test_kernel_basis_is_built_only_when_read():
         assert build_polytope(rep, table).dim == 14
         kern = affine_kernel(rep)
         assert kern.dim == 33
-        assert (kern._sparse_int, kern._basis) == (None, None)
+        assert kern._sparse_int is None
     # read later, the basis is kernel_sparse's on the sum's own sets
     a4 = FiniteGroup.from_cycle_strings(["(1 2 3)", "(2 3 4)"], 4)
     for rep in [rep1, rep2] + coset_sums(a4):
@@ -831,6 +841,17 @@ def test_kernel_traces_match_the_pivot_walk(s4, a4, d6, q8, main_pair):
                                 for g in range(rep.group.order)]
         assert kernel_traces(rep) is traces
         assert u_action_trace(rep, 1) == Fraction(traces[1])
+
+
+def test_kernel_traces_build_no_kernel_vector():
+    """The traces, and the isotype check that reads them, come off the
+    reduced rows: on fresh representations no kernel vector is built."""
+    g = fresh_s4()
+    table = character_table(g)
+    for rep in [PermRep.natural(g)] + coset_sums(g):
+        kernel_traces(rep)
+        assert verify_isotype(rep, table).ok
+        assert affine_kernel(rep)._sparse_int is None
 
 
 def test_witnesses_match_the_divisor_filter_walk_on_relabelled_twins(
