@@ -38,7 +38,7 @@ Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 DEFAULT_ORDER_CAP = 1000
 DEFAULT_NODE_CAP = 10_000_000
@@ -111,10 +111,7 @@ class Permutation(tuple):
         return result
 
     def order(self) -> int:
-        n = 1
-        for c in self.cycles():
-            n = n * len(c) // gcd(n, len(c))
-        return n
+        return lcm(*map(len, self.cycles()))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self))
@@ -398,10 +395,7 @@ class FiniteGroup:
         return True
 
     def exponent(self) -> int:
-        m = 1
-        for o in self.orders:
-            m = m * o // gcd(m, o)
-        return m
+        return lcm(*self.orders)
 
     def conjugacy_classes(self):
         """Classes as sorted index tuples; the identity class comes first,
@@ -456,13 +450,12 @@ class FiniteGroup:
         return Subgroup(self, indices, gens)
 
     def point_stabilizer(self, point: int) -> "Subgroup":
-        """Stabilizer of a 1-based point."""
-        if not 1 <= point <= self.degree:
+        """Stabilizer of a 1-based point, an integer in 1..degree."""
+        if point not in range(1, self.degree + 1):
             raise ValueError("point %r out of range 1..%d"
                              % (point, self.degree))
-        p = point - 1
-        idxs = [i for i, e in enumerate(self.elements) if e[p] == p]
-        sub = tuple(sorted(idxs))
+        p = int(point) - 1
+        sub = tuple(i for i, e in enumerate(self.elements) if e[p] == p)
         return Subgroup(self, sub, _find_generators(self.table, sub))
 
     def subgroups_of_order(self, k: int, node_cap=DEFAULT_NODE_CAP):
@@ -750,8 +743,11 @@ class GroupMap:
                 and len(set(self.images)) == self.source.order)
 
     def validate(self) -> bool:
-        """Homomorphism check on the source's generator edges."""
-        return _respects_generators(self.source, self.target, self.images)
+        """Homomorphism check on the generator edges; False on bad images."""
+        n = self.target.order
+        return (len(self.images) == self.source.order
+                and all(type(i) is int and 0 <= i < n for i in self.images)
+                and _respects_generators(self.source, self.target, self.images))
 
     def __eq__(self, other):
         return (isinstance(other, GroupMap) and other.source is self.source

@@ -28,7 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, isqrt, lcm
+from itertools import islice
+from math import factorial, lcm
 
 from .groups import _element_indices
 from .intlinalg import hermite_form, saturation, solve_in_lattice
@@ -173,6 +174,14 @@ def _checked_labels(poly, subset):
     return labels
 
 
+def _vertex_sum(base, p, q):
+    """Images of M_p + M_q - M_base: q's where p agrees with base, p's
+    where q does; None if in some column neither does (a -1 entry)."""
+    out = tuple(j if i == b else i if j == b else None
+                for b, i, j in zip(base, p, q))
+    return None if None in out else out
+
+
 def is_face(poly: PermutationPolytope, subset) -> FaceResult:
     """Decide whether the given vertex labels are exactly the vertex set
     of a face (the full set counts: improper face).
@@ -203,12 +212,9 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
         return FaceResult(True, functional=(a, Fraction(n)), route="support")
 
     if len(labels) == 2:
-        img_a, img_b = (action[g] for g in labels)
         x = next(g for g in closure if g not in labels)
-        # x follows a or b in each column; taking the other choice in
-        # every column gives the complementary cycle product
-        img_y = tuple(ib if ix == ia else ia
-                      for ia, ib, ix in zip(img_a, img_b, action[x]))
+        # x follows a or b in each column: y is the complementary product
+        img_y = _vertex_sum(action[x], *(action[g] for g in labels))
         y = next((g for g in closure if action[g] == img_y), None)
         if y is None:
             raise RuntimeError("vertex pair %r: M_a + M_b - M_%d is not a "
@@ -410,11 +416,16 @@ def point_membership(poly: PermutationPolytope, point) -> Membership:
 
 
 class ShapeDescriptor:
-    def __init__(self, kind, params, vertex_count, dim):
+    """kind "simplex" (params (d,)), "product" (params (a, b), a <= b)
+    or "unclassified".  A product's labelling holds the labels v_ij as
+    a + 1 rows of b + 1, with M_ij = M_i0 + M_0j - M_00; else None."""
+
+    def __init__(self, kind, params, vertex_count, dim, labelling=None):
         self.kind = kind
         self.params = tuple(params)
         self.vertex_count = vertex_count
         self.dim = dim
+        self.labelling = labelling
 
     def __str__(self):
         if self.kind == "simplex":
@@ -435,55 +446,45 @@ def _subset_dim(poly, labels):
     return rank(rows) if rows else 0
 
 
-def _is_subgroup_set(group, labels):
-    if 0 not in labels:
-        return False
-    members = set(labels)
-    return all(group.table[a][b] in members for a in labels for b in labels)
-
-
 def shape_descriptor(poly: PermutationPolytope, subset=None) -> ShapeDescriptor:
-    """Classify a polytope or one of its faces.
-
-    simplex when count = dim+1; product of two simplices when the count
-    and dimension match (a+1)(b+1) = v, a+b = d and the edge graph is
-    (a+b)-regular; unclassified otherwise.  Edges are face tests on
-    vertex pairs; for subgroup vertex sets left multiplication is a
-    linear automorphism of the polytope making the skeleton
-    vertex-transitive, so the degree at the identity decides regularity.
+    """Classify a polytope or the hull of some of its vertices, by one
+    path: simplex when v = d + 1, product when a labelling is found,
+    unclassified otherwise.  The anchor is the least label and X, Y split
+    its d polytope edges: h joins the first edge's end x unless
+    M_x + M_h - M_anchor is a vertex of the set.  Each such corner for
+    x in X, y in Y must be one, and the anchor, X, Y and the corners v
+    distinct labels.  They span at most |X| + |Y| = d dimensions, so the
+    edge vectors are independent: a proof, whatever the edge tests said.
     """
     if subset is None:
-        labels = list(range(poly.vertex_count))
+        labels, d = list(range(poly.vertex_count)), poly.dim
     else:
         labels = _checked_labels(poly, subset)
+        d = _subset_dim(poly, labels)
     v = len(labels)
-    d = _subset_dim(poly, labels) if subset is not None else poly.dim
     if v == d + 1:
         return ShapeDescriptor("simplex", (d,), v, d)
-    # a + b = d and (a+1)(b+1) = v force a, b to be the roots of
-    # t^2 - d t + (v - d - 1)
-    disc = d * d - 4 * (v - d - 1)
     shape = ShapeDescriptor("unclassified", (), v, d)
-    if disc < 0 or isqrt(disc) ** 2 != disc:
+    anchor = labels[0]
+    near = list(islice((h for h in labels[1:]
+                        if is_face(poly, (anchor, h)).is_face), d + 1))
+    if len(near) != d:
         return shape
-    root = isqrt(disc)
-    if (d - root) % 2:
+    action = poly.rep.action
+    label_of = {action[g]: g for g in labels}
+
+    def corner(x, y):
+        return label_of.get(_vertex_sum(action[anchor], action[x], action[y]))
+
+    xs = [near[0]] + [y for y in near[1:] if corner(near[0], y) is None]
+    ys = [y for y in near if y not in xs]
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    if len(xs) * len(ys) != v - d - 1:
         return shape
-    a, b = (d - root) // 2, (d + root) // 2
-    if a < 1 or (a + 1) * (b + 1) != v:
+    grid = ((anchor, *ys),) + tuple((x, *(corner(x, y) for y in ys))
+                                    for x in xs)
+    flat = [g for row in grid for g in row]
+    if None in flat or len(set(flat)) != v:
         return shape
-    if _is_subgroup_set(poly.group, labels):
-        anchor = labels[0]
-        others = [h for h in labels if h != anchor]
-        degree = sum(1 for h in others if is_face(poly, (anchor, h)).is_face)
-        regular = degree == a + b
-    else:
-        degrees = []
-        for x in labels:
-            deg = sum(1 for y in labels
-                      if y != x and is_face(poly, (x, y)).is_face)
-            degrees.append(deg)
-        regular = all(deg == a + b for deg in degrees)
-    if regular:
-        return ShapeDescriptor("product", (a, b), v, d)
-    return shape
+    return ShapeDescriptor("product", (len(xs), len(ys)), v, d, grid)

@@ -75,8 +75,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .groups import (FiniteGroup, GroupMap, Permutation, SizeCapError,
-                     _element_indices, count_orbits, isomorphisms_iter)
+from .groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
+                     SizeCapError, _element_indices, count_orbits,
+                     isomorphisms_iter)
 from .linalg import F0, _rref_int, kernel_from_rref, kernel_sparse
 
 
@@ -119,11 +120,11 @@ class PermRep:
 
     def __init__(self, group: FiniteGroup, action, check=True):
         self.group = group
-        self.action = tuple(action)
+        self.action = tuple(map(Permutation, action) if check else action)
         if len(self.action) != group.order:
             raise ValueError("need one permutation per group element")
-        self.degree = self.action[0].degree
-        if any(p.degree != self.degree for p in self.action):
+        self.degree = len(self.action[0])
+        if any(len(p) != self.degree for p in self.action):
             raise ValueError("action images have mixed degrees")
         entries = group.order * self.degree ** 2
         if entries > MAX_VERTEX_ENTRIES:
@@ -181,13 +182,13 @@ class PermRep:
 
     @classmethod
     def from_generator_images(cls, group: FiniteGroup, images) -> "PermRep":
-        """Extend generator images along the group's spanning tree; the
-        constructor then checks consistency on the generator edges."""
+        """Extend generator images, Permutations or plain tuples, along
+        the spanning tree; the constructor checks the generator edges."""
         images = list(images)
         if len(images) != len(group.gens):
             raise ValueError("need one image per generator")
         act = [None] * group.order
-        act[0] = Permutation.identity(images[0].degree)
+        act[0] = Permutation.identity(len(images[0]))
         for y, x, pos in group.tree:
             act[y] = act[x] * images[pos]
         # the tree reaches each generator through its own image, except
@@ -204,21 +205,23 @@ class PermRep:
 
         Takes only the actions FiniteGroup.coset_action returned for
         this group: ValueError on an empty list, an action of another
-        group, or any other CosetAction, before anything is built or
-        kept.  A sum of homomorphisms is one, so only faithfulness is
-        checked, as the intersection of the summands' kernels
-        (NotFaithfulError carries it), and characters.constituents sums
-        the summands' own checked constituents.
+        group, or anything else, before anything is built or kept.  A
+        sum of homomorphisms is one, so only faithfulness is checked, as
+        the intersection of the summands' kernels (NotFaithfulError
+        carries it), and characters.constituents sums the summands' own
+        checked constituents.
         """
         actions = list(actions)
         if not actions:
             raise ValueError("need at least one coset action")
-        if any(a.group is not group for a in actions):
-            raise ValueError("coset action belongs to a different group")
         kept = group._coset_actions
-        if any(kept.get(a.subgroup.elements) is not a for a in actions):
-            raise ValueError("coset sums take only the actions returned by "
-                             "FiniteGroup.coset_action")
+        for a in actions:
+            if isinstance(a, CosetAction) and a.group is not group:
+                raise ValueError("coset action belongs to a different group")
+            if (not isinstance(a, CosetAction)
+                    or kept.get(a.subgroup.elements) is not a):
+                raise ValueError("coset sums take only the actions returned "
+                                 "by FiniteGroup.coset_action")
         parts = []
         offset = 0
         for a in actions:

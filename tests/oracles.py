@@ -5,7 +5,7 @@ import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -21,6 +21,7 @@ from permpoly.groups import (FiniteGroup, GroupMap, Permutation, Subgroup,
 from permpoly.intlinalg import (_hermite_left_block, hermite_form,
                                 solve_in_lattice)
 from permpoly.linalg import F0, _rref_int, kernel_sparse
+from permpoly.polytopes import _checked_labels, _subset_dim, is_face
 from permpoly.reps import (PermRep, _lambda_annihilates, affine_kernel,
                            cycle_divisor_obstruction, u_action_trace)
 
@@ -802,3 +803,40 @@ def relation_lattice_invariant_factors(group):
     divisors = [abs(int(snf[i, i])) for i in range(k)]
     assert all(divisors), "relation lattice does not have full rank"
     return tuple(d for d in divisors if d != 1)
+
+
+def regularity_shape(poly, subset=None):
+    """The shape string of the regularity heuristic that the labelling
+    replaced: product(a, b) when (a+1)(b+1) = v and a + b = d have a
+    root pair and the edge graph is (a+b)-regular, by the degree at the
+    identity for a subgroup vertex set and at every vertex otherwise."""
+    if subset is None:
+        labels = list(range(poly.vertex_count))
+    else:
+        labels = _checked_labels(poly, subset)
+    v = len(labels)
+    d = _subset_dim(poly, labels) if subset is not None else poly.dim
+    if v == d + 1:
+        return "simplex(%d)" % d
+    disc = d * d - 4 * (v - d - 1)
+    if disc < 0 or isqrt(disc) ** 2 != disc:
+        return "unclassified"
+    root = isqrt(disc)
+    if (d - root) % 2:
+        return "unclassified"
+    a, b = (d - root) // 2, (d + root) // 2
+    if a < 1 or (a + 1) * (b + 1) != v:
+        return "unclassified"
+    members = set(labels)
+    table = poly.group.table
+    if 0 in members and all(table[x][y] in members
+                            for x in labels for y in labels):
+        centres = labels[:1]
+    else:
+        centres = labels
+    for x in centres:
+        degree = sum(1 for y in labels
+                     if y != x and is_face(poly, (x, y)).is_face)
+        if degree != a + b:
+            return "unclassified"
+    return "product(%d, %d)" % (a, b)

@@ -189,9 +189,10 @@ def test_point_stabilizer(s4, a5):
     assert stab.order == 6
     assert all(s4.elements[i].images[0] == 0 for i in stab.elements)
     assert a5.point_stabilizer(3).order == 12
-    for bad in (0, -1, 5):
+    for bad in (0, -1, 5, 1.5, "1", None):
         with pytest.raises(ValueError, match="out of range"):
             s4.point_stabilizer(bad)
+    assert s4.point_stabilizer(2.0) == s4.point_stabilizer(2)
 
 
 def test_coset_action(s4):
@@ -280,6 +281,11 @@ def test_group_map_operations(s3):
     # sending the identity element elsewhere breaks the homomorphism law
     broken = GroupMap(s3, s3, [1, 0, 2, 3, 4, 5])
     assert not broken.validate()
+    # images that are not one target element index per source element
+    # make no homomorphism either: False, not an exception
+    for images in ([0], [0] * 7, [0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, -1],
+                   [0.0, 1, 2, 3, 4, 5]):
+        assert not GroupMap(s3, s3, images).validate()
 
 
 def test_automorphism_counts(s3, z4, klein, q8):

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from oracles import (brute_force_faces, dense_lattice_structure,
-                     dense_point_membership, indecomposable)
+                     dense_point_membership, indecomposable, regularity_shape)
 import permpoly.polytopes as polytopes
 from permpoly.groups import FiniteGroup, parse_cycles
 from permpoly.polytopes import (
+    FaceResult,
     UnsupportedShapeError,
     _is_face_lp,
     build_polytope,
@@ -303,6 +304,96 @@ def test_shape_descriptor(klein, z4, s3):
     # faces classify too: an edge of the square is a 1-simplex
     assert str(shape_descriptor(square, (0, 1))) == "simplex(1)"
     assert str(shape_descriptor(square, range(4))) == "product(1, 1)"
+    assert shape_descriptor(square).labelling == ((0, 2), (1, 3))
+    assert desc.labelling is None and shape_descriptor(tetra).labelling is None
+
+
+def check_labelling(poly, subset, desc):
+    """A product's labelling on the vertex matrices: a + 1 rows of b + 1
+    distinct labels covering the set, with M_ij = M_i0 + M_0j - M_00."""
+    a, b = desc.params
+    grid = desc.labelling
+    assert a <= b and len(grid) == a + 1
+    assert all(len(row) == b + 1 for row in grid)
+    labels = [g for row in grid for g in row]
+    assert len(set(labels)) == len(labels)
+    assert set(labels) == set(range(poly.vertex_count) if subset is None
+                              else subset)
+    m = poly.vertices
+    for row in grid:
+        for j, g in enumerate(row):
+            assert m[g] == tuple(x + y - z for x, y, z in
+                                 zip(m[row[0]], m[grid[0][j]], m[grid[0][0]]))
+
+
+def test_shape_matches_the_regularity_oracle(klein, z4, s3, a4, s4, d6, q8,
+                                             main_pair):
+    """The labelling against the regularity heuristic it replaced, on
+    every corpus polytope, every subgroup vertex set of every order and
+    seeded random subsets.  Where they differ the labelling found a
+    product, and every product's labelling is checked."""
+    z2_4 = FiniteGroup.from_cycle_strings(
+        ["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8)
+    g48 = main_pair[0].group
+    reps = [PermRep.natural(g) for g in
+            (s3, klein, z4, a4, s4, d6, q8, z2_4, g48)] + list(main_pair)
+    rng = random.Random(30)
+    shapes = set()
+    for rep in reps:
+        poly = build_polytope(rep)
+        group = rep.group
+        subsets = [None] + [sub.elements for k in range(1, group.order + 1)
+                            if group.order % k == 0
+                            for sub in group.subgroups_of_order(k)]
+        subsets += [rng.sample(range(group.order),
+                              rng.randint(3, min(8, group.order)))
+                    for _ in range(60)]
+        for subset in subsets:
+            desc = shape_descriptor(poly, subset)
+            shapes.add(desc.kind)
+            if desc.kind == "product":
+                check_labelling(poly, subset, desc)
+            if str(desc) != regularity_shape(poly, subset):
+                assert desc.kind == "product"
+    assert shapes == {"simplex", "product", "unclassified"}
+
+
+def test_prism_subset_is_a_product():
+    """Six vertices of the 4-cube spanning a triangular prism: the
+    regularity heuristic counted the whole polytope's edges and left it
+    unclassified."""
+    z2_4 = FiniteGroup.from_cycle_strings(
+        ["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8)
+    poly = build_polytope(PermRep.natural(z2_4))
+    prism = (0, 1, 3, 4, 6, 8)
+    desc = shape_descriptor(poly, prism)
+    assert str(desc) == "product(1, 2)"
+    check_labelling(poly, prism, desc)
+    assert regularity_shape(poly, prism) == "unclassified"
+
+
+def test_flipped_anchor_edge_leaves_the_shape_unclassified(
+        monkeypatch, klein, main_pair):
+    """Dropping one edge at the anchor or adding one gives unclassified,
+    never a wrong product."""
+    face = polytopes.is_face
+    cases = [(build_polytope(PermRep.natural(klein)), None),
+             (build_polytope(main_pair[0]), None)]
+    census = subgroup_face_census(main_pair[0], 24, poly=cases[1][0])
+    cases += [(cases[1][0], e.elements) for e in census if e.is_face][:1]
+    for poly, subset in cases:
+        assert shape_descriptor(poly, subset).kind == "product"
+        anchor, *others = sorted(range(poly.vertex_count) if subset is None
+                                 else subset)
+        for h in others:
+            def flipped(p, pair, h=h):
+                res = face(p, pair)
+                if sorted(pair) == [anchor, h]:
+                    return FaceResult(not res.is_face)
+                return res
+            monkeypatch.setattr(polytopes, "is_face", flipped)
+            assert str(shape_descriptor(poly, subset)) == "unclassified"
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("subset", [[999], [-1, 0], [], [0, 1.5], [0, "1"]])

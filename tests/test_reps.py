@@ -179,6 +179,28 @@ def test_coset_sum_needs_own_actions(s3, s4):
         action = other.coset_action(other.subgroup([]))
         with pytest.raises(ValueError, match="different group"):
             PermRep.from_coset_actions(s3, [action])
+    # a subgroup where its coset action belongs, or no action at all
+    for bad in ([s3.subgroup([])], [3],
+                [s3.coset_action(s3.subgroup([])), s3.subgroup([])]):
+        with pytest.raises(ValueError, match="FiniteGroup.coset_action"):
+            PermRep.from_coset_actions(s3, bad)
+
+
+def test_checked_actions_take_plain_image_tuples():
+    """The generator-image route and the checked constructor read
+    degrees with len, so plain image tuples work and are kept as
+    Permutations; the natural representation keeps the group's own."""
+    z3 = FiniteGroup.from_cycle_strings(["(1 2 3)"], 3)
+    rep = PermRep.from_generator_images(z3, [(1, 2, 0)])
+    assert rep.action == PermRep.from_generator_images(
+        z3, [parse_cycles("(1 2 3)", 3)]).action
+    plain = PermRep(z3, [tuple(p) for p in z3.elements])
+    assert all(type(p) is Permutation for p in plain.action)
+    assert plain.cycle_divisors() == PermRep.natural(z3).cycle_divisors()
+    with pytest.raises(ValueError, match="mixed degrees"):
+        PermRep(z3, [(0, 1, 2), (1, 2, 0), (2, 0, 1, 3)])
+    assert all(p is e for p, e in
+               zip(PermRep.natural(z3).action, z3.elements))
 
 
 def test_generator_images_inconsistent(klein):
