@@ -28,8 +28,8 @@ from .report import Report, canonical_json
 from .reps import (AffineKernel, EquivariantMap, NotFaithfulError,
                    NotStablyEquivalentError, PermRep, affine_kernel,
                    build_equivariant_map, compose_with_map,
-                   cycle_divisor_obstruction, effectively_equivalent, stably_equivalent_by_kernel,
-                   u_action_trace)
+                   cycle_divisor_obstruction, effectively_equivalent,
+                   stably_equivalent_by_kernel)
 from .scenarios import SCENARIOS, run_scenario
 
 __version__ = "0.1.0"
@@ -50,5 +50,5 @@ __all__ = [
     "permutation_character", "point_membership", "polytopes_equal",
     "real_irreducibles", "run_scenario", "shape_descriptor",
     "stably_equivalent_by_characters", "stably_equivalent_by_kernel",
-    "subgroup_face_census", "u_action_trace", "verify_isotype",
+    "subgroup_face_census", "verify_isotype",
 ]

@@ -26,19 +26,26 @@ proven so far (at most node_cap of them) and accepts a leaf found in it
 without a fill.
 
 A FiniteGroup is immutable, so its two exhaustive searches are kept on
-it once they complete: the automorphisms (each as the image tuple the
-search itself built, which a replayed GroupMap holds without a copy)
-and the subgroups of each order.  Each is computed once per group; a
-replay honours node_cap exactly as a fresh search would, and a search
-stopped early keeps nothing.  Subgroups generated by given indices are
-kept per generator tuple.
+it once they complete: the automorphisms, as the GroupMaps the search
+yielded, which a replay yields again, and the subgroups of each order.
+Each is computed once per group; a replay honours node_cap exactly as a
+fresh search would, and a search stopped early keeps nothing.  The
+isomorphisms onto another group object are not searched for in full:
+one isomorphism psi0 is, and Iso(g1, g2) = psi0 o Aut(g1) is
+transported from the kept automorphisms, in the order a full search
+would give, and kept on g1 per g2 as image tuples (see
+isomorphisms_iter).  Subgroups generated by given indices are kept per
+generator tuple.
 
 Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import lcm
+from operator import itemgetter
+from weakref import WeakKeyDictionary
 
 DEFAULT_ORDER_CAP = 1000
 DEFAULT_NODE_CAP = 10_000_000
@@ -301,17 +308,30 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         # exhaustive searches, kept once complete (see isomorphisms_iter
-        # and subgroups_of_order): ((nodes, image tuple) per
-        # automorphism, total nodes), and order -> (subgroups, nodes);
-        # coset actions, kept per subgroup elements (see coset_action);
-        # generated subgroups, kept per generator tuple (see subgroup);
-        # affine kernels of coset sums, kept per set of kept summands
-        # (see reps.affine_kernel)
+        # and subgroups_of_order): (GroupMap per automorphism, total
+        # nodes, nodes at which each map was found), the image tuples of
+        # the isomorphisms onto each other group, held weakly, and order
+        # -> (subgroups, nodes); coset actions, kept per subgroup
+        # elements (see coset_action); generated subgroups, kept per
+        # generator tuple (see subgroup); affine kernels of coset sums,
+        # kept per set of kept summands (see reps.affine_kernel)
         self._automorphisms = None
+        self._isomorphisms = WeakKeyDictionary()
         self._subgroups = {}
         self._coset_actions = {}
         self._generated = {}
         self._kernels = {}
+
+    def __getstate__(self):
+        # weak references do not pickle: a copy starts with no
+        # isomorphisms onto other groups kept
+        state = dict(self.__dict__)
+        del state["_isomorphisms"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._isomorphisms = WeakKeyDictionary()
 
     @classmethod
     def generate(cls, gens, degree=None, cap=DEFAULT_ORDER_CAP, label=None):
@@ -319,15 +339,23 @@ class FiniteGroup:
 
         Elements appear BFS layer by layer (layer = shortest word
         length), each layer sorted by image tuple; the identity is
-        element 0.  Raises SizeCapError when the closure exceeds cap.
+        element 0.  Generators are Permutations or plain image tuples;
+        ValueError on mixed lengths or on a tuple that is not a
+        permutation of range(degree).  Raises SizeCapError when the
+        closure exceeds cap.
         """
-        gens = list(gens)
+        gens = [Permutation(g) for g in gens]
         if degree is None:
             if not gens:
                 raise ValueError("need generators or an explicit degree")
-            degree = gens[0].degree
-        if any(g.degree != degree for g in gens):
+            degree = len(gens[0])
+        if any(len(g) != degree for g in gens):
             raise ValueError("generators have mixed degrees")
+        points = list(range(degree))
+        for g in gens:
+            if sorted(g) != points:
+                raise ValueError("generator %r is not a permutation of "
+                                 "range(%d)" % (tuple(g), degree))
         ident = Permutation.identity(degree)
         seen = {ident}
         ordered = [ident]
@@ -823,16 +851,81 @@ def _extend_closure(closure, proven, phi, gens, limit):
 
 
 def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CAP):
-    """Yield all isomorphisms g1 -> g2 in a canonical order.
+    """Yield all isomorphisms g1 -> g2 in a canonical order: by their
+    images of g1's stored generators, compared in stored order.
+
+    Automorphisms (g1 is g2) are enumerated once per group by _search.
+    A search that runs to completion keeps each GroupMap it yielded,
+    with the node count at which it was found and the search's total, on
+    the group, and a later call yields the kept maps themselves.
+    node_cap behaves as for a fresh search: the maps found within
+    node_cap nodes are yielded, then SizeCapError is raised if the
+    search took more.  A search stopped early (a caller's break, a
+    close, or SizeCapError) keeps nothing.
+
+    Isomorphisms between two group objects are transported from Aut(g1):
+    with psi0 any one isomorphism, found by the same search stopped at
+    its first leaf, Iso(g1, g2) = {psi0 o alpha : alpha in Aut(g1)}.
+    Sorted by generator images, the maps come in the order the search
+    would yield them, as a homomorphism is fixed by its generator images
+    and the search tries candidate images in ascending order.  Their
+    image tuples are kept on g1 per g2, an empty tuple when the groups
+    are not isomorphic, and each call yields new GroupMaps of them; the
+    image tuples do not refer to g2, so g1 holds it weakly.  node_cap
+    bounds the searches that run, each counted on its own: the search
+    for psi0, and that of Aut(g1) when it is not kept yet.  Past it
+    SizeCapError is raised before any map is yielded, and nothing is
+    kept for g2 (nor Aut(g1), if its search stopped).  A kept list is
+    yielded whole whatever node_cap is.
+    """
+    if g1 is g2:
+        kept = g1._automorphisms
+        if kept is None:
+            yield from _search(g1, g1, node_cap)
+            return
+        maps, total, nodes = kept
+        yield from maps[:bisect_right(nodes, node_cap)]
+        if total > node_cap:
+            raise SizeCapError("isomorphism search exceeded %d nodes" % node_cap)
+        return
+    kept = g1._isomorphisms.get(g2)
+    if kept is None:
+        kept = g1._isomorphisms[g2] = _transported(g1, g2, node_cap)
+    for images in kept:
+        yield GroupMap(g1, g2, images)
+
+
+def _transported(g1: FiniteGroup, g2: FiniteGroup, node_cap):
+    """The image tuples of Iso(g1, g2), g1 is not g2, in canonical
+    order: one isomorphism psi0 composed with each automorphism of g1
+    (see isomorphisms_iter)."""
+    search = _search(g1, g2, node_cap)
+    psi0 = next(search, None)
+    search.close()
+    if psi0 is None:
+        return ()
+    if g1._automorphisms is None:
+        for _ in _search(g1, g1, node_cap):
+            pass
+    first = psi0.images
+    images = [tuple(map(first.__getitem__, alpha.images))
+              for alpha in g1._automorphisms[0]]
+    images.sort(key=itemgetter(*g1.gens))
+    return tuple(images)
+
+
+def _search(g1: FiniteGroup, g2: FiniteGroup, node_cap):
+    """The backtracking search behind isomorphisms_iter.
 
     Backtracking over generator images, candidates filtered by element
     order and conjugacy-class size.  Each leaf is filled in along g1's
     spanning tree, rejected at the first element whose order its image
     does not share, and proved bijective and a homomorphism on the
     generator edges.  Deterministic: generators in stored order,
-    candidate images in ascending element index.
+    candidate images in ascending element index.  SizeCapError past
+    node_cap nodes.
 
-    Automorphisms (g1 is g2) form a group, so a fresh search keeps the
+    Automorphisms (g1 is g2) form a group, so the search keeps the
     group generated by the maps it has proven, keyed by generator
     images: a leaf whose generator images lie in it is that product of
     proven automorphisms (a homomorphism is fixed by its generator
@@ -840,27 +933,8 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     in full and, if it passes, extends it.  It never holds more than
     node_cap maps; past that, leaves outside it are proven in full.  The
     tree, and with it the order and node count of every map, is the
-    same either way.
-
-    Automorphisms are enumerated once per group: a search that runs to
-    completion keeps each map's image tuple, the one its closure already
-    holds rather than a copy, with the node count at which it was found
-    and the search's total, on the group.  A later call replays them,
-    each GroupMap holding the kept tuple itself.  node_cap behaves as
-    for a fresh search: the maps found within node_cap nodes are
-    yielded, then SizeCapError is raised if the search took more.
-    A search stopped early (a caller's break, a close, or SizeCapError)
-    keeps nothing.
+    same either way.  A completed automorphism search is kept on g1.
     """
-    if g1 is g2 and g1._automorphisms is not None:
-        found, total = g1._automorphisms
-        for nodes, images in found:
-            if nodes > node_cap:
-                break
-            yield GroupMap(g1, g1, images)
-        if total > node_cap:
-            raise SizeCapError("isomorphism search exceeded %d nodes" % node_cap)
-        return
     if g1.order != g2.order:
         return
     if sorted(g1.orders) != sorted(g2.orders):
@@ -879,7 +953,7 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
     nodes = 0
     t1, t2 = g1.table, g2.table
     chosen = [0] * len(gens)
-    found = []
+    maps, found_at = [], []
     if g1 is g2:
         # generator images -> image tuple of every automorphism in the
         # group generated by proven, starting from the identity
@@ -899,12 +973,15 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
                     if len(closure) < node_cap:
                         _extend_closure(closure, proven, images, gens,
                                         node_cap)
-                found.append((nodes, images))
+                phi = GroupMap(g1, g1, images)
+                maps.append(phi)
+                found_at.append(nodes)
             else:
                 images = _fill_isomorphism(g1, g2, chosen)
                 if images is None:
                     return
-            yield GroupMap(g1, g2, images)
+                phi = GroupMap(g1, g2, images)
+            yield phi
             return
         a = gens[depth]
         for y in candidates[depth]:
@@ -925,7 +1002,7 @@ def isomorphisms_iter(g1: FiniteGroup, g2: FiniteGroup, node_cap=DEFAULT_NODE_CA
 
     yield from descend(0)
     if g1 is g2:
-        g1._automorphisms = (tuple(found), nodes)
+        g1._automorphisms = (tuple(maps), nodes, tuple(found_at))
 
 
 def generator_correspondence(g1: FiniteGroup, g2: FiniteGroup):

@@ -6,7 +6,7 @@ returns integer rows with their pivots; pivot_columns and rank read
 those rows directly, and no elimination emits a Fraction.  The kernel
 basis is read off reduced rows by kernel_from_rref, so a caller that
 keeps its reduced rows (reps.AffineKernel) builds the basis only when
-it is read; kernel_sparse is the two in turn.
+it is read.
 Everything here is deterministic: row echelon forms pick the first
 usable pivot, kernels are emitted in ascending free-column order, so
 equal subspaces always produce identical bases.
@@ -95,16 +95,6 @@ def pivot_columns(rows):
 def rank(rows) -> int:
     """Rank, counted as the pivot columns."""
     return len(pivot_columns(rows))
-
-
-def kernel_sparse(rows):
-    """Rank of the matrix and a canonical basis of {x : rows @ x = 0}:
-    _rref_int, then kernel_from_rref."""
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    red, pivots = _rref_int(rows, ncols)
-    return len(pivots), kernel_from_rref(red, pivots, ncols)
 
 
 def kernel_from_rref(red, pivots, ncols):

@@ -12,7 +12,7 @@ equivalent iff their affine kernels coincide; effective equivalence
 additionally allows precomposing one side with a group isomorphism.
 
 The kernel trace t(g) of an element is the trace of left multiplication
-by g on span{M_h - M_e} (u_action_trace).  That space carries each
+by g on span{M_h - M_e}.  That space carries each
 nontrivial constituent chi of the representation chi(1) times, so
 t(g) = sum over the set S of nontrivial constituents of chi(1) chi(g),
 and t is read off the reduced rows in integers (kernel_traces).  The
@@ -50,6 +50,18 @@ M_p in every free vertex M_f, as R_p[f] / R_p[p].  The polytope chart
 and the kernel traces are read off it; the kernel vectors are built
 only for the kernel test.
 
+The kernel test asks whether B o phi annihilates a kernel vector lambda
+of A, sum(lambda_g M_B(phi g)) = 0.  Entry k of that sum is the sum of
+lambda_g over the g with phi(g) in S_k, so the test is one sum per
+distinct nonempty set of B.  They are summed together: each vertex of B
+is packed into one int with a W-bit field per set, 1 where the element
+lies in the set, and the test is whether sum(lambda_g P(phi g)) is 0.
+With W the bit length of the largest L1 norm among the vectors tested,
+plus 1, no field total reaches 2^(W-1) in absolute value.  The lowest
+nonzero field of a packed sum would then leave it a nonzero remainder
+modulo 2^W times that field's place, so the packed sum is 0 exactly
+when every field is: the test is exact (_unannihilated).
+
 A coset sum, the direct sum of actions on G/H_1, ..., G/H_k, acts on
 the disjoint union of their points, so M_g is block diagonal: an entry
 outside the diagonal blocks has the empty incidence set, and an entry
@@ -76,9 +88,8 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
-                     SizeCapError, _element_indices, count_orbits,
-                     isomorphisms_iter)
-from .linalg import F0, _rref_int, kernel_from_rref, kernel_sparse
+                     SizeCapError, count_orbits, isomorphisms_iter)
+from .linalg import F0, _rref_int, kernel_from_rref
 
 
 # bound on |G| * degree^2, the entries of all vertices together; checked
@@ -108,9 +119,10 @@ class PermRep:
 
     action holds one Permutation per element.  The vertex matrices and
     everything derived from the action (incidence sets, affine kernel,
-    kernel traces, cycle divisors and their counts, constituents) are
-    computed on first read and kept, so a representation that is only
-    compared by kernel never holds its |G| * degree^2 vertex entries.
+    kernel traces, cycle divisors and their counts, constituents, the
+    packed vertices of the kernel test) are computed on first read and
+    kept, so a representation that is only compared by kernel never
+    holds its |G| * degree^2 vertex entries.
     The size cap on those entries is checked at construction all the
     same.  A coset sum keeps its summands as given, repeats included:
     affine_kernel reads its kernel off the rows of the distinct ones,
@@ -141,6 +153,7 @@ class PermRep:
         self._divisors = None
         self._divisor_counts = None
         self._constituents = None
+        self._packed = None
 
     @cached_property
     def vertices(self):
@@ -433,31 +446,46 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
     return kernel
 
 
-def _lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
-    """Does sum over (g, c) in lam of c * M_rep(phi(g)) vanish?
+def _packed_vertices(rep: PermRep, width: int):
+    """Each vertex M_g as one int: a width-bit field per distinct
+    nonempty incidence set (_incidence_sets), holding 1 when g lies in
+    the set.  Kept on the representation with its width and made again
+    only for a wider one: wider fields keep the kernel test exact."""
+    kept = rep._packed
+    if kept is None or kept[0] < width:
+        packed = [0] * rep.group.order
+        for s, elems in enumerate(_incidence_sets(rep)[0]):
+            field = 1 << (width * s)
+            for g in elems:
+                packed[g] += field
+        kept = rep._packed = (width, packed)
+    return kept[1]
 
-    lam is a sparse integer vector over the source group; phi defaults
-    to the identity correspondence.  Column j of the sum holds c at row
-    p[j] for each term's permutation p, so the columns are summed one at
-    a time and the first nonzero one rejects; the answer is True only
-    when every entry of every column vanishes.
+
+def _unannihilated(rep: PermRep, vectors, phi: GroupMap | None = None):
+    """The first sparse integer vector lam in the list vectors for which
+    sum over (g, c) in lam of c * M_rep(phi(g)) is not zero, or None.
+
+    phi defaults to the identity correspondence.  Each sum is one
+    integer sum over the packed vertices, with fields of W bits, W the
+    bit length of the largest L1 norm among the vectors plus 1, which
+    is exact (see the module docstring).
     """
-    action = rep.action
-    f = phi.images if phi is not None else range(len(action))
-    terms = [(action[f[g]], c) for g, c in lam]
-    n = rep.degree
-    for j in range(n):
-        col = [0] * n
-        for p, c in terms:
-            col[p[j]] += c
-        if any(col):
-            return False
-    return True
+    norm = max((sum(abs(c) for _, c in lam) for lam in vectors), default=0)
+    packed = _packed_vertices(rep, norm.bit_length() + 1)
+    if phi is not None:
+        f = phi.images
+        packed = [packed[h] for h in f]
+    for lam in vectors:
+        if sum([c * packed[g] for g, c in lam]):
+            return lam
+    return None
 
 
 def kernel_traces(rep: PermRep):
-    """The kernel traces t(g) = u_action_trace(rep, g) of every element,
-    as a tuple of ints, made once per representation and kept.
+    """The kernel traces t(g) of every element, the traces of left
+    multiplication by g on span{M_h - M_e}, as a tuple of ints, made once
+    per representation and kept.
 
     The pivot vertices M_p of the affine kernel are a basis of span{M_h},
     and g sends M_p to M_gp, whose coefficient on M_p is the reduced-row
@@ -495,15 +523,6 @@ def kernel_traces(rep: PermRep):
     return rep._traces
 
 
-def u_action_trace(rep: PermRep, g: int) -> Fraction:
-    """Trace of left multiplication by element g on span{M_h - M_e},
-    read off kernel_traces: sum(chi(1) chi(g)) over the nontrivial
-    constituents chi.  ValueError on an index that is not an integer in
-    0..|G|-1."""
-    (g,) = _element_indices([g], rep.group.order)
-    return Fraction(kernel_traces(rep)[g])
-
-
 def compose_with_map(rep: PermRep, phi: GroupMap) -> PermRep:
     """The representation g -> rep(phi(g)) of phi's source group.
 
@@ -534,7 +553,7 @@ def _annihilates_kernel(rep: PermRep, kernel: AffineKernel,
                         phi: GroupMap | None = None) -> bool:
     """The kernel test: does rep o phi annihilate every vector of kernel,
     the affine kernel of a representation of phi's source?"""
-    return all(_lambda_annihilates(rep, lam, phi) for lam in kernel.sparse_int)
+    return _unannihilated(rep, kernel.sparse_int, phi) is None
 
 
 def cycle_divisor_obstruction(repA: PermRep, repB: PermRep):
@@ -586,6 +605,15 @@ def effectively_equivalent(repA: PermRep, repB: PermRep,
     docstring), so the first map to pass is the first witness.  The
     kernel test runs on that map alone and audits the trace identity:
     RuntimeError if it fails.
+
+    node_cap bounds the isomorphism search as isomorphisms_iter does.
+    With one group, the maps found within it are tried, then
+    SizeCapError.  Between two group objects the whole of Iso(G_A, G_B)
+    is transported before the first map is tried: node_cap bounds the
+    search for one isomorphism and, while Aut(G_A) is not kept, its full
+    enumeration, each on its own.  So SizeCapError can come where a
+    witness early in the order lies within node_cap nodes; once the list
+    is kept on G_A, node_cap no longer applies to it.
     """
     if cycle_divisor_obstruction(repA, repB) is not None:
         return None
@@ -631,32 +659,6 @@ class EquivariantMap:
     def vertex_map(self):
         return self.phi.images
 
-    def apply(self, vec):
-        """Image of a vector of span{M_g}; raises if vec is outside.
-
-        One kernel_sparse of the columns M_p | vec, p over the basis
-        elements: the M_p are independent, so the kernel is empty when
-        vec is outside their span and is otherwise one vector x, positive
-        at vec, with vec = -sum(x_p M_p) / x_vec.  Its image is
-        -sum(x_p M_(phi p)) / x_vec.
-        """
-        cols = [self.source.vertices[g] for g in self.basis_elements]
-        if len(vec) != len(cols[0]):
-            raise ValueError("vector is outside the source span: wrong length")
-        rows = [[v[k] for v in cols] + [x] for k, x in enumerate(vec)]
-        _, kernel = kernel_sparse(rows)
-        if not kernel:
-            raise ValueError("vector is outside the source span")
-        (lam,) = kernel
-        scale = lam[-1][1]
-        out = [0] * (self.target.degree * self.target.degree)
-        for i, c in lam[:-1]:
-            v = self.target.vertices[self.phi.images[self.basis_elements[i]]]
-            for k, x in enumerate(v):
-                if x:
-                    out[k] -= c
-        return tuple(Fraction(x, scale) for x in out)
-
 
 def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> EquivariantMap:
     """Construct the linear map M_g -> M_(phi g) for an isomorphism phi.
@@ -676,18 +678,18 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
         raise ValueError("phi must be an isomorphism")
     kA = affine_kernel(repA)
     order = repA.group.order
-    for lam in kA.sparse_int:
-        if not _lambda_annihilates(repB, lam, phi):
-            raise NotStablyEquivalentError(_dense_vector(lam, order))
+    lam = _unannihilated(repB, kA.sparse_int, phi)
+    if lam is not None:
+        raise NotStablyEquivalentError(_dense_vector(lam, order))
     kB = affine_kernel(repB)
     if kA.dim != kB.dim:
         # the reverse inclusion fails: find a kernel vector of rep_B o phi
         # that rep_A does not annihilate
         composed = compose_with_map(repB, phi)
-        for lam in affine_kernel(composed).sparse_int:
-            if not _lambda_annihilates(repA, lam):
-                raise NotStablyEquivalentError(
-                    _dense_vector(lam, order),
-                    "kernel of the composed representation is larger")
+        lam = _unannihilated(repA, affine_kernel(composed).sparse_int)
+        if lam is not None:
+            raise NotStablyEquivalentError(
+                _dense_vector(lam, order),
+                "kernel of the composed representation is larger")
         raise NotStablyEquivalentError((), "kernel dimensions differ")
     return EquivariantMap(repA, repB, phi, kA.pivots)

@@ -16,14 +16,61 @@ from permpoly.characters import (RealIrreducible, _SplitFailure,
                                   predicted_dimension)
 from permpoly.cyclotomic import cyclo, cyclo_rational
 from permpoly.groups import (FiniteGroup, GroupMap, Permutation, Subgroup,
-                             _close_capped, _respects_generators,
-                             isomorphisms_iter)
+                             _close_capped, _element_indices,
+                             _respects_generators, isomorphisms_iter)
 from permpoly.intlinalg import (_hermite_left_block, hermite_form,
                                 solve_in_lattice)
-from permpoly.linalg import F0, _rref_int, kernel_sparse
+from permpoly.linalg import F0, _rref_int, kernel_from_rref
 from permpoly.polytopes import _checked_labels, _subset_dim, is_face
-from permpoly.reps import (PermRep, _lambda_annihilates, affine_kernel,
-                           cycle_divisor_obstruction, u_action_trace)
+from permpoly.reps import (EquivariantMap, PermRep, affine_kernel,
+                           cycle_divisor_obstruction, kernel_traces)
+
+
+def kernel_sparse(rows):
+    """Rank of the matrix and a canonical basis of {x : rows @ x = 0}:
+    _rref_int, then kernel_from_rref."""
+    if not rows:
+        return 0, []
+    ncols = len(rows[0])
+    red, pivots = _rref_int(rows, ncols)
+    return len(pivots), kernel_from_rref(red, pivots, ncols)
+
+
+def u_action_trace(rep: PermRep, g: int) -> Fraction:
+    """Trace of left multiplication by element g on span{M_h - M_e},
+    read off kernel_traces: sum(chi(1) chi(g)) over the nontrivial
+    constituents chi.  ValueError on an index that is not an integer in
+    0..|G|-1."""
+    (g,) = _element_indices([g], rep.group.order)
+    return Fraction(kernel_traces(rep)[g])
+
+
+def equivariant_apply(emap: EquivariantMap, vec):
+    """Image of a vector of span{M_g} under an EquivariantMap; raises
+    ValueError if vec is outside.
+
+    One kernel_sparse of the columns M_p | vec, p over the basis
+    elements: the M_p are independent, so the kernel is empty when vec
+    is outside their span and is otherwise one vector x, positive at
+    vec, with vec = -sum(x_p M_p) / x_vec.  Its image is
+    -sum(x_p M_(phi p)) / x_vec.
+    """
+    cols = [emap.source.vertices[g] for g in emap.basis_elements]
+    if len(vec) != len(cols[0]):
+        raise ValueError("vector is outside the source span: wrong length")
+    rows = [[v[k] for v in cols] + [x] for k, x in enumerate(vec)]
+    _, kernel = kernel_sparse(rows)
+    if not kernel:
+        raise ValueError("vector is outside the source span")
+    (lam,) = kernel
+    scale = lam[-1][1]
+    out = [0] * (emap.target.degree * emap.target.degree)
+    for i, c in lam[:-1]:
+        v = emap.target.vertices[emap.phi.images[emap.basis_elements[i]]]
+        for k, x in enumerate(v):
+            if x:
+                out[k] -= c
+    return tuple(Fraction(x, scale) for x in out)
 
 
 def brute_force_faces(poly):
@@ -155,7 +202,7 @@ def integer_rref(rows):
     if not rows:
         return [], []
     m, pivots = _rref_int(rows, len(rows[0]))
-    return [[Fraction(x, row[c]) for x in row]
+    return [[Fraction(x, row[c]) if x else F0 for x in row]
             for row, c in zip(m, pivots)], pivots
 
 
@@ -163,13 +210,17 @@ def rowspace_coords(reduced, pivots, vec):
     """Coefficients c with c @ reduced == vec, or None if vec is outside.
 
     reduced is a reduced echelon form (unit pivot columns), so the
-    candidate coefficients are vec's entries at the pivots."""
+    candidate coefficients are vec's entries at the pivots; vec is
+    inside exactly when their combination of the rows, summed row by
+    row over the nonzero coefficients, equals vec in every entry."""
     coeffs = [Fraction(vec[p]) for p in pivots]
-    for j, x in enumerate(vec):
-        if sum(c * row[j] for c, row in zip(coeffs, reduced)
-               if c and row[j]) != x:
-            return None
-    return coeffs
+    combination = [F0] * len(vec)
+    for c, row in zip(coeffs, reduced):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    combination[j] += c * x
+    return coeffs if combination == list(vec) else None
 
 
 def mat_vec(rows, vec):
@@ -646,7 +697,7 @@ def annihilation_stably_equivalent(repA: PermRep, repB: PermRep) -> bool:
     kB = affine_kernel(repB)
     if kA.dim != kB.dim:
         return False
-    return all(_lambda_annihilates(repB, lam) for lam in kA.sparse_int)
+    return all(dict_lambda_annihilates(repB, lam) for lam in kA.sparse_int)
 
 
 def divisor_filter_effectively_equivalent(repA: PermRep, repB: PermRep):
@@ -667,7 +718,8 @@ def divisor_filter_effectively_equivalent(repA: PermRep, repB: PermRep):
         if tuple(map(dB.__getitem__, phi.images)) != dA:
             continue
         tests += 1
-        if all(_lambda_annihilates(repB, lam, phi) for lam in kA.sparse_int):
+        if all(dict_lambda_annihilates(repB, lam, phi)
+               for lam in kA.sparse_int):
             return phi, tests
     return None, tests
 
@@ -690,7 +742,8 @@ def exhaustive_effectively_equivalent(repA: PermRep, repB: PermRep):
     if kA.dim != kB.dim:
         return None
     for phi in isomorphisms_iter(repA.group, repB.group):
-        if all(_lambda_annihilates(repB, lam, phi) for lam in kA.sparse_int):
+        if all(dict_lambda_annihilates(repB, lam, phi)
+               for lam in kA.sparse_int):
             return phi
     return None
 

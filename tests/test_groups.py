@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -565,13 +567,14 @@ def test_memo_replays_pinned_automorphism_lists():
     for name, ((gens, degree), count, digest) in CORPUS_AUTOMORPHISMS.items():
         group = FiniteGroup.from_cycle_strings(gens, degree)
         first = [phi.images for phi in isomorphisms(group, group)]
-        found, _ = group._automorphisms
-        # the memo keeps each map's image tuple
-        assert all(type(images) is tuple for _, images in found), name
+        kept, _, _ = group._automorphisms
+        # the memo keeps each map as a GroupMap on the group
+        assert all(type(phi) is GroupMap and phi.source is group
+                   and phi.target is group for phi in kept), name
         maps = isomorphisms(group, group)
-        # a replayed map holds the memo's own tuple, not a copy
-        assert all(phi.images is images
-                   for phi, (_, images) in zip(maps, found)), name
+        # a replay returns the memo's own maps, not copies, in a new list
+        assert all(phi is kept_phi for phi, kept_phi in zip(maps, kept)), name
+        assert len(maps) == len(kept), name
         replayed = [phi.images for phi in maps]
         assert replayed == first, name
         assert all(type(images) is tuple for images in replayed)
@@ -645,10 +648,11 @@ def test_automorphism_memo_matches_the_exhaustive_search():
     for name, ((gens, degree), count, _) in CORPUS_AUTOMORPHISMS.items():
         group = FiniteGroup.from_cycle_strings(gens, degree)
         automorphisms(group)
-        found, total = group._automorphisms
+        maps, total, found_at = group._automorphisms
         oracle, oracle_total = exhaustive_isomorphisms(group, group)
         assert len(oracle) == count, name
-        assert [(nodes, tuple(images)) for nodes, images in found] == oracle
+        assert [(nodes, tuple(phi.images))
+                for nodes, phi in zip(found_at, maps)] == oracle
         assert total == oracle_total, name
 
 
@@ -661,7 +665,10 @@ def test_isomorphisms_to_a_relabelled_group_match_the_exhaustive_search():
         assert oracle, name
         assert [phi.images for phi in isomorphisms(group, twin)] \
             == [images for _, images in oracle], name
-        assert twin._automorphisms is None and group._automorphisms is None
+        # transported from Aut(group), which is kept, and kept on group
+        assert twin._automorphisms is None
+        assert group._automorphisms is not None
+        assert list(group._isomorphisms) == [twin]
 
 
 def test_automorphism_closure_holds_the_generated_group_up_to_its_limit():
@@ -687,3 +694,113 @@ def test_automorphism_closure_holds_the_generated_group_up_to_its_limit():
             assert _closed_under_composition(list(closure.values()))
             assert len(closure) >= 2 ** len(proven)
     assert len(closure) == len(autos)
+
+
+def test_transported_isomorphisms_match_the_exhaustive_search():
+    """Iso(g1, g2) transported from Aut(g1) is the full search's list in
+    its order, whether Aut(g1) was kept before or not; the image tuples
+    are kept on g1 and a later call, under any node_cap, replays them."""
+    for seed, name in enumerate(("s4", "a4", "d6", "q8", "g48")):
+        for aut_first in (False, True):
+            group = fresh(name)
+            twin = relabelled(group, seed + 10)
+            oracle, _ = exhaustive_isomorphisms(group, twin)
+            expected = [images for _, images in oracle]
+            if aut_first:
+                automorphisms(group)
+            maps = isomorphisms(group, twin)
+            assert [phi.images for phi in maps] == expected, name
+            assert all(phi.source is group and phi.target is twin
+                       for phi in maps)
+            assert all(phi.validate() and phi.is_bijective()
+                       for phi in maps[::7])
+            assert list(group._isomorphisms[twin]) == expected
+            assert twin._automorphisms is None
+            again = isomorphisms(group, twin, node_cap=0)
+            assert [phi.images for phi in again] == expected
+    # groups that are not isomorphic keep an empty list: orders differ,
+    # then Z4 x Z4 and Q8 x Z2, whose element orders agree, so the
+    # search for psi0 runs to its end
+    z4z4 = FiniteGroup.from_cycle_strings(["(1 2 3 4)", "(5 6 7 8)"], 8)
+    q8z2 = FiniteGroup.from_cycle_strings(
+        MEMO_GROUPS["q8"][0] + ["(9 10)"], 10)
+    assert sorted(z4z4.orders) == sorted(q8z2.orders)
+    for g1, g2 in ((fresh("klein"), fresh("s3")), (z4z4, q8z2)):
+        assert isomorphisms(g1, g2) == []
+        assert g1._isomorphisms[g2] == ()
+        assert g1._automorphisms is None
+
+
+def test_transport_past_the_node_cap_keeps_nothing():
+    for seed, name in enumerate(("s4", "q8", "g48")):
+        group = fresh(name)
+        twin = relabelled(group, seed)
+        expected = [phi.images for phi in isomorphisms(fresh(name), twin)]
+        oracle, _ = exhaustive_isomorphisms(group, twin)
+        first_nodes = oracle[0][0]
+        _, aut_total = exhaustive_isomorphisms(group, group)
+        assert first_nodes < aut_total, name
+        # the search for psi0 trips, then the search of Aut(group)
+        for cap in (0, first_nodes - 1, first_nodes, aut_total - 1):
+            with pytest.raises(SizeCapError):
+                isomorphisms(group, twin, node_cap=cap)
+            assert twin not in group._isomorphisms, (name, cap)
+            assert group._automorphisms is None, (name, cap)
+        # with Aut(group) kept only the search for psi0 is bounded
+        automorphisms(group)
+        with pytest.raises(SizeCapError):
+            isomorphisms(group, twin, node_cap=first_nodes - 1)
+        assert twin not in group._isomorphisms
+        maps = isomorphisms(group, twin, node_cap=first_nodes)
+        assert [phi.images for phi in maps] == expected, name
+
+
+def test_transported_isomorphisms_hold_the_target_weakly():
+    group = fresh("s4")
+    twin = relabelled(group, 3)
+    maps = isomorphisms(group, twin)
+    assert len(maps) == 24 and len(group._isomorphisms) == 1
+    del maps, twin
+    gc.collect()
+    assert len(group._isomorphisms) == 0
+
+
+def test_automorphism_lists_are_fresh_lists_of_the_kept_maps():
+    for name in ("s3", "q8", "g48"):
+        group = fresh(name)
+        first, second = automorphisms(group), automorphisms(group)
+        assert first == second and first is not second, name
+        assert all(a is b for a, b in zip(first, second))
+        first.pop()
+        assert automorphisms(group) == second
+
+
+def test_generate_takes_plain_image_tuples():
+    group = FiniteGroup.generate([(1, 0, 2)], degree=3)
+    assert group.order == 2
+    assert all(type(p) is Permutation for p in group.elements)
+    assert group.elements == FiniteGroup.generate(
+        [Permutation((1, 0, 2))]).elements
+    assert FiniteGroup.generate([(1, 2, 0), (1, 0, 2)]).order == 6
+    for bad in ([(1, 1, 2)], [(0, 3, 1)], [(0, 1, -1)],
+                [(1, 0, 2), (0, 0, 0)]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            FiniteGroup.generate(bad, degree=3)
+    with pytest.raises(ValueError, match="mixed degrees"):
+        FiniteGroup.generate([(1, 0, 2), (1, 0)])
+    with pytest.raises(ValueError, match="mixed degrees"):
+        FiniteGroup.generate([(1, 0)], degree=3)
+
+
+def test_a_group_with_kept_isomorphisms_pickles():
+    group = fresh("s4")
+    twin = relabelled(group, 1)
+    expected = [phi.images for phi in isomorphisms(group, twin)]
+    copied = pickle.loads(pickle.dumps(group))
+    assert copied.elements == group.elements
+    # the automorphisms come along, the weakly held isomorphisms do not
+    assert [phi.images for phi in copied._automorphisms[0]] \
+        == [phi.images for phi in automorphisms(group)]
+    assert all(phi.source is copied for phi in copied._automorphisms[0])
+    assert len(copied._isomorphisms) == 0
+    assert [phi.images for phi in isomorphisms(copied, twin)] == expected

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import sympy
 from oracles import (fraction_kernel, fraction_rref, integer_rref,
-                     is_zero_vector, mat_vec, primitive_integer,
-                     rowspace_coords)
+                     is_zero_vector, kernel_sparse, mat_vec,
+                     primitive_integer, rowspace_coords)
 
 from permpoly import FiniteGroup, PermRep
-from permpoly.linalg import kernel_sparse, pivot_columns, rank
+from permpoly.linalg import pivot_columns, rank
 
 
 def rand_matrix(rng, nrows, ncols, lo=-4, hi=4):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -10,14 +11,16 @@ from oracles import (annihilation_stably_equivalent,
                      brute_force_orbit_count, dense_affine_kernel,
                      dense_difference_space, dict_lambda_annihilates,
                      divisor_filter_effectively_equivalent,
-                     exhaustive_effectively_equivalent, first_independent,
-                     fraction_rref, is_homomorphism_all_pairs,
-                     pivot_walk_trace, relabelled, rowspace_coords)
+                     equivariant_apply, exhaustive_effectively_equivalent,
+                     first_independent, fraction_rref,
+                     is_homomorphism_all_pairs, kernel_sparse,
+                     pivot_walk_trace, relabelled, rowspace_coords,
+                     u_action_trace)
 from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
                              SizeCapError, generator_correspondence,
                              isomorphisms, isomorphisms_iter, parse_cycles)
 from permpoly.characters import character_table, constituents, verify_isotype
-from permpoly.linalg import kernel_sparse, rank
+from permpoly.linalg import rank
 from permpoly.polytopes import build_polytope, is_face
 from permpoly.reps import (
     MAX_VERTEX_ENTRIES,
@@ -27,8 +30,8 @@ from permpoly.reps import (
     _annihilates_kernel,
     _dense_vector,
     _incidence_sets,
-    _lambda_annihilates,
     _set_rows,
+    _unannihilated,
     affine_kernel,
     build_equivariant_map,
     compose_with_map,
@@ -37,7 +40,6 @@ from permpoly.reps import (
     effectively_equivalent,
     kernel_traces,
     stably_equivalent_by_kernel,
-    u_action_trace,
 )
 from permpoly.scenarios import alt6_reps, main_example_reps
 
@@ -438,21 +440,22 @@ def test_build_equivariant_map(klein_pair, z4_family, s4):
         assert emap.vertex_map == phi.images
         order = repA.group.order
         for g in range(order):
-            assert emap.apply(repA.vertices[g]) == repB.vertices[phi(g)]
+            assert equivariant_apply(emap, repA.vertices[g]) \
+                == repB.vertices[phi(g)]
         baryA, baryB = (tuple(Fraction(sum(col), order)
                               for col in zip(*rep.vertices))
                         for rep in (repA, repB))
-        assert emap.apply(baryA) == baryB
+        assert equivariant_apply(emap, baryA) == baryB
         points = [repA.vertices[g] for g in emap.basis_elements] + [baryA]
         for h in repA.group.gens:
             for u in points:
-                assert emap.apply(left_multiply(repA, h, u)) == \
-                    left_multiply(repB, phi(h), emap.apply(u))
+                assert equivariant_apply(emap, left_multiply(repA, h, u)) \
+                    == left_multiply(repB, phi(h), equivariant_apply(emap, u))
         # unequal row sums place a point outside the span
         off = list(baryA)
         off[0] += 1
         with pytest.raises(ValueError, match="outside"):
-            emap.apply(off)
+            equivariant_apply(emap, off)
         for a, b in itertools.combinations(range(1, order), 2):
             images = list(phi.images)
             images[a], images[b] = images[b], images[a]
@@ -519,11 +522,16 @@ def plus(lam, g, h):
     return sorted((i, c) for i, c in acc.items() if c)
 
 
-def test_column_check_matches_dict_oracle(main_pair, klein_pair, z4_family, s4):
-    """_lambda_annihilates agrees with the dict-accumulating oracle on
+def packed_annihilates(rep, lam, phi=None):
+    return _unannihilated(rep, [lam], phi) is None
+
+
+def test_packed_check_matches_dict_oracle(main_pair, klein_pair, z4_family,
+                                          s4):
+    """The packed kernel test agrees with the dict-accumulating oracle on
     every kernel basis vector of both reps of a pair, tested against
-    either rep under every isomorphism, and on vectors that fail only
-    from a late column on."""
+    either rep under every isomorphism, and on vectors whose sum
+    vanishes in every matrix column before a late one."""
     pairs = [main_pair, klein_pair, (PermRep.natural(s4), regular(s4))]
     pairs += [(a, b) for i, a in enumerate(z4_family) for b in z4_family[i:]]
     verdicts = set()
@@ -539,11 +547,11 @@ def test_column_check_matches_dict_oracle(main_pair, klein_pair, z4_family, s4):
             failing = [plus([], 0, h) for h in moved]
             failing.append(plus(kernels[0] if kernels else [], 0, late))
             for lam in failing:
-                assert _lambda_annihilates(src, lam) is False
+                assert packed_annihilates(src, lam) is False
             for dst in pair:
                 for phi in isomorphisms(src.group, dst.group):
                     for lam in kernels + failing:
-                        got = _lambda_annihilates(dst, lam, phi)
+                        got = packed_annihilates(dst, lam, phi)
                         assert got == dict_lambda_annihilates(dst, lam, phi)
                         verdicts.add(got)
     assert verdicts == {True, False}
@@ -552,6 +560,103 @@ def test_column_check_matches_dict_oracle(main_pair, klein_pair, z4_family, s4):
     latest = [max(first_moved(rep, h) for h in range(1, rep.group.order))
               for rep in (main_pair[0], main_pair[1], pairs[2][0])]
     assert latest == [12, 12, 2]
+
+
+def test_packed_check_is_exact_at_its_width(s4, d6, q8):
+    """On a regular representation every incidence set is one element,
+    so a vertex packs into a single field.  With h's set next after g's,
+    lam = 2^w e_g - e_h sums to zero in w-bit fields, a carry; its L1
+    norm 2^w + 1 gives the test w + 2 bits, and it rejects lam, as the
+    oracle does."""
+    for group in (s4, d6, q8):
+        summed = regular(group)
+        for rep in (summed, PermRep(group, summed.action)):
+            sets = _incidence_sets(rep)[0]
+            assert sorted(sets) == [(g,) for g in range(group.order)]
+            for w in (1, 2, 3, 7, 30):
+                fields = {g: 1 << (w * s) for s, (g,) in enumerate(sets)}
+                for (g,), (h,) in zip(sets, sets[1:]):
+                    lam = sorted([(g, 2 ** w), (h, -1)])
+                    assert sum(c * fields[x] for x, c in lam) == 0
+                    assert not dict_lambda_annihilates(rep, lam)
+                    assert not packed_annihilates(rep, lam)
+
+
+def with_norm(rng, order, norm):
+    """A seeded sparse integer vector over the group with L1 norm
+    exactly norm, signs at random."""
+    support = sorted(rng.sample(range(order), rng.randint(1, min(order, 6))))
+    cuts = sorted(rng.sample(range(1, norm), len(support) - 1)) \
+        if norm >= len(support) else None
+    if cuts is None:
+        support, cuts = support[:1], []
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [norm])]
+    return [(g, rng.choice((1, -1)) * c) for g, c in zip(support, parts)]
+
+
+def corrupted(phi, rng):
+    """phi with two images swapped, or one image moved onto another's:
+    no longer an isomorphism, a bijection only in the first case."""
+    images = list(phi.images)
+    a, b = rng.sample(range(1, len(images)), 2)
+    if rng.random() < 0.5:
+        images[a], images[b] = images[b], images[a]
+    else:
+        images[a] = images[b]
+    return GroupMap(phi.source, phi.target, images)
+
+
+def test_packed_check_matches_dict_oracle_on_seeded_vectors_and_maps(
+        s4, a4, d6, q8):
+    """Seeded vectors of L1 norm 2^k - 1 and 2^k, single-element vectors
+    and kernel vectors, those of norm 2^j scaled to a norm 2^k, under
+    seeded isomorphisms onto a relabelled twin and corrupted copies of
+    them.  rep_B is rep_A carried to the twin along one of the
+    isomorphisms, so that map annihilates every kernel vector."""
+    rng = random.Random(31)
+    verdicts = set()
+    boundary = set()
+    for seed, group in enumerate((s4, a4, d6, q8, fresh_g48())):
+        twin = relabelled(group, seed)
+        order = group.order
+        maps = isomorphisms(group, twin)
+        for repA in coset_sums(group)[::9]:
+            psi = rng.choice(maps)
+            back = [0] * order
+            for g, h in enumerate(psi.images):
+                back[h] = g
+            repB = compose_with_map(repA, GroupMap(twin, group, back))
+            vectors = [with_norm(rng, order, 2 ** k - d)
+                       for k in (1, 2, 3, 5, 8, 13, 40) for d in (1, 0)]
+            vectors += [[(rng.randrange(order), c)]
+                        for c in (1, -1, 2 ** 7, -(2 ** 9 - 1))]
+            for lam in affine_kernel(repA).sparse_int:
+                vectors.append(lam)
+                norm = sum(abs(c) for _, c in lam)
+                if norm & (norm - 1) == 0:
+                    scale = 2 ** rng.randint(1, 20)
+                    vectors.append([(g, scale * c) for g, c in lam])
+            for phi in [psi] + rng.sample(maps, min(3, len(maps))):
+                for chi in (phi, corrupted(phi, rng), corrupted(phi, rng)):
+                    for lam in vectors:
+                        got = packed_annihilates(repB, lam, chi)
+                        assert got == dict_lambda_annihilates(repB, lam, chi)
+                        verdicts.add(got)
+                        norm = sum(abs(c) for _, c in lam)
+                        # 2^k or 2^k - 1
+                        if norm > 1 and 0 in (norm & (norm - 1),
+                                              norm & (norm + 1)):
+                            boundary.add(got)
+                    # the first failing vector of a list is the first
+                    # the oracle rejects
+                    first = next((lam for lam in vectors
+                                  if not dict_lambda_annihilates(repB, lam,
+                                                                 chi)), None)
+                    assert _unannihilated(repB, vectors, chi) == first
+            assert _unannihilated(repB, affine_kernel(repA).sparse_int,
+                                  psi) is None
+    # norms 2^k - 1 are odd, so never annihilated; norms 2^k both ways
+    assert verdicts == boundary == {True, False}
 
 
 def coset_sums(group, max_degree=12):
@@ -578,6 +683,14 @@ def coset_sums(group, max_degree=12):
         for extra in (combo[0], trivial):
             out.append(PermRep.from_coset_actions(group, list(combo) + [extra]))
     return out
+
+
+@pytest.fixture(scope="module")
+def sums(s4, a4, d6, q8):
+    """coset_sums of S4, A4, D6 and Q8, built once for the module: the
+    dense-oracle samples, shared with every test here that walks the
+    same sums, so each representation keeps what it computes."""
+    return {g: coset_sums(g) for g in (s4, a4, d6, q8)}
 
 
 def check_against_dense(rep, full=True):
@@ -638,10 +751,9 @@ def test_kernel_and_chart_match_dense_on_small_groups(small_reps):
         assert kern.dim == rep.group.order - kern.rank
 
 
-def test_kernel_and_chart_match_dense_on_coset_sums(s4, a4, d6, q8):
+def test_kernel_and_chart_match_dense_on_coset_sums(sums):
     counts = []
-    for g in (s4, a4, d6, q8):
-        reps = coset_sums(g)
+    for g, reps in sums.items():
         counts.append(len(reps))
         for i, rep in enumerate(reps):
             # full checks on the plain sums, sympy ranks on the smallest
@@ -665,12 +777,11 @@ def test_kernel_and_chart_match_dense_on_scenario_pairs(main_pair):
         check_against_dense(rep)
 
 
-def test_coset_sum_kernels_match_their_incidence_sets(s4, a4, d6, q8,
-                                                     main_pair):
+def test_coset_sum_kernels_match_their_incidence_sets(sums, main_pair):
     """The kernel eliminated on the summands' reduced rows is the one
     eliminated on the sum's own incidence sets."""
     _, _, _, _, a6_1, a6_2 = alt6_reps()
-    reps = [rep for g in (s4, a4, d6, q8) for rep in coset_sums(g)]
+    reps = [rep for reps in sums.values() for rep in reps]
     for rep in reps + [*main_pair, a6_1, a6_2]:
         assert rep._summands
         plain = PermRep(rep.group, rep.action)
@@ -684,11 +795,10 @@ def test_coset_sum_kernels_match_their_incidence_sets(s4, a4, d6, q8,
 
 
 def test_stable_equivalence_matches_the_annihilation_oracle(
-        a4, q8, klein_pair, main_pair):
+        a4, q8, sums, klein_pair, main_pair):
     _, _, _, _, a6_1, a6_2 = alt6_reps()
-    sums = [coset_sums(g) for g in (a4, q8)]
-    pairs = [pair for reps in sums
-             for pair in itertools.product(reps, repeat=2)]
+    pairs = [pair for g in (a4, q8)
+             for pair in itertools.product(sums[g], repeat=2)]
     pairs += [main_pair, (a6_1, a6_2), klein_pair]
     # ppt stable's pairs: the first natural rep and the second pulled
     # back along the generator correspondence
@@ -711,11 +821,17 @@ def test_stable_equivalence_matches_the_annihilation_oracle(
     # the named pairs, each way round
     assert verdicts[-12:] == [False, False, True, True, False, True] * 2
     # each sum is stably equivalent to itself and its two twins at least
-    assert sum(verdicts[:-12]) >= 3 * sum(map(len, sums))
+    assert sum(verdicts[:-12]) >= 3 * (len(sums[a4]) + len(sums[q8]))
 
 
 def fresh_s4():
     return FiniteGroup.from_cycle_strings(["(1 2 3 4)", "(1 2)"], 4)
+
+
+def fresh_g48():
+    """Z2 x Z2 x Z4 x Z3, the search corpus's order-48 group."""
+    return FiniteGroup.from_cycle_strings(
+        ["(1 2)", "(3 4)", "(5 6 7 8)", "(9 10 11)"], 11)
 
 
 def test_coset_sums_of_one_summand_set_share_one_kernel(monkeypatch):
@@ -773,13 +889,13 @@ def test_kernel_basis_is_built_only_when_read():
         assert kernel_sparse(rows) == (kern.rank, kern.sparse_int)
 
 
-def test_coset_sum_constituents_match_their_action(s4, a4, d6, q8):
+def test_coset_sum_constituents_match_their_action(sums):
     """The constituents a sum of kept coset actions adds up from its
     summands, with one more repeated summand too, are those computed on
     its own action."""
-    for g in (s4, a4, d6, q8):
+    for g, reps in sums.items():
         table = character_table(g)
-        for rep in coset_sums(g):
+        for rep in reps:
             again = PermRep.from_coset_actions(
                 g, rep._summands + rep._summands[-1:])
             for summed in (rep, again):
@@ -852,9 +968,9 @@ def test_effectively_equivalent_obstruction_runs_no_search(main_pair):
     assert effectively_equivalent(*main_pair, node_cap=1) is None
 
 
-def test_kernel_traces_match_the_pivot_walk(s4, a4, d6, q8, main_pair):
+def test_kernel_traces_match_the_pivot_walk(sums, main_pair):
     _, _, _, _, a6_1, a6_2 = alt6_reps()
-    reps = [rep for g in (s4, a4, d6, q8) for rep in coset_sums(g)]
+    reps = [rep for reps in sums.values() for rep in reps]
     for rep in reps + list(main_pair) + [a6_1, a6_2]:
         traces = kernel_traces(rep)
         assert all(type(t) is int for t in traces)
@@ -877,14 +993,14 @@ def test_kernel_traces_build_no_kernel_vector():
 
 
 def test_witnesses_match_the_divisor_filter_walk_on_relabelled_twins(
-        s4, a4, d6, q8):
+        s4, a4, d6, q8, sums):
     late_nones = 0
     for seed, group in enumerate((s4, a4, d6, q8)):
         twin = relabelled(group, seed)
         # a repeated or trivial summand leaves the kernel as it is, so
         # the sums of distinct summands, every third of coset_sums, do
         reps_b = coset_sums(twin)[::3]
-        for repA in coset_sums(group)[::3]:
+        for repA in sums[group][::3]:
             for repB in reps_b:
                 expected, tests = divisor_filter_effectively_equivalent(
                     repA, repB)
