@@ -313,13 +313,17 @@ class FiniteGroup:
         # the isomorphisms onto each other group, held weakly, and order
         # -> (subgroups, nodes); coset actions, kept per subgroup
         # elements (see coset_action); generated subgroups, kept per
-        # generator tuple (see subgroup); affine kernels of coset sums,
-        # kept per set of kept summands (see reps.affine_kernel)
+        # generator tuple (see subgroup); the family of each coset
+        # action's incidence sets with the family's reduced rows, kept
+        # per family, so isomorphic G-sets share one elimination (see
+        # reps._summand_rows); affine kernels of coset sums, kept per
+        # set of summand families (see reps.affine_kernel)
         self._automorphisms = None
         self._isomorphisms = WeakKeyDictionary()
         self._subgroups = {}
         self._coset_actions = {}
         self._generated = {}
+        self._families = {}
         self._kernels = {}
 
     def __getstate__(self):
@@ -728,16 +732,18 @@ class CosetAction:
     """The data of a coset action: degree, images and kernel.
 
     Made and kept by FiniteGroup.coset_action, the only source of the
-    summands PermRep.from_coset_actions takes.  rows and constituents
-    start as None.  reps caches the action's reduced elimination rows
-    and their pivots in rows (see reps._summand_rows), and characters
-    keeps its checked constituents there, with their table (see
-    characters.constituents), so a coset sum reads both off its
-    summands.
+    summands PermRep.from_coset_actions takes.  family, rows and
+    constituents start as None.  reps keeps the action's family, the
+    frozenset of its distinct nonempty incidence sets, in family, and
+    the reduced elimination rows and pivots of that family in rows,
+    one object shared by every action of the family (see
+    reps._summand_rows); characters keeps the action's checked
+    constituents, with their table (see characters.constituents).  A
+    coset sum reads both off its summands.
     """
 
-    __slots__ = ("group", "subgroup", "degree", "images", "kernel", "rows",
-                 "constituents")
+    __slots__ = ("group", "subgroup", "degree", "images", "kernel", "family",
+                 "rows", "constituents")
 
     def __init__(self, group, subgroup, degree, images, kernel):
         self.group = group
@@ -745,6 +751,7 @@ class CosetAction:
         self.degree = degree
         self.images = images
         self.kernel = kernel
+        self.family = None
         self.rows = None
         self.constituents = None
 

@@ -68,16 +68,23 @@ outside the diagonal blocks has the empty incidence set, and an entry
 inside block i has the set it has in the i-th summand.  The sum's
 distinct sets are thus the union of its summands' sets, and its row
 space the sum of theirs.  A coset sum takes only the group's own coset
-actions, the one FiniteGroup.coset_action keeps per subgroup, and each
-holds the reduced rows of its own sets, so the kernel of a sum is
-eliminated on its distinct summands' reduced rows stacked; the reduced
-echelon form of a row space is unique, so the kernel, rank and pivots
-are those of the sum's own sets.  Order, repeats and a degree-1
-summand beside others (its one row is the all-ones row, which the sets
-of any one column add up to) leave that row space as it is, so a sum
-shares its kernel through the group with every sum of the same other
-summands, and a sum of one summand reads its kernel off that
-summand's rows.
+actions, the one FiniteGroup.coset_action keeps per subgroup.  The rows
+of a summand depend only on its family, the frozenset of its distinct
+nonempty incidence sets, and the group keeps the reduced rows once per
+family.  Isomorphic G-sets, G/H and G/xHx^-1 among them, have the same
+family, since an isomorphism f carries the set of entry (i, j) to that
+of (f(i), f(j)); so they share one elimination, which is exact because
+equal families put the same rows in.  The kernel of a sum is eliminated
+on its distinct families' reduced rows stacked; the reduced echelon
+form of a row space is unique, so the kernel, rank and pivots are those
+of the sum's own sets.  Order, repeats, isomorphic summands and a
+degree-1 summand beside others (its one row is the all-ones row, which
+the sets of any one column add up to) leave that row space as it is, so
+a sum shares its kernel through the group with every sum of the same
+other families, and a sum of one family reads its kernel off that
+family's rows.  No step of this, nor of the character route, reads the
+summed action: a coset sum assembles it from its summands only when it
+is read (PermRep.action).
 """
 
 from __future__ import annotations
@@ -85,6 +92,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 from .groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
@@ -124,36 +132,52 @@ class PermRep:
     kept, so a representation that is only compared by kernel never
     holds its |G| * degree^2 vertex entries.
     The size cap on those entries is checked at construction all the
-    same.  A coset sum keeps its summands as given, repeats included:
-    affine_kernel reads its kernel off the rows of the distinct ones,
-    sharing it through the group with every sum of the same summands,
-    and characters.constituents adds up all of them.
+    same.  A coset sum keeps its summands as given, repeats included,
+    and its degree is the sum of theirs: affine_kernel reads its kernel
+    off the rows of their distinct families, sharing it through the
+    group with every sum of the same families, characters.constituents
+    adds up all of them, and orbit_count assembles only the generators'
+    images.  Its action is assembled from the summands on first read
+    and kept, like the vertices.
     """
 
     def __init__(self, group: FiniteGroup, action, check=True):
-        self.group = group
         self.action = tuple(map(Permutation, action) if check else action)
         if len(self.action) != group.order:
             raise ValueError("need one permutation per group element")
-        self.degree = len(self.action[0])
-        if any(len(p) != self.degree for p in self.action):
+        degree = len(self.action[0])
+        if any(len(p) != degree for p in self.action):
             raise ValueError("action images have mixed degrees")
-        entries = group.order * self.degree ** 2
+        self._start(group, degree, None)
+        if check:
+            self._validate()
+
+    def _start(self, group, degree, summands):
+        """Set the group, degree and summands after the size cap check,
+        with every derived memo empty."""
+        entries = group.order * degree ** 2
         if entries > MAX_VERTEX_ENTRIES:
             raise SizeCapError(
                 "%d vertices of degree %d need %d entries, over the cap of "
                 "%d vertex entries"
-                % (group.order, self.degree, entries, MAX_VERTEX_ENTRIES))
-        if check:
-            self._validate()
+                % (group.order, degree, entries, MAX_VERTEX_ENTRIES))
+        self.group = group
+        self.degree = degree
+        self._summands = summands
         self._sets = None
-        self._summands = None
         self._kernel = None
         self._traces = None
         self._divisors = None
         self._divisor_counts = None
         self._constituents = None
         self._packed = None
+
+    @cached_property
+    def action(self):
+        """A coset sum's action, assembled from its summands on first
+        read and kept; any other representation sets it at
+        construction."""
+        return tuple(_summed_images(self._summands, range(self.group.order)))
 
     @cached_property
     def vertices(self):
@@ -221,8 +245,10 @@ class PermRep:
         group, or anything else, before anything is built or kept.  A
         sum of homomorphisms is one, so only faithfulness is checked, as
         the intersection of the summands' kernels (NotFaithfulError
-        carries it), and characters.constituents sums the summands' own
-        checked constituents.
+        carries it), with the size cap on the summed degree, and
+        characters.constituents sums the summands' own checked
+        constituents.  The summed action is not built here: it is
+        assembled when first read (see action).
         """
         actions = list(actions)
         if not actions:
@@ -235,19 +261,12 @@ class PermRep:
                     or kept.get(a.subgroup.elements) is not a):
                 raise ValueError("coset sums take only the actions returned "
                                  "by FiniteGroup.coset_action")
-        parts = []
-        offset = 0
-        for a in actions:
-            shift = offset.__add__
-            parts.append([tuple(map(shift, p)) for p in a.images])
-            offset += a.degree
-        combined = [Permutation(sum(imgs, ())) for imgs in zip(*parts)]
-        rep = cls(group, combined, check=False)
+        rep = cls.__new__(cls)
+        rep._start(group, sum(a.degree for a in actions), actions)
         kernel = set(actions[0].kernel).intersection(
             *(a.kernel for a in actions[1:]))
         if len(kernel) != 1:
             raise NotFaithfulError(tuple(sorted(kernel)))
-        rep._summands = actions
         return rep
 
     def cycle_divisors(self):
@@ -266,11 +285,32 @@ class PermRep:
         return self._divisors
 
     def orbit_count(self) -> int:
-        return count_orbits([self.action[g] for g in self.group.gens],
-                            self.degree)
+        """Orbits of the generators' images; a coset sum assembles only
+        those images from its summands."""
+        gens = self.group.gens
+        if self._summands is None:
+            perms = [self.action[g] for g in gens]
+        else:
+            perms = _summed_images(self._summands, gens)
+        return count_orbits(perms, self.degree)
 
     def __repr__(self):
         return "<PermRep: order %d on %d points>" % (self.group.order, self.degree)
+
+
+def _summed_images(summands, elements):
+    """The images of the given elements under the direct sum of coset
+    actions: summand i acts on its own points, shifted past those of
+    the summands before it."""
+    offsets = []
+    offset = 0
+    for a in summands:
+        offsets.append(offset)
+        offset += a.degree
+    return [Permutation(chain.from_iterable(
+                map(shift.__add__, a.images[g])
+                for shift, a in zip(offsets, summands)))
+            for g in elements]
 
 
 def divisors_of_mask(mask):
@@ -293,8 +333,10 @@ class AffineKernel:
     kernel vectors as linalg.kernel_from_rref gives them, one per free
     column in ascending order, each a sorted list of (element, int),
     primitive and positive at its free column, its last entry; it is
-    canonical.  Equality and hashing compare the rows made primitive
-    with a positive pivot, a canonical form of the row space.
+    canonical.  norm, the largest L1 norm among them, which sizes the
+    kernel test's fields, is kept beside them.  Equality and hashing
+    compare the rows made primitive with a positive pivot, a canonical
+    form of the row space.
     """
 
     def __init__(self, order, rows, pivots):
@@ -303,6 +345,7 @@ class AffineKernel:
         self.rank = len(pivots)
         self.dim = order - self.rank
         self._sparse_int = None
+        self._norm = None
         self._canonical = None
 
     @property
@@ -311,6 +354,12 @@ class AffineKernel:
             self._sparse_int = kernel_from_rref(
                 self.rows, self.pivots, self.rank + self.dim)
         return self._sparse_int
+
+    @property
+    def norm(self):
+        if self._norm is None:
+            self._norm = _largest_norm(self.sparse_int)
+        return self._norm
 
     def _canonical_rows(self):
         """The reduced rows, each primitive with a positive pivot."""
@@ -333,6 +382,11 @@ class AffineKernel:
 
     def __hash__(self):
         return hash(self._canonical_rows())
+
+
+def _largest_norm(vectors):
+    """The largest L1 norm among sparse integer vectors, 0 for none."""
+    return max((sum(abs(c) for _, c in lam) for lam in vectors), default=0)
 
 
 def _dense_vector(entries, order):
@@ -406,20 +460,29 @@ def _set_rows(sets, order):
 
 
 def _summand_rows(action):
-    """(reduced integer rows, pivots) of a coset action's distinct
-    incidence sets, made on first use and kept on the action."""
+    """(family, (reduced integer rows, pivots)) of a coset action: its
+    family is the frozenset of its distinct nonempty incidence sets,
+    and the rows are those sets' reduced rows.  Kept on the group per
+    family, so actions with one family share one elimination and one
+    rows object, and on the action as its family and rows."""
     if action.rows is None:
-        order = len(action.images)
+        group = action.group
         sets, _ = _action_sets(action.images)
-        action.rows = _rref_int(_set_rows(sets, order), order)
-    return action.rows
+        family = frozenset(sets)
+        kept = group._families.get(family)
+        if kept is None:
+            order = group.order
+            kept = group._families[family] = (
+                family, _rref_int(_set_rows(sets, order), order))
+        action.family, action.rows = kept
+    return action.family, action.rows
 
 
 def affine_kernel(rep: PermRep) -> AffineKernel:
     """The AffineKernel of a representation, made once and kept on it:
-    a coset sum's on its distinct summands' reduced rows, a degree-1
+    a coset sum's on its summands' families' reduced rows, a degree-1
     summand left out beside others, and kept on the group per set of
-    summands (see the module docstring); any other representation's on
+    families (see the module docstring); any other representation's on
     the rows of its own incidence sets."""
     if rep._kernel is not None:
         return rep._kernel
@@ -430,16 +493,17 @@ def affine_kernel(rep: PermRep) -> AffineKernel:
         kernel = AffineKernel(order, *_rref_int(
             _set_rows(_incidence_sets(rep)[0], order), order))
     else:
-        distinct = dict.fromkeys(a for a in summands if a.degree > 1)
-        key = frozenset(distinct or summands[:1])
+        families = (dict(_summand_rows(a) for a in summands if a.degree > 1)
+                    or dict([_summand_rows(summands[0])]))
+        key = frozenset(families)
         memo = group._kernels
         kernel = memo.get(key)
         if kernel is None:
-            if len(key) == 1:
-                rows, pivots = _summand_rows(next(iter(key)))
+            if len(families) == 1:
+                (rows, pivots), = families.values()
             else:
                 rows, pivots = _rref_int(
-                    [row for a in distinct for row in _summand_rows(a)[0]],
+                    [row for part, _ in families.values() for row in part],
                     order)
             kernel = memo[key] = AffineKernel(order, rows, pivots)
     rep._kernel = kernel
@@ -462,16 +526,17 @@ def _packed_vertices(rep: PermRep, width: int):
     return kept[1]
 
 
-def _unannihilated(rep: PermRep, vectors, phi: GroupMap | None = None):
+def _unannihilated(rep: PermRep, vectors, norm,
+                   phi: GroupMap | None = None):
     """The first sparse integer vector lam in the list vectors for which
     sum over (g, c) in lam of c * M_rep(phi(g)) is not zero, or None.
 
-    phi defaults to the identity correspondence.  Each sum is one
-    integer sum over the packed vertices, with fields of W bits, W the
-    bit length of the largest L1 norm among the vectors plus 1, which
-    is exact (see the module docstring).
+    norm is the largest L1 norm among the vectors (_largest_norm; an
+    AffineKernel keeps its own) and phi defaults to the identity
+    correspondence.  Each sum is one integer sum over the packed
+    vertices, with fields of W bits, W the bit length of norm plus 1,
+    which is exact (see the module docstring).
     """
-    norm = max((sum(abs(c) for _, c in lam) for lam in vectors), default=0)
     packed = _packed_vertices(rep, norm.bit_length() + 1)
     if phi is not None:
         f = phi.images
@@ -553,7 +618,7 @@ def _annihilates_kernel(rep: PermRep, kernel: AffineKernel,
                         phi: GroupMap | None = None) -> bool:
     """The kernel test: does rep o phi annihilate every vector of kernel,
     the affine kernel of a representation of phi's source?"""
-    return _unannihilated(rep, kernel.sparse_int, phi) is None
+    return _unannihilated(rep, kernel.sparse_int, kernel.norm, phi) is None
 
 
 def cycle_divisor_obstruction(repA: PermRep, repB: PermRep):
@@ -678,7 +743,7 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
         raise ValueError("phi must be an isomorphism")
     kA = affine_kernel(repA)
     order = repA.group.order
-    lam = _unannihilated(repB, kA.sparse_int, phi)
+    lam = _unannihilated(repB, kA.sparse_int, kA.norm, phi)
     if lam is not None:
         raise NotStablyEquivalentError(_dense_vector(lam, order))
     kB = affine_kernel(repB)
@@ -686,7 +751,8 @@ def build_equivariant_map(repA: PermRep, repB: PermRep, phi: GroupMap) -> Equiva
         # the reverse inclusion fails: find a kernel vector of rep_B o phi
         # that rep_A does not annihilate
         composed = compose_with_map(repB, phi)
-        lam = _unannihilated(repA, affine_kernel(composed).sparse_int)
+        kC = affine_kernel(composed)
+        lam = _unannihilated(repA, kC.sparse_int, kC.norm)
         if lam is not None:
             raise NotStablyEquivalentError(
                 _dense_vector(lam, order),

@@ -5,7 +5,7 @@ import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -221,6 +221,58 @@ def rowspace_coords(reduced, pivots, vec):
                 if x:
                     combination[j] += c * x
     return coeffs if combination == list(vec) else None
+
+
+def bareiss_rref(rows, ncols=None):
+    """Integer form of fraction_rref, with its pivot choice: fraction-free
+    Gauss-Jordan, each step replacing every other row by (p * row_i -
+    a * row_r) / d, with p the new pivot, a = row_i[c] and d the pivot
+    before it, a division that is exact (Bareiss, Math. Comp. 1968).
+    Returns (nonzero integer rows, pivots); every pivot entry is the
+    last pivot, so the rows divided by it are fraction_rref's."""
+    m = [list(row) for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0]) if ncols is None else ncols
+    pivots = []
+    r = 0
+    d = 1
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        row_r = m[r]
+        p = row_r[c]
+        for i, row_i in enumerate(m):
+            a = row_i[c]
+            if i != r and (a or p != d):
+                m[i] = [(p * x - a * y) // d for x, y in zip(row_i, row_r)]
+        d = p
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def integer_rowspace_coords(reduced, pivots, vec):
+    """Integer form of rowspace_coords, on integer rows that are
+    multiples of a reduced echelon form: the coefficients on the rows
+    divided by their pivot entries are vec's entries at the pivots, and
+    vec is inside exactly when that combination, scaled by the lcm of
+    the pivot entries, equals vec so scaled in every entry."""
+    scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
+    combination = [0] * len(vec)
+    for row, p in zip(reduced, pivots):
+        c = vec[p] * (scale // row[p])
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    combination[j] += c * x
+    if combination != [scale * x for x in vec]:
+        return None
+    return [vec[p] for p in pivots]
 
 
 def mat_vec(rows, vec):
@@ -610,6 +662,19 @@ def cyclotomic_isotype(rep, table):
     return dim_pred, dim, tuple(real.degree for real in occurring)
 
 
+def eager_coset_sum_action(actions):
+    """The action of the direct sum of coset actions, concatenated for
+    every element at once: each summand's images shifted past the
+    points of the summands before it."""
+    parts = []
+    offset = 0
+    for a in actions:
+        shift = offset.__add__
+        parts.append([tuple(map(shift, p)) for p in a.images])
+        offset += a.degree
+    return tuple(Permutation(sum(imgs, ())) for imgs in zip(*parts))
+
+
 def dict_lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:
     """Does sum over (g, c) in lam of c * M_rep(phi(g)) vanish?
 
@@ -663,6 +728,16 @@ def dense_difference_space(rep: PermRep):
         rows.append([a - b for a, b in zip(v, base)])
     reduced, pivots = integer_rref(rows)
     return [tuple(r) for r in reduced], pivots
+
+
+def integer_difference_space(rep: PermRep):
+    """(integer rows, pivots) of span{M_g - M_e}, the rows of
+    dense_difference_space before they are divided by their pivots."""
+    base = rep.vertices[0]
+    rows = [[a - b for a, b in zip(v, base)] for v in rep.vertices[1:]]
+    if not rows:
+        return [], []
+    return _rref_int(rows, len(rows[0]))
 
 
 def pivot_walk_trace(rep: PermRep, g: int) -> Fraction:

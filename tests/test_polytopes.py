@@ -7,7 +7,7 @@ import pytest
 from oracles import (brute_force_faces, dense_lattice_structure,
                      dense_point_membership, indecomposable, regularity_shape)
 import permpoly.polytopes as polytopes
-from permpoly.groups import FiniteGroup, parse_cycles
+from permpoly.groups import FiniteGroup, Permutation, parse_cycles
 from permpoly.polytopes import (
     FaceResult,
     UnsupportedShapeError,
@@ -289,6 +289,15 @@ def test_single_vertex_polytope():
     assert point_membership(poly, off).as_tuple() == (False, True, False, False)
     half = [Fraction(x, 2) for x in vertex]
     assert point_membership(poly, half).as_tuple() == (False, False, False, False)
+
+
+def test_repeated_vertices_are_refused(s3, klein):
+    """A representation built without validation that repeats a vertex
+    is refused."""
+    for group in (s3, klein):
+        ident = Permutation.identity(group.degree)
+        with pytest.raises(ValueError, match="not pairwise distinct"):
+            build_polytope(PermRep(group, [ident] * group.order, check=False))
 
 
 def test_shape_descriptor(klein, z4, s3):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,19 +8,22 @@ import pytest
 import sympy
 
 import permpoly.reps as reps_module
-from oracles import (annihilation_stably_equivalent,
+from oracles import (annihilation_stably_equivalent, bareiss_rref,
                      brute_force_orbit_count, dense_affine_kernel,
                      dense_difference_space, dict_lambda_annihilates,
                      divisor_filter_effectively_equivalent,
-                     equivariant_apply, exhaustive_effectively_equivalent,
-                     first_independent, fraction_rref,
-                     is_homomorphism_all_pairs, kernel_sparse,
-                     pivot_walk_trace, relabelled, rowspace_coords,
-                     u_action_trace)
+                     eager_coset_sum_action, equivariant_apply,
+                     exhaustive_effectively_equivalent, first_independent,
+                     fraction_rref, integer_difference_space,
+                     integer_rowspace_coords, is_homomorphism_all_pairs,
+                     kernel_sparse, pivot_walk_trace, relabelled,
+                     rowspace_coords, u_action_trace)
 from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
                              SizeCapError, generator_correspondence,
                              isomorphisms, isomorphisms_iter, parse_cycles)
-from permpoly.characters import character_table, constituents, verify_isotype
+from permpoly.characters import (character_table, constituents,
+                                  stably_equivalent_by_characters,
+                                  verify_isotype)
 from permpoly.linalg import rank
 from permpoly.polytopes import build_polytope, is_face
 from permpoly.reps import (
@@ -27,10 +31,13 @@ from permpoly.reps import (
     NotFaithfulError,
     NotStablyEquivalentError,
     PermRep,
+    _action_sets,
     _annihilates_kernel,
     _dense_vector,
     _incidence_sets,
+    _largest_norm,
     _set_rows,
+    _summand_rows,
     _unannihilated,
     affine_kernel,
     build_equivariant_map,
@@ -523,7 +530,7 @@ def plus(lam, g, h):
 
 
 def packed_annihilates(rep, lam, phi=None):
-    return _unannihilated(rep, [lam], phi) is None
+    return _unannihilated(rep, [lam], _largest_norm([lam]), phi) is None
 
 
 def test_packed_check_matches_dict_oracle(main_pair, klein_pair, z4_family,
@@ -652,8 +659,13 @@ def test_packed_check_matches_dict_oracle_on_seeded_vectors_and_maps(
                     first = next((lam for lam in vectors
                                   if not dict_lambda_annihilates(repB, lam,
                                                                  chi)), None)
-                    assert _unannihilated(repB, vectors, chi) == first
-            assert _unannihilated(repB, affine_kernel(repA).sparse_int,
+                    assert _unannihilated(repB, vectors,
+                                          _largest_norm(vectors), chi) == first
+            kernel = affine_kernel(repA)
+            assert kernel.norm == max(
+                (sum(abs(c) for _, c in lam) for lam in kernel.sparse_int),
+                default=0)
+            assert _unannihilated(repB, kernel.sparse_int, kernel.norm,
                                   psi) is None
     # norms 2^k - 1 are odd, so never annihilated; norms 2^k both ways
     assert verdicts == boundary == {True, False}
@@ -706,8 +718,8 @@ def check_against_dense(rep, full=True):
     if full:
         # the kernel's pivots are those of the matrix whose columns are
         # the vertices: the greedy first independent vertices
-        assert kern.pivots == fraction_rref(list(zip(*rep.vertices)))[1]
-    basis, pivots = dense_difference_space(rep)
+        assert kern.pivots == bareiss_rref(list(zip(*rep.vertices)))[1]
+    basis, pivots = integer_difference_space(rep)
     poly = build_polytope(rep)
     assert (poly.pivots, poly.dim) == (pivots, len(basis))
     assert poly.dim == rep.group.order - 1 - kern.dim
@@ -715,8 +727,8 @@ def check_against_dense(rep, full=True):
         return
     base = rep.vertices[0]
     assert poly.coords == [
-        tuple(rowspace_coords(basis, pivots,
-                              [a - b for a, b in zip(v, base)]))
+        tuple(integer_rowspace_coords(basis, pivots,
+                                      [a - b for a, b in zip(v, base)]))
         for v in rep.vertices]
 
 
@@ -769,6 +781,42 @@ def test_kernel_and_chart_match_dense_on_coset_sums(sums):
             assert _incidence_sets(dup)[0] == sets
             assert set(_incidence_sets(triv)[0]) == set(sets) | {everything}
     assert counts == [3 * 174, 3 * 50, 3 * 94, 3 * 6]
+
+
+def test_integer_oracles_match_the_fraction_oracles(sums):
+    """bareiss_rref divided by its pivots is fraction_rref, and
+    integer_rowspace_coords gives rowspace_coords's answer, on the
+    vertex columns and vertex differences of a few sums and on seeded
+    integer matrices, whose pivots are not all units."""
+    matrices = []
+    for rep in [rep for reps in sums.values() for rep in reps[::90]]:
+        matrices.append(list(zip(*rep.vertices)))
+        base = rep.vertices[0]
+        rows = [[a - b for a, b in zip(v, base)] for v in rep.vertices[1:]]
+        matrices.append(rows)
+        integer, pivots = integer_difference_space(rep)
+        basis, fraction_pivots = dense_difference_space(rep)
+        assert pivots == fraction_pivots
+        assert [tuple(Fraction(x, row[p]) for x in row)
+                for row, p in zip(integer, pivots)] == basis
+    rng = random.Random(1968)
+    for _ in range(40):
+        ncols = rng.randint(1, 9)
+        m = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(ncols)]
+             for _ in range(rng.randint(1, 7))]
+        m.append([a - 2 * b for a, b in zip(m[0], m[-1])])
+        matrices.append(m)
+    for m in matrices:
+        integer, pivots = bareiss_rref(m)
+        reduced, fraction_pivots = fraction_rref(m)
+        assert pivots == fraction_pivots
+        assert [[Fraction(x, row[p]) for x in row]
+                for row, p in zip(integer, pivots)] == reduced
+        # each row lies in the row space, and a unit vector may not
+        for vec in m + [[int(j == k) for j in range(len(m[0]))]
+                        for k in range(len(m[0]))]:
+            assert integer_rowspace_coords(integer, pivots, vec) == \
+                rowspace_coords(reduced, pivots, vec)
 
 
 def test_kernel_and_chart_match_dense_on_scenario_pairs(main_pair):
@@ -864,7 +912,8 @@ def test_coset_sums_of_one_summand_set_share_one_kernel(monkeypatch):
     for twin in ([b, a], [a, b, a], [a, b, trivial], [trivial, b, a, b]):
         assert kernel(*twin) is pair
     assert len(calls) == 3
-    assert g._kernels == {frozenset([a]): single, frozenset([a, b]): pair}
+    assert g._kernels == {frozenset([a.family]): single,
+                          frozenset([a.family, b.family]): pair}
     # an unfaithful sum raises before any kernel and leaves no entry
     a4_quotient = g.coset_action(g.subgroups_of_order(12)[0])
     with pytest.raises(NotFaithfulError):
@@ -887,6 +936,143 @@ def test_kernel_basis_is_built_only_when_read():
         kern = affine_kernel(rep)
         rows = _set_rows(_incidence_sets(rep)[0], rep.group.order)
         assert kernel_sparse(rows) == (kern.rank, kern.sparse_int)
+
+
+def conjugate_action(action):
+    """The kept coset action on a conjugate x H x^-1 of the action's
+    subgroup H, the one for the greatest x that moves H; the action
+    itself when H is normal."""
+    group, sub = action.group, action.subgroup
+    table, inverse = group.table, group.inverse
+    for x in reversed(range(group.order)):
+        conj = group.subgroup([table[table[x][h]][inverse[x]]
+                               for h in sub.gens])
+        if conj.elements != sub.elements:
+            return group.coset_action(conj)
+    return action
+
+
+def test_conjugate_summands_share_their_family_kernel(sums):
+    """A sum with each summand replaced by the action on a conjugate
+    subgroup, an isomorphic G-set, has the same family and so the same
+    kept kernel, and that kernel is the dense oracle's for the
+    conjugate sum's own vertices."""
+    conjugated = 0
+    for g, reps in sums.items():
+        for rep in reps:
+            twin = PermRep.from_coset_actions(
+                g, [conjugate_action(a) for a in rep._summands])
+            if any(a is not b for a, b in zip(rep._summands, twin._summands)):
+                conjugated += 1
+            for a, b in zip(rep._summands, twin._summands):
+                assert _summand_rows(a)[1] is _summand_rows(b)[1]
+                assert a.family is b.family
+                assert b.family == frozenset(_action_sets(b.images)[0])
+            kern = affine_kernel(rep)
+            assert affine_kernel(twin) is kern
+            dense = [_dense_vector(v, g.order) for v in kern.sparse_int]
+            assert (kern.dim, kern.rank, dense, kern.sparse_int) == \
+                dense_affine_kernel(twin)
+    assert conjugated > 900
+
+
+def test_conjugate_summands_share_one_elimination(monkeypatch):
+    """One elimination per family: a sum of two conjugate point
+    stabilizers of S4 is eliminated once, as a one-family sum with no
+    stacked elimination, and conjugates met later eliminate nothing."""
+    g = fresh_s4()
+    stabilizers = [g.coset_action(g.point_stabilizer(i)) for i in range(1, 5)]
+    a, b = stabilizers[:2]
+    d4s = [g.coset_action(sub) for sub in g.subgroups_of_order(8)]
+    assert len({c.subgroup.elements for c in d4s}) == 3
+    raw = reps_module._rref_int
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(reps_module, "_rref_int", counted)
+
+    def kernel(*actions):
+        return affine_kernel(PermRep.from_coset_actions(g, list(actions)))
+
+    pair = kernel(a, b)
+    assert len(calls) == 1 and pair.rows is a.rows[0]
+    assert a.rows is b.rows and a.family is b.family
+    for twin in stabilizers:
+        assert kernel(twin) is pair
+    assert kernel(*stabilizers) is pair
+    assert len(calls) == 1
+    # a second family: its own elimination, then one stacked
+    mixed = kernel(a, d4s[0])
+    assert len(calls) == 3
+    for s, d in itertools.product(stabilizers, d4s):
+        assert kernel(d, s) is mixed
+    assert len(calls) == 3
+    assert len({id(c.rows) for c in d4s}) == 1
+    assert g._families.keys() == {a.family, d4s[0].family}
+    assert g._kernels.keys() == {frozenset([a.family]),
+                                 frozenset([a.family, d4s[0].family])}
+
+
+def fresh_sum(rep):
+    """A new sum of rep's summands, with nothing computed yet."""
+    return PermRep.from_coset_actions(rep.group, rep._summands)
+
+
+def test_summed_action_matches_the_eager_concatenation(sums):
+    for reps in sums.values():
+        for rep in reps:
+            action = rep.action
+            assert type(action) is tuple
+            assert all(type(p) is Permutation for p in action)
+            assert action == eager_coset_sum_action(rep._summands)
+            assert rep.degree == len(action[0])
+            assert fresh_sum(rep).orbit_count() == \
+                brute_force_orbit_count(action, rep.degree)
+
+
+def test_stable_route_leaves_the_summed_action_unassembled(sums, main_pair):
+    """Stable equivalence by kernel and by characters, polytope and
+    kernel dimensions read nothing of a coset sum's action."""
+    pairs = [(fresh_sum(a), fresh_sum(b)) for reps in sums.values()
+             for a, b in zip(reps[::7], reps[3::7])]
+    pairs.append(tuple(map(fresh_sum, main_pair)))
+    for repA, repB in pairs:
+        table = character_table(repA.group)
+        stably_equivalent_by_kernel(repA, repB)
+        stably_equivalent_by_characters(repA, repB, table)
+        for rep in (repA, repB):
+            assert build_polytope(rep, table).dim == \
+                rep.group.order - 1 - affine_kernel(rep).dim
+            assert "action" not in rep.__dict__
+    # any reader assembles it, and keeps it
+    assert repA.vertices and repA.__dict__["action"] is repA.action
+
+
+def test_unassembled_sum_pickles_and_assembles_later(main_pair):
+    rep = fresh_sum(main_pair[0])
+    kern = affine_kernel(rep)
+    copied = pickle.loads(pickle.dumps(rep))
+    assert "action" not in copied.__dict__
+    assert copied.degree == rep.degree
+    assert affine_kernel(copied) == kern
+    assert copied.action == eager_coset_sum_action(rep._summands)
+    assert copied.action == rep.action
+
+
+def test_coset_sum_over_the_vertex_cap_raises():
+    """The cap is checked on the summed degree before anything is
+    assembled: S5's regular action summed thrice has 120 * 360^2
+    entries, over the cap, twice 120 * 240^2, under it."""
+    s5 = FiniteGroup.from_cycle_strings(["(1 2)", "(1 2 3 4 5)"], 5)
+    regular_s5 = s5.coset_action(s5.subgroup([]))
+    assert s5.order * 240 ** 2 <= MAX_VERTEX_ENTRIES < s5.order * 360 ** 2
+    with pytest.raises(SizeCapError):
+        PermRep.from_coset_actions(s5, [regular_s5] * 3)
+    twice = PermRep.from_coset_actions(s5, [regular_s5] * 2)
+    assert twice.degree == 240 and "action" not in twice.__dict__
 
 
 def test_coset_sum_constituents_match_their_action(sums):
