@@ -685,7 +685,10 @@ def _element_indices(indices, bound):
     """The indices as ints; ValueError on one not equal to an integer or
     outside 0..bound-1."""
     indices = list(indices)
-    ints = [int(i) for i in indices]
+    try:
+        ints = [int(i) for i in indices]
+    except (TypeError, ValueError, OverflowError):
+        ints = None  # not an int-like label: unequal below
     if ints != indices:
         raise ValueError("element indices must be integers: %r" % (indices,))
     if ints and not 0 <= min(ints) <= max(ints) < bound:

@@ -4,8 +4,11 @@ The polytope of a representation is the convex hull of its vertex
 matrices.  A face test first takes the support closure of the vertex
 set S: every vertex whose 0/1 matrix has its ones only where some
 vertex of S has a one, i.e. the vertices on the smallest face of the
-Birkhoff polytope containing S.  Four routes then decide, each with a
-certificate that is checked exactly:
+Birkhoff polytope containing S.  The closure, the complementary vertex
+and the column counts below are AND/OR/popcount on a kept bitmask of
+vertices per incidence set, with a vertex scan's routes and
+certificates.  Four routes then decide, each with a certificate that is
+checked exactly:
 
 * support: the closure is S, so S is a face; the indicator of S's
   support, with offset degree, is the separating functional.
@@ -25,11 +28,11 @@ certificate that is checked exactly:
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from math import factorial, lcm
+from operator import and_
 
 from .groups import _element_indices
 from .intlinalg import hermite_form, saturation, solve_in_lattice
@@ -53,8 +56,10 @@ class PermutationPolytope:
     M_g is a combination of the kernel's pivot vertices M_p with
     coefficients summing to 1, so the rows M_p - M_e, p != e, span the
     same space and have the same reduced form; they are eliminated on
-    one column per incidence set (see reps._incidence_sets).  vertices
-    reads through to the representation.
+    one column per incidence set (see reps._incidence_sets).  The face
+    tests' bit index, one int per entry with bit g set when M_g has a one
+    there, is built from those sets on the first face test and kept.
+    vertices reads through to the representation.
     """
 
     def __init__(self, rep: PermRep):
@@ -88,6 +93,13 @@ class PermutationPolytope:
         pivots = self.pivots
         base = self.vertices[0]
         return [tuple(v[p] - base[p] for p in pivots) for v in self.vertices]
+
+    @cached_property
+    def _entry_masks(self):
+        """Per entry k, the labels g with M_g[k] = 1 as bits of one int."""
+        sets, cls = _incidence_sets(self.rep)
+        masks = [sum(1 << g for g in elems) for elems in sets]
+        return [masks[c] if c >= 0 else 0 for c in cls]
 
     @property
     def vertex_count(self) -> int:
@@ -199,42 +211,45 @@ def is_face(poly: PermutationPolytope, subset) -> FaceResult:
     labels = _checked_labels(poly, subset)
     action = poly.rep.action
     n = poly.degree
-    # the images each column takes on S: the support of the smallest
-    # Birkhoff face containing S
-    allowed = [set() for _ in range(n)]
-    for g in labels:
-        for col, i in zip(allowed, action[g]):
-            col.add(i)
-    closure = [x for x in range(poly.vertex_count)
-               if all(i in col for col, i in zip(allowed, action[x]))]
+    entry = poly._entry_masks
+    # the entries where S has a one: the support of the smallest Birkhoff
+    # face containing S, whose vertices F take one of them in each column
+    support = {i * n + j for g in labels for j, i in enumerate(action[g])}
+    cols = [0] * n
+    for k in support:
+        cols[k % n] |= entry[k]
+    f = reduce(and_, cols)
+    s = sum(1 << g for g in labels)
 
-    if len(closure) == len(labels):
-        support = {i * n + j for j, col in enumerate(allowed) for i in col}
-        a = tuple(F1 if k in support else F0 for k in range(n * n))
-        return FaceResult(True, functional=(a, Fraction(n)), route="support")
+    if f == s:
+        a = [F0] * (n * n)
+        for k in support:
+            a[k] = F1
+        return FaceResult(True, functional=(tuple(a), Fraction(n)),
+                          route="support")
 
     if len(labels) == 2:
-        x = next(g for g in closure if g not in labels)
+        rest = f & ~s  # F - S; x is its least vertex
+        x = (rest & -rest).bit_length() - 1
         # x follows a or b in each column: y is the complementary product
         img_y = _vertex_sum(action[x], *(action[g] for g in labels))
-        y = next((g for g in closure if action[g] == img_y), None)
-        if y is None:
+        y = 0 if img_y is None else reduce(
+            and_, (entry[i * n + j] for j, i in enumerate(img_y)), f)
+        if not y:
             raise RuntimeError("vertex pair %r: M_a + M_b - M_%d is not a "
                                "vertex" % (tuple(labels), x))
         half = Fraction(1, 2)
         return FaceResult(False, counterexample=tuple(sorted(
-            ((x, half), (y, half)))), route="pair")
+            ((x, half), (y.bit_length() - 1, half)))), route="pair")
 
-    def column_counts(members):
-        return Counter((j, i) for g in members
-                       for j, i in enumerate(action[g]))
-
-    m, f = len(labels), len(closure)
-    in_s = column_counts(labels)
-    if all(in_s[k] * f == c * m for k, c in column_counts(closure).items()):
-        w = Fraction(1, f)
-        return FaceResult(False, counterexample=tuple((g, w) for g in closure),
-                          route="barycenter")
+    # every incidence set on the support holds the same share of S and F
+    m, size = len(labels), f.bit_count()
+    if all((s & e).bit_count() * size == (f & e).bit_count() * m
+           for e in {entry[k] for k in support}):
+        w = Fraction(1, size)
+        return FaceResult(False, counterexample=tuple(
+            (g, w) for g in range(poly.vertex_count) if f >> g & 1),
+            route="barycenter")
 
     return _is_face_lp(poly, labels)
 

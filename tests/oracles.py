@@ -4,6 +4,7 @@ import copy
 import itertools
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -20,8 +21,9 @@ from permpoly.groups import (FiniteGroup, GroupMap, Permutation, Subgroup,
                              _respects_generators, isomorphisms_iter)
 from permpoly.intlinalg import (_hermite_left_block, hermite_form,
                                 solve_in_lattice)
-from permpoly.linalg import F0, _rref_int, kernel_from_rref
-from permpoly.polytopes import _checked_labels, _subset_dim, is_face
+from permpoly.linalg import F0, F1, _rref_int, kernel_from_rref
+from permpoly.polytopes import (FaceResult, _checked_labels, _is_face_lp,
+                                _subset_dim, _vertex_sum, is_face)
 from permpoly.reps import (EquivariantMap, PermRep, affine_kernel,
                            cycle_divisor_obstruction, kernel_traces)
 
@@ -106,6 +108,55 @@ def brute_force_faces(poly):
         if not fresh:
             return faces
         faces |= fresh
+
+
+def scan_is_face(poly, subset):
+    """polytopes.is_face by scanning the vertices: the support closure
+    as the list of every vertex whose image in each column is one of
+    S's, the complementary vertex of the pair route found by a linear
+    search of the closure, and the barycenter route's column counts
+    compared as Counters.  Same routes and certificates."""
+    labels = _checked_labels(poly, subset)
+    action = poly.rep.action
+    n = poly.degree
+    # the images each column takes on S: the support of the smallest
+    # Birkhoff face containing S
+    allowed = [set() for _ in range(n)]
+    for g in labels:
+        for col, i in zip(allowed, action[g]):
+            col.add(i)
+    closure = [x for x in range(poly.vertex_count)
+               if all(i in col for col, i in zip(allowed, action[x]))]
+
+    if len(closure) == len(labels):
+        support = {i * n + j for j, col in enumerate(allowed) for i in col}
+        a = tuple(F1 if k in support else F0 for k in range(n * n))
+        return FaceResult(True, functional=(a, Fraction(n)), route="support")
+
+    if len(labels) == 2:
+        x = next(g for g in closure if g not in labels)
+        # x follows a or b in each column: y is the complementary product
+        img_y = _vertex_sum(action[x], *(action[g] for g in labels))
+        y = next((g for g in closure if action[g] == img_y), None)
+        if y is None:
+            raise RuntimeError("vertex pair %r: M_a + M_b - M_%d is not a "
+                               "vertex" % (tuple(labels), x))
+        half = Fraction(1, 2)
+        return FaceResult(False, counterexample=tuple(sorted(
+            ((x, half), (y, half)))), route="pair")
+
+    def column_counts(members):
+        return Counter((j, i) for g in members
+                       for j, i in enumerate(action[g]))
+
+    m, f = len(labels), len(closure)
+    in_s = column_counts(labels)
+    if all(in_s[k] * f == c * m for k, c in column_counts(closure).items()):
+        w = Fraction(1, f)
+        return FaceResult(False, counterexample=tuple((g, w) for g in closure),
+                          route="barycenter")
+
+    return _is_face_lp(poly, labels)
 
 
 def brute_force_orbit_count(perms, degree):

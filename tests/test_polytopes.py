@@ -1,11 +1,14 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from oracles import (brute_force_faces, dense_lattice_structure,
-                     dense_point_membership, indecomposable, regularity_shape)
+                     dense_point_membership, indecomposable, regularity_shape,
+                     scan_is_face)
 import permpoly.polytopes as polytopes
 from permpoly.groups import FiniteGroup, Permutation, parse_cycles
 from permpoly.polytopes import (
@@ -24,16 +27,23 @@ from permpoly.polytopes import (
 from permpoly.reps import PermRep, affine_kernel
 
 
-def ambient_dot(a, v):
-    return sum(x * y for x, y in zip(a, v) if y)
+@functools.lru_cache(maxsize=4)
+def vertex_entries(poly):
+    """The nonzero entries of each vertex, as (index, value) pairs."""
+    return [[(k, x) for k, x in enumerate(v) if x] for v in poly.vertices]
 
 
 def verify_face_result(poly, subset, res):
     inside = set(subset)
+    entries = vertex_entries(poly)
     if res.is_face:
         a, beta = res.functional
+        # exact in integers: a and beta times their common denominator
+        scale = lcm(beta.denominator, *(x.denominator for x in a))
+        a = [x.numerator * (scale // x.denominator) for x in a]
+        beta *= scale
         for g in range(poly.vertex_count):
-            val = ambient_dot(a, poly.vertices[g])
+            val = sum(a[k] * x for k, x in entries[g])
             if g in inside:
                 assert val == beta
             else:
@@ -44,14 +54,14 @@ def verify_face_result(poly, subset, res):
         assert sum(weights.values()) == 1
         assert any(g not in inside for g in weights)
         n2 = poly.degree ** 2
-        m = len(inside)
-        bary = [Fraction(sum(poly.vertices[g][k] for g in inside), m)
-                for k in range(n2)]
+        bary = [Fraction(0)] * n2
+        for g in inside:
+            for k, x in entries[g]:
+                bary[k] += Fraction(x, len(inside))
         mix = [Fraction(0)] * n2
         for g, w in weights.items():
-            for k, x in enumerate(poly.vertices[g]):
-                if x:
-                    mix[k] += w * x
+            for k, x in entries[g]:
+                mix[k] += w * x
         assert mix == bary
 
 
@@ -147,6 +157,76 @@ def test_is_face_input_errors(small_polytopes):
     for subset in ([0, 1.5], [0, "1"]):
         with pytest.raises(ValueError, match="must be integers"):
             is_face(poly, subset)
+
+
+@pytest.mark.parametrize("subset", [[float("inf")], [None, 1], [[1]],
+                                    [0, 1j]])
+def test_labels_that_are_not_integers_raise_value_error(klein, subset):
+    poly = build_polytope(PermRep.natural(klein))
+    for call in (lambda: is_face(poly, subset),
+                 lambda: shape_descriptor(poly, subset),
+                 lambda: klein.subgroup(subset)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+
+
+def assert_matches_scan(poly, subset):
+    """is_face and the vertex scan give one verdict, route and
+    certificate, and the certificate verifies; returns the route."""
+    res, old = is_face(poly, subset), scan_is_face(poly, subset)
+    assert (res.is_face, res.route, res.functional, res.counterexample) == \
+        (old.is_face, old.route, old.functional, old.counterexample), subset
+    verify_face_result(poly, subset, res)
+    return res.route
+
+
+def test_bit_index_matches_the_scan(s3, klein, z4, a4, s4, d6, q8, main_pair):
+    """The bit-index face test against the vertex scan it replaced, on
+    every vertex pair, every subgroup and seeded random 3-6 subsets of
+    the corpus polytopes and of a coset sum whose action is assembled by
+    the first face test."""
+    z2_4 = FiniteGroup.from_cycle_strings(
+        ["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8)
+    g48 = main_pair[0].group
+    reps = [PermRep.natural(g) for g in
+            (s3, klein, z4, a4, s4, d6, q8, z2_4, g48)] + list(main_pair)
+    # S4 on the cosets of a 3-cycle and of a double transposition
+    s4_copy = FiniteGroup.from_cycle_strings(["(1 2)", "(1 2 3 4)"], 4)
+    summed = PermRep.from_coset_actions(s4_copy, [
+        s4_copy.coset_action(s4_copy.subgroup(gens)) for gens in ([3], [5])])
+    polys = [build_polytope(rep) for rep in reps + [summed]]
+    assert "action" not in vars(summed)
+    rng = random.Random(33)
+    routes = set()
+    for poly in polys:
+        group = poly.group
+        n = group.order
+        subsets = list(itertools.combinations(range(n), 2))
+        subsets += [sub.elements for k in range(1, n + 1) if n % k == 0
+                    for sub in group.subgroups_of_order(k)]
+        subsets += [rng.sample(range(n), rng.randint(3, min(6, n)))
+                    for _ in range(8)]
+        for subset in subsets:
+            routes.add(assert_matches_scan(poly, subset))
+    assert "action" in vars(summed)
+    assert routes == {"support", "pair", "barycenter", "lp"}
+
+
+def test_bit_index_on_natural_s6_and_the_6_cube():
+    """Seeded vertex pairs of natural S6 (720 vertices) against the scan;
+    the shapes of S6 and of the 6-cube, which run pair face tests at the
+    anchor, stay unclassified."""
+    s6 = FiniteGroup.from_cycle_strings(["(1 2)", "(1 2 3 4 5 6)"], 6)
+    poly = build_polytope(PermRep.natural(s6))
+    rng = random.Random(6)
+    routes = {assert_matches_scan(poly, rng.sample(range(720), 2))
+              for _ in range(100)}
+    assert routes == {"support", "pair"}
+    assert str(shape_descriptor(poly)) == "unclassified"
+    cube = FiniteGroup.from_cycle_strings(
+        ["(%d %d)" % (i, i + 1) for i in range(1, 12, 2)], 12)
+    desc = shape_descriptor(build_polytope(PermRep.natural(cube)))
+    assert str(desc) == "unclassified" and desc.dim == 6
 
 
 def test_subgroup_face_census_square(klein, z4):
