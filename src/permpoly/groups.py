@@ -42,6 +42,7 @@ Intended scale is |G| <= 1000 or so; generate() enforces a hard cap.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from math import lcm
 from operator import itemgetter
@@ -170,7 +171,9 @@ def count_orbits(perms, degree: int) -> int:
     return count
 
 
-_DIGITS = frozenset("0123456789")
+# a run of ASCII digits, or any other character that is not whitespace;
+# what finditer skips between tokens is exactly the str.isspace runs
+_CYCLE_TOKEN = re.compile(r"([0-9]+)|\S")
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -179,70 +182,60 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     Cycles are parenthesized runs of whitespace-separated 1-based
     integers in ASCII digits, e.g. "(1 2 3 4)(5 6)".  A point may appear
     at most once in the whole expression; out-of-range and malformed
-    input raise CycleParseError with the offending position.
+    input raise CycleParseError with the offending position.  The text
+    is read in one scan of _CYCLE_TOKEN, token by token.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    n = len(text)
-    i = 0
-
-    def skip_ws(k):
-        while k < n and text[k].isspace():
-            k += 1
-        return k
-
-    i = skip_ws(i)
-    if text[i:i + 2] == "id":
-        rest = skip_ws(i + 2)
-        if rest != n:
-            raise CycleParseError("unexpected input after 'id'", rest)
+    width = len(str(degree))
+    tokens = _CYCLE_TOKEN.finditer(text)
+    tok = next(tokens, None)
+    if tok is not None and text.startswith("id", tok.start()):
+        next(tokens)  # the 'd'
+        rest = next(tokens, None)
+        if rest is not None:
+            raise CycleParseError("unexpected input after 'id'", rest.start())
         return Permutation.identity(degree)
 
     images = list(range(degree))
     seen_points = set()
     parsed_any = False
-    while True:
-        i = skip_ws(i)
-        if i == n:
-            break
-        if text[i] != "(":
-            raise CycleParseError("expected '('", i)
-        open_pos = i
-        i = skip_ws(i + 1)
+    while tok is not None:
+        if tok[0] != "(":
+            raise CycleParseError("expected '('", tok.start())
+        open_pos = tok.start()
         points = []
-        while i < n and text[i] != ")":
-            if text[i] not in _DIGITS:
-                raise CycleParseError("expected integer or ')'", i)
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
+        for tok in tokens:
+            run = tok[1]
+            if run is None:
+                if tok[0] == ")":
+                    break
+                raise CycleParseError("expected integer or ')'", tok.start())
             # a run with more significant digits than the degree is out
             # of range; rejecting it here keeps int() off long input
-            digits = text[start:i].lstrip("0")
-            if len(digits) > len(str(degree)):
+            digits = run.lstrip("0")
+            if len(digits) > width:
                 raise CycleParseError(
-                    "point out of range 1..%d" % degree, start)
+                    "point out of range 1..%d" % degree, tok.start())
             val = int(digits or "0")
             if val < 1 or val > degree:
                 raise CycleParseError(
-                    "point %d out of range 1..%d" % (val, degree), start)
+                    "point %d out of range 1..%d" % (val, degree), tok.start())
             if val in seen_points:
-                raise CycleParseError("point %d repeated" % val, start)
+                raise CycleParseError("point %d repeated" % val, tok.start())
             seen_points.add(val)
             points.append(val)
-            i = skip_ws(i)
-        if i == n:
+        else:
             raise CycleParseError("unclosed cycle", open_pos)
-        i += 1  # ')'
         if not points:
             # "()" denotes the identity and must stand alone
-            rest = skip_ws(i)
-            if parsed_any or rest != n:
+            if parsed_any or next(tokens, None) is not None:
                 raise CycleParseError("empty cycle", open_pos)
             return Permutation.identity(degree)
         for a, b in zip(points, points[1:] + points[:1]):
             images[a - 1] = b - 1
         parsed_any = True
+        tok = next(tokens, None)
     if not parsed_any:
         raise CycleParseError("empty input", 0)
     return Permutation(images)
@@ -735,18 +728,21 @@ class CosetAction:
     """The data of a coset action: degree, images and kernel.
 
     Made and kept by FiniteGroup.coset_action, the only source of the
-    summands PermRep.from_coset_actions takes.  family, rows and
-    constituents start as None.  reps keeps the action's family, the
-    frozenset of its distinct nonempty incidence sets, in family, and
-    the reduced elimination rows and pivots of that family in rows,
-    one object shared by every action of the family (see
-    reps._summand_rows); characters keeps the action's checked
-    constituents, with their table (see characters.constituents).  A
-    coset sum reads both off its summands.
+    summands PermRep.from_coset_actions takes.  sets, divisors, family,
+    rows and constituents start as None, and a coset sum reads each off
+    its summands.  reps keeps in sets the action's incidence sets and
+    each entry's set, as reps._action_sets gives them (see
+    reps._summand_sets); in divisors the cycle divisors D(g) of its
+    images as bitmasks (see reps._summand_divisors); in family the
+    frozenset of its distinct nonempty incidence sets; and in rows the
+    reduced elimination rows and pivots of that family, one object
+    shared by every action of the family (see reps._summand_rows).
+    characters keeps the action's checked constituents, with their
+    table (see characters.constituents).
     """
 
-    __slots__ = ("group", "subgroup", "degree", "images", "kernel", "family",
-                 "rows", "constituents")
+    __slots__ = ("group", "subgroup", "degree", "images", "kernel", "sets",
+                 "divisors", "family", "rows", "constituents")
 
     def __init__(self, group, subgroup, degree, images, kernel):
         self.group = group
@@ -754,6 +750,8 @@ class CosetAction:
         self.degree = degree
         self.images = images
         self.kernel = kernel
+        self.sets = None
+        self.divisors = None
         self.family = None
         self.rows = None
         self.constituents = None

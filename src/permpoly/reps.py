@@ -82,18 +82,28 @@ degree-1 summand beside others (its one row is the all-ones row, which
 the sets of any one column add up to) leave that row space as it is, so
 a sum shares its kernel through the group with every sum of the same
 other families, and a sum of one family reads its kernel off that
-family's rows.  No step of this, nor of the character route, reads the
-summed action: a coset sum assembles it from its summands only when it
-is read (PermRep.action).
+family's rows.
+
+The other data of a sum are its summands' too.  A point's cycle under
+rep(g) is its cycle in the summand it lies in, so D(g) is the union of
+the summands' D(g).  The sum's incidence sets with each entry's set
+are put together block by block from the summands' own (_summed_sets).
+Each kept coset action computes its sets and cycle divisors once, and a
+sum only combines them.  So no step of the kernel route, the character
+route or effective equivalence (the cycle-divisor obstruction, the
+kernel traces and the kernel test on packed vertices) reads the summed
+action: a coset sum assembles it from its summands only when it is read
+(PermRep.action), by its vertices, the face tests or compose_with_map.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from math import gcd, lcm
+from operator import or_
 
 from .groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
                      SizeCapError, count_orbits, isomorphisms_iter)
@@ -136,9 +146,11 @@ class PermRep:
     and its degree is the sum of theirs: affine_kernel reads its kernel
     off the rows of their distinct families, sharing it through the
     group with every sum of the same families, characters.constituents
-    adds up all of them, and orbit_count assembles only the generators'
-    images.  Its action is assembled from the summands on first read
-    and kept, like the vertices.
+    adds up all of them, cycle_divisors and the incidence sets combine
+    theirs, and orbit_count assembles only the generators' images.  So
+    neither stable nor effective equivalence reads its action, which is
+    assembled from the summands on first read and kept, like the
+    vertices.
     """
 
     def __init__(self, group: FiniteGroup, action, check=True):
@@ -271,17 +283,19 @@ class PermRep:
 
     def cycle_divisors(self):
         """D(g) for each element g, as one bitmask int: bit d is set when
-        d divides the length of some cycle of rep(g).  Cached."""
+        d divides the length of some cycle of rep(g).  Made once and
+        kept: a coset sum's as the OR of its distinct summands' masks
+        (_summand_divisors), a point's cycle under rep(g) being its cycle
+        in the summand it lies in, so its action is not assembled; any
+        other representation's off its action (_divisor_masks)."""
         if self._divisors is None:
-            out = []
-            for p in self.action:
-                mask = 2  # 1 divides every cycle length, fixed points too
-                for length in {len(c) for c in p.cycles()}:
-                    for d in range(2, length + 1):
-                        if length % d == 0:
-                            mask |= 1 << d
-                out.append(mask)
-            self._divisors = tuple(out)
+            if self._summands is None:
+                self._divisors = _divisor_masks(self.action)
+            else:
+                masks = [_summand_divisors(a)
+                         for a in dict.fromkeys(self._summands)]
+                self._divisors = tuple(reduce(or_, column)
+                                       for column in zip(*masks))
         return self._divisors
 
     def orbit_count(self) -> int:
@@ -311,6 +325,39 @@ def _summed_images(summands, elements):
                 map(shift.__add__, a.images[g])
                 for shift, a in zip(offsets, summands)))
             for g in elements]
+
+
+def _divisor_masks(images):
+    """D(g) as a bitmask for each image: the cycle lengths are counted
+    by one walk over the points, and each cycle sets the bits of its
+    length's divisors, 1 among them."""
+    of_length = {}
+    out = []
+    for p in images:
+        seen = bytearray(len(p))
+        mask = 0
+        for start in range(len(p)):
+            length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = 1
+                j = p[j]
+                length += 1
+            if length:
+                if length not in of_length:
+                    of_length[length] = sum(1 << d for d in range(1, length + 1)
+                                            if length % d == 0)
+                mask |= of_length[length]
+        out.append(mask)
+    return tuple(out)
+
+
+def _summand_divisors(action):
+    """The cycle divisor masks of a coset action's images, made once
+    and kept on the action."""
+    if action.divisors is None:
+        action.divisors = _divisor_masks(action.images)
+    return action.divisors
 
 
 def divisors_of_mask(mask):
@@ -404,7 +451,8 @@ def _incidence_sets(rep: PermRep):
     Entry (i, j), flattened to k = i*degree + j, has the incidence set
     S_k = {g : rep(g) sends j to i}, so M_g[k] = [g in S_k].  Returns
     (sets, cls) of _action_sets(rep.action), made once per
-    representation and kept.
+    representation and kept; a coset sum's are put together from its
+    summands' (_summed_sets), so its action is not assembled.
 
     affine_kernel eliminates one row per set in place of the all-ones
     row and the degree^2 entry rows, which only adds zero and repeated
@@ -415,7 +463,9 @@ def _incidence_sets(rep: PermRep):
     pivot.
     """
     if rep._sets is None:
-        rep._sets = _action_sets(rep.action)
+        summands = rep._summands
+        rep._sets = (_action_sets(rep.action) if summands is None
+                     else _summed_sets(summands))
     return rep._sets
 
 
@@ -448,6 +498,43 @@ def _action_sets(action):
     return list(index), cls
 
 
+def _summand_sets(action):
+    """_action_sets of a coset action's images, made once and kept on
+    the action."""
+    if action.sets is None:
+        action.sets = _action_sets(action.images)
+    return action.sets
+
+
+def _summed_sets(summands):
+    """The (sets, cls) of _action_sets for the direct sum of coset
+    actions, from the summands' own.
+
+    Summand b acts on the points from its offset o on, so its entry
+    (i, j) is the sum's entry (o + i, o + j), with the same set, and an
+    entry outside the diagonal blocks has none.  In the flattened order
+    every entry of block b comes before those of block b + 1, and within
+    a block the order is the summand's own, so numbering each block's
+    sets in its own order, skipping those already numbered, numbers the
+    sets by first entry.  A coset action is transitive, so every entry
+    of a block has a set.
+    """
+    degree = sum(a.degree for a in summands)
+    index = {}
+    cls = [-1] * (degree * degree)
+    offset = 0
+    for a in summands:
+        sets, part = _summand_sets(a)
+        number = [index.setdefault(s, len(index)) for s in sets]
+        n = a.degree
+        for i in range(n):
+            start = (offset + i) * degree + offset
+            cls[start:start + n] = map(number.__getitem__,
+                                       part[i * n:(i + 1) * n])
+        offset += n
+    return list(index), cls
+
+
 def _set_rows(sets, order):
     """One 0/1 row over the group per incidence set."""
     rows = []
@@ -467,7 +554,7 @@ def _summand_rows(action):
     rows object, and on the action as its family and rows."""
     if action.rows is None:
         group = action.group
-        sets, _ = _action_sets(action.images)
+        sets = _summand_sets(action)[0]
         family = frozenset(sets)
         kept = group._families.get(family)
         if kept is None:

@@ -16,9 +16,10 @@ from permpoly.characters import (RealIrreducible, _SplitFailure,
                                   _primitive_root, permutation_character,
                                   predicted_dimension)
 from permpoly.cyclotomic import cyclo, cyclo_rational
-from permpoly.groups import (FiniteGroup, GroupMap, Permutation, Subgroup,
-                             _close_capped, _element_indices,
-                             _respects_generators, isomorphisms_iter)
+from permpoly.groups import (CycleParseError, FiniteGroup, GroupMap,
+                             Permutation, Subgroup, _close_capped,
+                             _element_indices, _respects_generators,
+                             isomorphisms_iter)
 from permpoly.intlinalg import (_hermite_left_block, hermite_form,
                                 solve_in_lattice)
 from permpoly.linalg import F0, F1, _rref_int, kernel_from_rref
@@ -724,6 +725,97 @@ def eager_coset_sum_action(actions):
         parts.append([tuple(map(shift, p)) for p in a.images])
         offset += a.degree
     return tuple(Permutation(sum(imgs, ())) for imgs in zip(*parts))
+
+
+def scanning_parse_cycles(text: str, degree: int) -> Permutation:
+    """groups.parse_cycles as a character scanner: whitespace skipped by
+    str.isspace, digit runs read by hand.
+
+    Cycles are parenthesized runs of whitespace-separated 1-based
+    integers in ASCII digits, e.g. "(1 2 3 4)(5 6)".  A point may appear
+    at most once in the whole expression; out-of-range and malformed
+    input raise CycleParseError with the offending position.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    n = len(text)
+    i = 0
+
+    def skip_ws(k):
+        while k < n and text[k].isspace():
+            k += 1
+        return k
+
+    i = skip_ws(i)
+    if text[i:i + 2] == "id":
+        rest = skip_ws(i + 2)
+        if rest != n:
+            raise CycleParseError("unexpected input after 'id'", rest)
+        return Permutation.identity(degree)
+
+    images = list(range(degree))
+    seen_points = set()
+    parsed_any = False
+    while True:
+        i = skip_ws(i)
+        if i == n:
+            break
+        if text[i] != "(":
+            raise CycleParseError("expected '('", i)
+        open_pos = i
+        i = skip_ws(i + 1)
+        points = []
+        while i < n and text[i] != ")":
+            if text[i] not in "0123456789":
+                raise CycleParseError("expected integer or ')'", i)
+            start = i
+            while i < n and text[i] in "0123456789":
+                i += 1
+            # a run with more significant digits than the degree is out
+            # of range; rejecting it here keeps int() off long input
+            digits = text[start:i].lstrip("0")
+            if len(digits) > len(str(degree)):
+                raise CycleParseError(
+                    "point out of range 1..%d" % degree, start)
+            val = int(digits or "0")
+            if val < 1 or val > degree:
+                raise CycleParseError(
+                    "point %d out of range 1..%d" % (val, degree), start)
+            if val in seen_points:
+                raise CycleParseError("point %d repeated" % val, start)
+            seen_points.add(val)
+            points.append(val)
+            i = skip_ws(i)
+        if i == n:
+            raise CycleParseError("unclosed cycle", open_pos)
+        i += 1  # ')'
+        if not points:
+            # "()" denotes the identity and must stand alone
+            rest = skip_ws(i)
+            if parsed_any or rest != n:
+                raise CycleParseError("empty cycle", open_pos)
+            return Permutation.identity(degree)
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a - 1] = b - 1
+        parsed_any = True
+    if not parsed_any:
+        raise CycleParseError("empty input", 0)
+    return Permutation(images)
+
+
+def cycle_divisor_loop(rep: PermRep):
+    """D(g) for each element as a bitmask, read off the nontrivial
+    cycles of rep.action one element at a time: bit d is set when d
+    divides some cycle length, bit 1 always."""
+    out = []
+    for p in rep.action:
+        mask = 2
+        for length in {len(c) for c in p.cycles()}:
+            for d in range(2, length + 1):
+                if length % d == 0:
+                    mask |= 1 << d
+        out.append(mask)
+    return tuple(out)
 
 
 def dict_lambda_annihilates(rep: PermRep, lam, phi: GroupMap | None = None) -> bool:

@@ -11,13 +11,14 @@ from sympy.combinatorics import PermutationGroup
 from oracles import (all_pairs_table, brute_force_isomorphisms,
                      brute_force_orbit_count, exhaustive_isomorphisms,
                      exhaustive_subgroups_of_order, is_homomorphism_all_pairs,
-                     relabelled)
+                     relabelled, scanning_parse_cycles)
 from permpoly.groups import (
     CycleParseError,
     FiniteGroup,
     GroupMap,
     Permutation,
     SizeCapError,
+    _CYCLE_TOKEN,
     _extend_closure,
     automorphisms,
     generator_correspondence,
@@ -97,6 +98,77 @@ def test_parse_errors():
         with pytest.raises(CycleParseError) as exc:
             parse_cycles(text, degree)
         assert exc.value.position >= 0
+
+
+def parse_outcome(parse, text, degree):
+    """The Permutation parsed, or the CycleParseError's message and
+    position."""
+    try:
+        return parse(text, degree)
+    except CycleParseError as exc:
+        return str(exc), exc.position
+
+
+def test_parse_matches_the_scanner_oracle():
+    """The one-scan tokenizer gives the character scanner's Permutation,
+    or its error message and position, on a table of inputs and on
+    seeded random strings."""
+    table = [
+        "id", "  id\t", "id x", "idx", "id(1 2)", "i", "d", "()", " ( ) ",
+        "()()", "() (1 2)", "(1 2)()", "(1 2)(3 4)", "\t(1\t2)\n(3 4)\r",
+        "(01 002)", "(0 1)", "(007)", "(000)", "(12)", "(1 2", "(1 2 x",
+        "(1 2)(3", "(3 x 4", "(1 1)", "(1 2)(2 3)", "(" + "9" * 5000 + ")",
+        "(" + "0" * 5000 + "3)", "(" + "0" * 5000 + ")", "(\uff11 2)",
+        "\uff11", "(1 2)x", "", "   ", "\u3000(1 2)\u2028", "(1\xa02)",
+        "(1\x1c2)", "(1\u200b2)", "(1)(2)", "((1 2)", "(1 2))", ")",
+        "(1 2 3 4)(5 6)", "(4 3 2 1)(12 11)",
+    ]
+    outcomes = set()
+    for text in table:
+        for degree in (0, 1, 4, 12):
+            got = parse_outcome(parse_cycles, text, degree)
+            assert got == parse_outcome(scanning_parse_cycles, text, degree)
+            outcomes.add(got if type(got) is tuple else "parsed")
+    rng = random.Random(34)
+    pieces = ["(", ")", " ", "\t", "\n", "\u3000", "1", "2", "3", "0", "12",
+              "007", "\uff11", "id", "x", "99999999999"]
+    for _ in range(4000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        degree = rng.randint(0, 12)
+        got = parse_outcome(parse_cycles, text, degree)
+        assert got == parse_outcome(scanning_parse_cycles, text, degree)
+        outcomes.add(got if type(got) is tuple else "parsed")
+    # valid products of cycles, spaced and zero-padded at random
+    def space():
+        return rng.choice(["", " ", "\t\n", "\u3000"])
+
+    for _ in range(400):
+        images = list(range(rng.randint(1, 12)))
+        rng.shuffle(images)
+        p = Permutation(images)
+        text = space() + "".join(
+            "(" + space() + " ".join(
+                rng.choice(["", "0", "00"]) + str(point) + space()
+                for point in cycle) + ")" + space()
+            for cycle in p.cycles()) if p.cycles() else "()"
+        assert parse_cycles(text, p.degree) == p
+        assert scanning_parse_cycles(text, p.degree) == p
+    messages = {m.split(" (at")[0].split(" ")[0] for m, _ in
+                (o for o in outcomes if o != "parsed")}
+    assert "parsed" in outcomes
+    assert messages == {"unexpected", "expected", "point", "unclosed",
+                        "empty"}
+    for parse in (parse_cycles, scanning_parse_cycles):
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse("id", -1)
+
+
+def test_cycle_tokens_skip_exactly_the_isspace_characters():
+    """finditer skips what _CYCLE_TOKEN does not match: on every code
+    point, exactly the characters str.isspace accepts."""
+    for c in range(0x110000):
+        ch = chr(c)
+        assert (_CYCLE_TOKEN.match(ch) is None) == ch.isspace(), hex(c)
 
 
 def test_orders_match_sympy(klein, z4, s3, s4, a4, d4, q8, a5):

@@ -9,7 +9,8 @@ import sympy
 
 import permpoly.reps as reps_module
 from oracles import (annihilation_stably_equivalent, bareiss_rref,
-                     brute_force_orbit_count, dense_affine_kernel,
+                     brute_force_orbit_count, cycle_divisor_loop,
+                     dense_affine_kernel,
                      dense_difference_space, dict_lambda_annihilates,
                      divisor_filter_effectively_equivalent,
                      eager_coset_sum_action, equivariant_apply,
@@ -1049,6 +1050,63 @@ def test_stable_route_leaves_the_summed_action_unassembled(sums, main_pair):
             assert "action" not in rep.__dict__
     # any reader assembles it, and keeps it
     assert repA.vertices and repA.__dict__["action"] is repA.action
+
+
+def test_summed_sets_and_divisors_match_the_summed_action(sums, main_pair):
+    """A coset sum's incidence sets and cycle divisors, put together from
+    its summands', are _action_sets and the per-element cycle loop on its
+    assembled action: on every sum of the corpus, repeats and the
+    degree-1 summand among them, the main pair, the A6 representations,
+    sums of conjugate summands, the degree-1 summand first, and the
+    trivial group's lone degree-1 summand."""
+    _, _, _, _, a6_1, a6_2 = alt6_reps()
+    reps = [rep for reps in sums.values() for rep in reps]
+    reps += list(main_pair) + [a6_1, a6_2]
+    for rep in reps[::3]:
+        g, summands = rep.group, rep._summands
+        reps.append(PermRep.from_coset_actions(
+            g, [conjugate_action(a) for a in summands]))
+        reps.append(PermRep.from_coset_actions(
+            g, [g.coset_action(g.subgroup(g.gens))] + list(summands)))
+    trivial = FiniteGroup.generate([], degree=1)
+    reps.append(PermRep.from_coset_actions(
+        trivial, [trivial.coset_action(trivial.subgroup([]))]))
+    for rep in reps:
+        fresh = fresh_sum(rep)
+        sets = _incidence_sets(fresh)
+        divisors = fresh.cycle_divisors()
+        assert "action" not in vars(fresh)
+        assert sets == _action_sets(rep.action)
+        assert divisors == cycle_divisor_loop(rep)
+    assert len(reps) == 1629
+
+
+def test_effective_route_leaves_the_summed_action_unassembled():
+    """The cycle-divisor obstruction, effective equivalence with a
+    witness and without one, and an equivariant map across equal kernel
+    dimensions read nothing of a coset sum's action."""
+    _, main1, main2 = main_example_reps()
+    assert cycle_divisor_obstruction(main1, main2) is not None
+    assert effectively_equivalent(main1, main2) is None
+    late1, late2 = g48_late_witness_pair()
+    phi = effectively_equivalent(late1, late2)
+    assert phi is not None
+    assert build_equivariant_map(late1, late2, phi).phi is phi
+    # Klein four and cyclic point stabilizers of S4: no obstruction and
+    # equal kernel dimensions, so the search runs, and no witness
+    g = fresh_s4()
+    klein = g.subgroup([g.element_index(parse_cycles(c, 4))
+                        for c in ("(1 2)", "(3 4)")])
+    cyclic = g.subgroup([g.element_index(parse_cycles("(1 2 3 4)", 4))])
+    rep_k, rep_c = (PermRep.from_coset_actions(g, [g.coset_action(sub)])
+                    for sub in (klein, cyclic))
+    assert cycle_divisor_obstruction(rep_k, rep_c) is None
+    assert affine_kernel(rep_k).dim == affine_kernel(rep_c).dim
+    assert effectively_equivalent(rep_k, rep_c) is None
+    with pytest.raises(NotStablyEquivalentError):
+        build_equivariant_map(rep_k, rep_c, GroupMap.identity(g))
+    for rep in (main1, main2, late1, late2, rep_k, rep_c):
+        assert "action" not in vars(rep)
 
 
 def test_unassembled_sum_pickles_and_assembles_later(main_pair):
