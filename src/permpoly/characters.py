@@ -32,8 +32,8 @@ over the classes j.  The coordinates of |G| <f, chi> for an integer
 class function f (the permutation character, or the count of square
 roots for the Frobenius-Schur indicator) are the dot products of f with
 these columns; past the first they must vanish, else this raises.  A
-coset sum adds its summands' constituents, which each of the group's
-kept coset actions computes and checks once per table.
+representation adds its summands' constituents, which each of the
+group's kept coset actions computes and checks once per table.
 """
 
 from __future__ import annotations
@@ -802,8 +802,8 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
     sum to the action degree, and the trivial multiplicity is the orbit
     count.
 
-    A coset sum (PermRep.from_coset_actions) adds up its summands
-    instead: pi and the multiplicities are additive over a direct sum,
+    They are added up over the representation's summands (see
+    PermRep): pi and the multiplicities are additive over a direct sum,
     repeats included, and each summand, a kept CosetAction, computes and
     checks its own once per table (its trivial multiplicity must be 1,
     as a coset action is transitive).  The sum's degree and orbit-count
@@ -821,15 +821,10 @@ def constituents(rep: PermRep, table: CharacterTable | None = None) -> Constitue
         return memo[1]
     if table.group is not rep.group and table.group.elements != rep.group.elements:
         raise ValueError("table belongs to a different group")
-    summands = rep._summands
-    if summands is not None:
-        parts = [_summand_constituents(a, table) for a in summands]
-        cons = Constituents(
-            map(sum, zip(*(c.multiplicities for c in parts))),
-            map(sum, zip(*(c.character for c in parts))))
-    else:
-        pi = permutation_character(rep, table)
-        cons = Constituents(_multiplicities(table, pi, rep.group.order), pi)
+    parts = [_summand_constituents(a, table) for a in rep._summands]
+    cons = Constituents(
+        map(sum, zip(*(c.multiplicities for c in parts))),
+        map(sum, zip(*(c.character for c in parts))))
     _check_constituents(cons, table, rep.degree, rep.orbit_count())
     rep._constituents = table, cons
     return cons

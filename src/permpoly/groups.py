@@ -309,8 +309,8 @@ class FiniteGroup:
         # generator tuple (see subgroup); the family of each coset
         # action's incidence sets with the family's reduced rows, kept
         # per family, so isomorphic G-sets share one elimination (see
-        # reps._summand_rows); affine kernels of coset sums, kept per
-        # set of summand families (see reps.affine_kernel)
+        # reps._summand_rows); affine kernels of representations, kept
+        # per set of summand families (see reps.affine_kernel)
         self._automorphisms = None
         self._isomorphisms = WeakKeyDictionary()
         self._subgroups = {}
@@ -604,10 +604,8 @@ class FiniteGroup:
                 for y in h:
                     coset_of[row[y]] = len(reps)
                 reps.append(x)
-        images = []
-        for g in range(n):
-            row = table[g]
-            images.append(Permutation(coset_of[row[r]] for r in reps))
+        images = [Permutation([coset_of[row[r]] for r in reps])
+                  for row in table]
         ident = Permutation.identity(len(reps))
         kernel = tuple(g for g in range(n) if images[g] == ident)
         action = CosetAction(self, sub, len(reps), tuple(images), kernel)
@@ -728,8 +726,8 @@ class CosetAction:
     """The data of a coset action: degree, images and kernel.
 
     Made and kept by FiniteGroup.coset_action, the only source of the
-    summands PermRep.from_coset_actions takes.  sets, divisors, family,
-    rows and constituents start as None, and a coset sum reads each off
+    summands a PermRep is kept as.  sets, divisors, family, rows and
+    constituents start as None, and a representation reads each off
     its summands.  reps keeps in sets the action's incidence sets and
     each entry's set, as reps._action_sets gives them (see
     reps._summand_sets); in divisors the cycle divisors D(g) of its

@@ -66,11 +66,6 @@ class PermutationPolytope:
         self.rep = rep
         self.group = rep.group
         self.degree = rep.degree
-        # two permutations are distinct exactly when their matrices are;
-        # a coset sum was checked faithful at construction, so its
-        # images are distinct and its action is not assembled here
-        if rep._summands is None and len(set(rep.action)) != len(rep.action):
-            raise ValueError("vertex matrices are not pairwise distinct")
         self.dim = rep.group.order - 1 - affine_kernel(rep).dim
         self._lattice = None
 

@@ -62,37 +62,40 @@ nonzero field of a packed sum would then leave it a nonzero remainder
 modulo 2^W times that field's place, so the packed sum is 0 exactly
 when every field is: the test is exact (_unannihilated).
 
-A coset sum, the direct sum of actions on G/H_1, ..., G/H_k, acts on
-the disjoint union of their points, so M_g is block diagonal: an entry
-outside the diagonal blocks has the empty incidence set, and an entry
-inside block i has the set it has in the i-th summand.  The sum's
-distinct sets are thus the union of its summands' sets, and its row
-space the sum of theirs.  A coset sum takes only the group's own coset
-actions, the one FiniteGroup.coset_action keeps per subgroup.  The rows
-of a summand depend only on its family, the frozenset of its distinct
-nonempty incidence sets, and the group keeps the reduced rows once per
-family.  Isomorphic G-sets, G/H and G/xHx^-1 among them, have the same
-family, since an isomorphism f carries the set of entry (i, j) to that
-of (f(i), f(j)); so they share one elimination, which is exact because
-equal families put the same rows in.  The kernel of a sum is eliminated
-on its distinct families' reduced rows stacked; the reduced echelon
-form of a row space is unique, so the kernel, rank and pivots are those
-of the sum's own sets.  Order, repeats, isomorphic summands and a
-degree-1 summand beside others (its one row is the all-ones row, which
-the sets of any one column add up to) leave that row space as it is, so
-a sum shares its kernel through the group with every sum of the same
-other families, and a sum of one family reads its kernel off that
+Every representation is kept as a direct sum of the group's own coset
+actions, the one FiniteGroup.coset_action keeps per subgroup, with a
+labelling of its points (PermRep): an orbit with base point b is
+G-isomorphic to G/Stab(b).  The sum acts on the disjoint union of its
+summands' points, so in the sum's labelling M_g is block diagonal: an
+entry outside the diagonal blocks has the empty incidence set, and an
+entry inside block i has the set it has in the i-th summand.  The
+distinct sets are thus the union of the summands' sets, and the row
+space the sum of theirs.  The rows of a summand depend only on its
+family, the frozenset of its distinct nonempty incidence sets, and the
+group keeps the reduced rows once per family.  Isomorphic G-sets, G/H
+and G/xHx^-1 among them, have the same family, since an isomorphism f
+carries the set of entry (i, j) to that of (f(i), f(j)); so they share
+one elimination, which is exact because equal families put the same
+rows in.  The kernel of a representation is eliminated on its distinct
+families' reduced rows stacked; the reduced echelon form of a row space
+is unique, so the kernel, rank and pivots are those of its own sets.
+Order, repeats, isomorphic summands and a degree-1 summand beside
+others (its one row is the all-ones row, which the sets of any one
+column add up to) leave that row space as it is, so a representation
+shares its kernel through the group with every one of the same other
+families, and one of a single family reads its kernel off that
 family's rows.
 
-The other data of a sum are its summands' too.  A point's cycle under
-rep(g) is its cycle in the summand it lies in, so D(g) is the union of
-the summands' D(g).  The sum's incidence sets with each entry's set
-are put together block by block from the summands' own (_summed_sets).
-Each kept coset action computes its sets and cycle divisors once, and a
-sum only combines them.  So no step of the kernel route, the character
+The other data of a representation are its summands' too.  A point's
+cycle under rep(g) is its cycle in the summand it lies in, so D(g) is
+the union of the summands' D(g).  The incidence sets with each entry's
+set are put together block by block from the summands' own and read in
+the representation's own labelling (_summed_sets).  Each kept coset
+action computes its sets and cycle divisors once, and a representation
+only combines them.  So no step of the kernel route, the character
 route or effective equivalence (the cycle-divisor obstruction, the
-kernel traces and the kernel test on packed vertices) reads the summed
-action: a coset sum assembles it from its summands only when it is read
+kernel traces and the kernel test on packed vertices) reads the action:
+a coset sum assembles it from its summands only when it is read
 (PermRep.action), by its vertices, the face tests or compose_with_map.
 """
 
@@ -106,7 +109,8 @@ from math import gcd, lcm
 from operator import or_
 
 from .groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
-                     SizeCapError, count_orbits, isomorphisms_iter)
+                     SizeCapError, Subgroup, _find_generators,
+                     isomorphisms_iter)
 from .linalg import F0, _rref_int, kernel_from_rref
 
 
@@ -135,47 +139,56 @@ class NotStablyEquivalentError(ValueError):
 class PermRep:
     """A faithful permutation representation of an element-complete group.
 
-    action holds one Permutation per element.  The vertex matrices and
-    everything derived from the action (incidence sets, affine kernel,
-    kernel traces, cycle divisors and their counts, constituents, the
-    packed vertices of the kernel test) are computed on first read and
-    kept, so a representation that is only compared by kernel never
-    holds its |G| * degree^2 vertex entries.
-    The size cap on those entries is checked at construction all the
-    same.  A coset sum keeps its summands as given, repeats included,
-    and its degree is the sum of theirs: affine_kernel reads its kernel
-    off the rows of their distinct families, sharing it through the
-    group with every sum of the same families, characters.constituents
-    adds up all of them, cycle_divisors and the incidence sets combine
-    theirs, and orbit_count assembles only the generators' images.  So
-    neither stable nor effective equivalence reads its action, which is
-    assembled from the summands on first read and kept, like the
-    vertices.
+    Every representation is kept as the direct sum of the group's own
+    coset actions with a point labelling: labels[p] is the place of the
+    representation's point p in that sum.  A coset sum keeps its
+    summands as given, repeats included, with the identity labelling;
+    natural and the constructor decompose their action, one summand per
+    orbit (_orbit_summands).  The vertex matrices and everything derived
+    (incidence sets, affine kernel, kernel traces, cycle divisors and
+    their counts, constituents, the packed vertices of the kernel test)
+    are computed on first read and kept, all but the vertices from the
+    summands: affine_kernel reads the kernel off the rows of their
+    distinct families, sharing it through the group with every
+    representation of the same families, characters.constituents adds
+    up all of them, and cycle_divisors and the incidence sets combine
+    theirs.  So neither stable nor effective equivalence reads the
+    action; a coset sum assembles it on first read and keeps it, like
+    the vertices.  The size cap on the vertex entries is checked at
+    construction all the same.
     """
 
-    def __init__(self, group: FiniteGroup, action, check=True):
-        self.action = tuple(map(Permutation, action) if check else action)
+    def __init__(self, group: FiniteGroup, action):
+        self.action = tuple(map(Permutation, action))
         if len(self.action) != group.order:
             raise ValueError("need one permutation per group element")
         degree = len(self.action[0])
         if any(len(p) != degree for p in self.action):
             raise ValueError("action images have mixed degrees")
-        self._start(group, degree, None)
-        if check:
-            self._validate()
+        self._validate(group)
+        self._start(group, *_orbit_summands(group, self.action))
 
-    def _start(self, group, degree, summands):
-        """Set the group, degree and summands after the size cap check,
-        with every derived memo empty."""
+    def _start(self, group, summands, labels):
+        """Check the degree, the size cap and faithfulness, the kernel
+        being the meet of the summands' (NotFaithfulError carries it);
+        then set the group, summands and labels, every memo empty."""
+        degree = len(labels)
+        if not degree:
+            raise ValueError("a representation needs at least one point")
         entries = group.order * degree ** 2
         if entries > MAX_VERTEX_ENTRIES:
             raise SizeCapError(
                 "%d vertices of degree %d need %d entries, over the cap of "
                 "%d vertex entries"
                 % (group.order, degree, entries, MAX_VERTEX_ENTRIES))
+        kernel = set(summands[0].kernel).intersection(
+            *(a.kernel for a in summands[1:]))
+        if len(kernel) != 1:
+            raise NotFaithfulError(tuple(sorted(kernel)))
         self.group = group
         self.degree = degree
         self._summands = summands
+        self._labels = labels
         self._sets = None
         self._kernel = None
         self._traces = None
@@ -186,10 +199,18 @@ class PermRep:
 
     @cached_property
     def action(self):
-        """A coset sum's action, assembled from its summands on first
-        read and kept; any other representation sets it at
-        construction."""
-        return tuple(_summed_images(self._summands, range(self.group.order)))
+        """A coset sum's action, assembled on first read and kept: each
+        summand acts on its own points, shifted past those before it.
+        The other constructors set the action they are given."""
+        offsets = []
+        offset = 0
+        for a in self._summands:
+            offsets.append(offset)
+            offset += a.degree
+        return tuple(Permutation(chain.from_iterable(
+                         map(shift.__add__, a.images[g])
+                         for shift, a in zip(offsets, self._summands)))
+                     for g in range(self.group.order))
 
     @cached_property
     def vertices(self):
@@ -204,13 +225,12 @@ class PermRep:
             verts.append(tuple(flat))
         return verts
 
-    def _validate(self):
+    def _validate(self, group):
         """The action must respect every generator edge,
-        act[a*s] = act[a]*act[s], which makes it a homomorphism, and
-        must be faithful.  from_coset_actions does not call it: a sum of
-        the group's own coset actions is a homomorphism by construction,
-        so only its faithfulness is checked."""
-        group = self.group
+        act[a*s] = act[a]*act[s], which makes it a homomorphism.
+        from_coset_actions and natural do not call it: a sum of the
+        group's own coset actions is one by construction, and so is the
+        group's own action."""
         act = self.action
         for s, col in zip(group.gens, group.gen_columns):
             ps = act[s]
@@ -219,15 +239,15 @@ class PermRep:
                     raise ValueError(
                         "images are inconsistent at element %d times "
                         "generator %d" % (a, s))
-        ident = Permutation.identity(self.degree)
-        kernel = tuple(g for g in range(group.order) if act[g] == ident)
-        if len(kernel) != 1:
-            raise NotFaithfulError(kernel)
 
     @classmethod
     def natural(cls, group: FiniteGroup) -> "PermRep":
-        """The group acting through its own permutations."""
-        return cls(group, group.elements, check=False)
+        """The group acting through its own permutations, trusted as a
+        homomorphism."""
+        rep = cls.__new__(cls)
+        rep.action = tuple(group.elements)
+        rep._start(group, *_orbit_summands(group, rep.action))
+        return rep
 
     @classmethod
     def from_generator_images(cls, group: FiniteGroup, images) -> "PermRep":
@@ -255,16 +275,13 @@ class PermRep:
         Takes only the actions FiniteGroup.coset_action returned for
         this group: ValueError on an empty list, an action of another
         group, or anything else, before anything is built or kept.  A
-        sum of homomorphisms is one, so only faithfulness is checked, as
-        the intersection of the summands' kernels (NotFaithfulError
-        carries it), with the size cap on the summed degree, and
+        sum of homomorphisms is one, so only faithfulness is checked,
+        with the size cap on the summed degree, and
         characters.constituents sums the summands' own checked
         constituents.  The summed action is not built here: it is
         assembled when first read (see action).
         """
         actions = list(actions)
-        if not actions:
-            raise ValueError("need at least one coset action")
         kept = group._coset_actions
         for a in actions:
             if isinstance(a, CosetAction) and a.group is not group:
@@ -274,89 +291,86 @@ class PermRep:
                 raise ValueError("coset sums take only the actions returned "
                                  "by FiniteGroup.coset_action")
         rep = cls.__new__(cls)
-        rep._start(group, sum(a.degree for a in actions), actions)
-        kernel = set(actions[0].kernel).intersection(
-            *(a.kernel for a in actions[1:]))
-        if len(kernel) != 1:
-            raise NotFaithfulError(tuple(sorted(kernel)))
+        rep._start(group, actions, range(sum(a.degree for a in actions)))
         return rep
 
     def cycle_divisors(self):
         """D(g) for each element g, as one bitmask int: bit d is set when
         d divides the length of some cycle of rep(g).  Made once and
-        kept: a coset sum's as the OR of its distinct summands' masks
-        (_summand_divisors), a point's cycle under rep(g) being its cycle
-        in the summand it lies in, so its action is not assembled; any
-        other representation's off its action (_divisor_masks)."""
+        kept, as the OR of the distinct summands' masks
+        (_summand_divisors): a point's cycle under rep(g) is its cycle in
+        the summand it lies in, so the action is not read."""
         if self._divisors is None:
-            if self._summands is None:
-                self._divisors = _divisor_masks(self.action)
-            else:
-                masks = [_summand_divisors(a)
-                         for a in dict.fromkeys(self._summands)]
-                self._divisors = tuple(reduce(or_, column)
-                                       for column in zip(*masks))
+            masks = [_summand_divisors(a)
+                     for a in dict.fromkeys(self._summands)]
+            self._divisors = tuple(reduce(or_, column)
+                                   for column in zip(*masks))
         return self._divisors
 
     def orbit_count(self) -> int:
-        """Orbits of the generators' images; a coset sum assembles only
-        those images from its summands."""
-        gens = self.group.gens
-        if self._summands is None:
-            perms = [self.action[g] for g in gens]
-        else:
-            perms = _summed_images(self._summands, gens)
-        return count_orbits(perms, self.degree)
+        """One orbit per summand, a coset action being transitive."""
+        return len(self._summands)
 
     def __repr__(self):
         return "<PermRep: order %d on %d points>" % (self.group.order, self.degree)
 
 
-def _summed_images(summands, elements):
-    """The images of the given elements under the direct sum of coset
-    actions: summand i acts on its own points, shifted past those of
-    the summands before it."""
-    offsets = []
+def _orbit_summands(group: FiniteGroup, action):
+    """(summands, labels) of a homomorphism's action: the kept coset
+    action on each orbit, in order of its least point b, and each
+    point's place in their sum.
+
+    The summand of b's orbit acts on G/Stab(b), G-isomorphic to the
+    orbit by gStab(b) -> g(b), and numbers the cosets by their least
+    element; so g(b) takes the place in its block at which it first
+    appears among the images of b, the elements taken in ascending
+    order.  Stab(b) is a subgroup, so its closure is not checked.
+    """
+    labels = [None] * len(action[0])
+    summands = []
     offset = 0
-    for a in summands:
-        offsets.append(offset)
-        offset += a.degree
-    return [Permutation(chain.from_iterable(
-                map(shift.__add__, a.images[g])
-                for shift, a in zip(offsets, summands)))
-            for g in elements]
-
-
-def _divisor_masks(images):
-    """D(g) as a bitmask for each image: the cycle lengths are counted
-    by one walk over the points, and each cycle sets the bits of its
-    length's divisors, 1 among them."""
-    of_length = {}
-    out = []
-    for p in images:
-        seen = bytearray(len(p))
-        mask = 0
-        for start in range(len(p)):
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = 1
-                j = p[j]
-                length += 1
-            if length:
-                if length not in of_length:
-                    of_length[length] = sum(1 << d for d in range(1, length + 1)
-                                            if length % d == 0)
-                mask |= of_length[length]
-        out.append(mask)
-    return tuple(out)
+    for b in range(len(labels)):
+        if labels[b] is not None:
+            continue
+        images = [p[b] for p in action]
+        stab = tuple(g for g, q in enumerate(images) if q == b)
+        summand = group._coset_actions.get(stab)
+        if summand is None:
+            summand = group.coset_action(
+                Subgroup(group, stab, _find_generators(group.table, stab)))
+        for place, q in enumerate(dict.fromkeys(images), offset):
+            labels[q] = place
+        summands.append(summand)
+        offset += summand.degree
+    return summands, labels
 
 
 def _summand_divisors(action):
-    """The cycle divisor masks of a coset action's images, made once
-    and kept on the action."""
+    """D(g) as a bitmask for each image of a coset action, made once and
+    kept on the action: the cycle lengths are counted by one walk over
+    the points, and each cycle sets the bits of its length's divisors,
+    1 among them."""
     if action.divisors is None:
-        action.divisors = _divisor_masks(action.images)
+        of_length = {}
+        out = []
+        for p in action.images:
+            seen = bytearray(len(p))
+            mask = 0
+            for start in range(len(p)):
+                length = 0
+                j = start
+                while not seen[j]:
+                    seen[j] = 1
+                    j = p[j]
+                    length += 1
+                if length:
+                    if length not in of_length:
+                        of_length[length] = sum(
+                            1 << d for d in range(1, length + 1)
+                            if length % d == 0)
+                    mask |= of_length[length]
+            out.append(mask)
+        action.divisors = tuple(out)
     return action.divisors
 
 
@@ -391,44 +405,35 @@ class AffineKernel:
         self.pivots = pivots
         self.rank = len(pivots)
         self.dim = order - self.rank
-        self._sparse_int = None
-        self._norm = None
-        self._canonical = None
 
-    @property
+    @cached_property
     def sparse_int(self):
-        if self._sparse_int is None:
-            self._sparse_int = kernel_from_rref(
-                self.rows, self.pivots, self.rank + self.dim)
-        return self._sparse_int
+        return kernel_from_rref(self.rows, self.pivots, self.rank + self.dim)
 
-    @property
+    @cached_property
     def norm(self):
-        if self._norm is None:
-            self._norm = _largest_norm(self.sparse_int)
-        return self._norm
+        return _largest_norm(self.sparse_int)
 
+    @cached_property
     def _canonical_rows(self):
         """The reduced rows, each primitive with a positive pivot."""
-        if self._canonical is None:
-            out = []
-            for row, p in zip(self.rows, self.pivots):
-                content = gcd(*row)
-                if row[p] < 0:
-                    content = -content
-                out.append(tuple(x // content for x in row))
-            self._canonical = tuple(out)
-        return self._canonical
+        out = []
+        for row, p in zip(self.rows, self.pivots):
+            content = gcd(*row)
+            if row[p] < 0:
+                content = -content
+            out.append(tuple(x // content for x in row))
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, AffineKernel):
             return NotImplemented
         return self is other or (
             self.pivots == other.pivots
-            and self._canonical_rows() == other._canonical_rows())
+            and self._canonical_rows == other._canonical_rows)
 
     def __hash__(self):
-        return hash(self._canonical_rows())
+        return hash(self._canonical_rows)
 
 
 def _largest_norm(vectors):
@@ -451,8 +456,8 @@ def _incidence_sets(rep: PermRep):
     Entry (i, j), flattened to k = i*degree + j, has the incidence set
     S_k = {g : rep(g) sends j to i}, so M_g[k] = [g in S_k].  Returns
     (sets, cls) of _action_sets(rep.action), made once per
-    representation and kept; a coset sum's are put together from its
-    summands' (_summed_sets), so its action is not assembled.
+    representation and kept, put together from its summands' own
+    (_summed_sets), so its action is not read.
 
     affine_kernel eliminates one row per set in place of the all-ones
     row and the degree^2 entry rows, which only adds zero and repeated
@@ -463,9 +468,7 @@ def _incidence_sets(rep: PermRep):
     pivot.
     """
     if rep._sets is None:
-        summands = rep._summands
-        rep._sets = (_action_sets(rep.action) if summands is None
-                     else _summed_sets(summands))
+        rep._sets = _summed_sets(rep._summands, rep._labels)
     return rep._sets
 
 
@@ -506,22 +509,22 @@ def _summand_sets(action):
     return action.sets
 
 
-def _summed_sets(summands):
-    """The (sets, cls) of _action_sets for the direct sum of coset
-    actions, from the summands' own.
+def _summed_sets(summands, labels):
+    """The (sets, cls) of _action_sets for a representation kept as the
+    direct sum of coset actions with a point labelling, from the
+    summands' own.
 
-    Summand b acts on the points from its offset o on, so its entry
+    Summand b acts on the places from its offset o on, so its entry
     (i, j) is the sum's entry (o + i, o + j), with the same set, and an
-    entry outside the diagonal blocks has none.  In the flattened order
-    every entry of block b comes before those of block b + 1, and within
-    a block the order is the summand's own, so numbering each block's
-    sets in its own order, skipping those already numbered, numbers the
-    sets by first entry.  A coset action is transitive, so every entry
-    of a block has a set.
+    entry outside the diagonal blocks has none; a coset action is
+    transitive, so every entry of a block has one.  The
+    representation's own entry (i, j) is the sum's entry (labels[i],
+    labels[j]), and its sets are numbered in order of their first own
+    entry, as _action_sets numbers them.
     """
-    degree = sum(a.degree for a in summands)
+    degree = len(labels)
     index = {}
-    cls = [-1] * (degree * degree)
+    placed = [-1] * (degree * degree)
     offset = 0
     for a in summands:
         sets, part = _summand_sets(a)
@@ -529,10 +532,18 @@ def _summed_sets(summands):
         n = a.degree
         for i in range(n):
             start = (offset + i) * degree + offset
-            cls[start:start + n] = map(number.__getitem__,
-                                       part[i * n:(i + 1) * n])
+            placed[start:start + n] = map(number.__getitem__,
+                                          part[i * n:(i + 1) * n])
         offset += n
-    return list(index), cls
+    own = []
+    for i in labels:
+        row = placed[i * degree:(i + 1) * degree]
+        own.extend([row[j] for j in labels])
+    first = [c for c in dict.fromkeys(own) if c >= 0]
+    renumber = dict(zip(first, range(len(first))))
+    renumber[-1] = -1
+    found = list(index)
+    return [found[c] for c in first], list(map(renumber.__getitem__, own))
 
 
 def _set_rows(sets, order):
@@ -566,33 +577,28 @@ def _summand_rows(action):
 
 
 def affine_kernel(rep: PermRep) -> AffineKernel:
-    """The AffineKernel of a representation, made once and kept on it:
-    a coset sum's on its summands' families' reduced rows, a degree-1
-    summand left out beside others, and kept on the group per set of
-    families (see the module docstring); any other representation's on
-    the rows of its own incidence sets."""
+    """The AffineKernel of a representation, made once and kept on it,
+    on its summands' families' reduced rows, a degree-1 summand left
+    out beside others, and kept on the group per set of families (see
+    the module docstring)."""
     if rep._kernel is not None:
         return rep._kernel
     group = rep.group
     order = group.order
     summands = rep._summands
-    if summands is None:
-        kernel = AffineKernel(order, *_rref_int(
-            _set_rows(_incidence_sets(rep)[0], order), order))
-    else:
-        families = (dict(_summand_rows(a) for a in summands if a.degree > 1)
-                    or dict([_summand_rows(summands[0])]))
-        key = frozenset(families)
-        memo = group._kernels
-        kernel = memo.get(key)
-        if kernel is None:
-            if len(families) == 1:
-                (rows, pivots), = families.values()
-            else:
-                rows, pivots = _rref_int(
-                    [row for part, _ in families.values() for row in part],
-                    order)
-            kernel = memo[key] = AffineKernel(order, rows, pivots)
+    families = (dict(_summand_rows(a) for a in summands if a.degree > 1)
+                or dict([_summand_rows(summands[0])]))
+    key = frozenset(families)
+    memo = group._kernels
+    kernel = memo.get(key)
+    if kernel is None:
+        if len(families) == 1:
+            (rows, pivots), = families.values()
+        else:
+            rows, pivots = _rref_int(
+                [row for part, _ in families.values() for row in part],
+                order)
+        kernel = memo[key] = AffineKernel(order, rows, pivots)
     rep._kernel = kernel
     return kernel
 

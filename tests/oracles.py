@@ -25,7 +25,8 @@ from permpoly.intlinalg import (_hermite_left_block, hermite_form,
 from permpoly.linalg import F0, F1, _rref_int, kernel_from_rref
 from permpoly.polytopes import (FaceResult, _checked_labels, _is_face_lp,
                                 _subset_dim, _vertex_sum, is_face)
-from permpoly.reps import (EquivariantMap, PermRep, affine_kernel,
+from permpoly.reps import (AffineKernel, EquivariantMap, PermRep,
+                           _action_sets, _set_rows, affine_kernel,
                            cycle_divisor_obstruction, kernel_traces)
 
 
@@ -845,6 +846,14 @@ def constraint_rows(rep: PermRep):
     for k in range(n * n):
         rows.append([v[k] for v in rep.vertices])
     return rows
+
+
+def own_sets_kernel(rep: PermRep) -> AffineKernel:
+    """The AffineKernel eliminated on the rows of the incidence sets read
+    off rep.action itself, with no summand, family or memo."""
+    order = rep.group.order
+    sets = _action_sets(rep.action)[0]
+    return AffineKernel(order, *_rref_int(_set_rows(sets, order), order))
 
 
 def dense_affine_kernel(rep: PermRep):

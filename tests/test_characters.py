@@ -354,9 +354,7 @@ def test_constituents_match_cyclotomic_oracle(s3, s4, a4, d4, d6, q8, a5,
     groups = [s3, s4, a4, d4, d6, q8,
               build(["(1 2)", "(3 4)", "(5 6)", "(7 8)"], 8),
               build(["(1 2 3)", "(4 5 6)"], 6), a5, s5, a6]
-    # the trivial group acting on no points has pi = 0
-    reps = list(klein_pair) + list(main_pair) + list(z4_family) \
-        + [PermRep.natural(build([], 0))]
+    reps = list(klein_pair) + list(main_pair) + list(z4_family)
     for group in groups:
         reps.append(PermRep.natural(group))
         if group is a6:

@@ -24,7 +24,7 @@ from permpoly.polytopes import (
     shape_descriptor,
     subgroup_face_census,
 )
-from permpoly.reps import PermRep, affine_kernel
+from permpoly.reps import NotFaithfulError, PermRep, affine_kernel
 
 
 @functools.lru_cache(maxsize=4)
@@ -372,12 +372,12 @@ def test_single_vertex_polytope():
 
 
 def test_repeated_vertices_are_refused(s3, klein):
-    """A representation built without validation that repeats a vertex
-    is refused."""
+    """An action that repeats a vertex is not faithful, and is refused
+    before any polytope is built."""
     for group in (s3, klein):
         ident = Permutation.identity(group.degree)
-        with pytest.raises(ValueError, match="not pairwise distinct"):
-            build_polytope(PermRep(group, [ident] * group.order, check=False))
+        with pytest.raises(NotFaithfulError):
+            PermRep(group, [ident] * group.order)
 
 
 def test_shape_descriptor(klein, z4, s3):

@@ -10,15 +10,15 @@ import sympy
 import permpoly.reps as reps_module
 from oracles import (annihilation_stably_equivalent, bareiss_rref,
                      brute_force_orbit_count, cycle_divisor_loop,
-                     dense_affine_kernel,
+                     cyclotomic_constituents, dense_affine_kernel,
                      dense_difference_space, dict_lambda_annihilates,
                      divisor_filter_effectively_equivalent,
                      eager_coset_sum_action, equivariant_apply,
                      exhaustive_effectively_equivalent, first_independent,
                      fraction_rref, integer_difference_space,
                      integer_rowspace_coords, is_homomorphism_all_pairs,
-                     kernel_sparse, pivot_walk_trace, relabelled,
-                     rowspace_coords, u_action_trace)
+                     kernel_sparse, own_sets_kernel, pivot_walk_trace,
+                     relabelled, rowspace_coords, u_action_trace)
 from permpoly.groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
                              SizeCapError, generator_correspondence,
                              isomorphisms, isomorphisms_iter, parse_cycles)
@@ -194,6 +194,16 @@ def test_coset_sum_needs_own_actions(s3, s4):
                 [s3.coset_action(s3.subgroup([])), s3.subgroup([])]):
         with pytest.raises(ValueError, match="FiniteGroup.coset_action"):
             PermRep.from_coset_actions(s3, bad)
+
+
+def test_degree_zero_actions_are_refused():
+    """An action on no points has no orbit to decompose and no affine
+    kernel to eliminate."""
+    trivial = FiniteGroup.generate([], degree=0)
+    with pytest.raises(ValueError, match="at least one point"):
+        PermRep.natural(trivial)
+    with pytest.raises(ValueError, match="at least one point"):
+        PermRep(trivial, [Permutation(())])
 
 
 def test_checked_actions_take_plain_image_tuples():
@@ -828,19 +838,17 @@ def test_kernel_and_chart_match_dense_on_scenario_pairs(main_pair):
 
 def test_coset_sum_kernels_match_their_incidence_sets(sums, main_pair):
     """The kernel eliminated on the summands' reduced rows is the one
-    eliminated on the sum's own incidence sets."""
+    eliminated on the sum's own incidence sets (own_sets_kernel), and so
+    is that of the sum's action given plainly, decomposed again."""
     _, _, _, _, a6_1, a6_2 = alt6_reps()
     reps = [rep for reps in sums.values() for rep in reps]
     for rep in reps + [*main_pair, a6_1, a6_2]:
-        assert rep._summands
-        plain = PermRep(rep.group, rep.action)
-        assert plain._summands is None
-        fast, slow = affine_kernel(rep), affine_kernel(plain)
-        assert (fast.rank, fast.sparse_int, fast.pivots) == \
-            (slow.rank, slow.sparse_int, slow.pivots)
-        # the plain twin is eliminated on its own, into an equal kernel
-        assert fast is not slow
-        assert fast == slow and hash(fast) == hash(slow)
+        slow = own_sets_kernel(rep)
+        for fast in (affine_kernel(rep),
+                     affine_kernel(PermRep(rep.group, rep.action))):
+            assert (fast.rank, fast.sparse_int, fast.pivots) == \
+                (slow.rank, slow.sparse_int, slow.pivots)
+            assert fast == slow and hash(fast) == hash(slow)
 
 
 def test_stable_equivalence_matches_the_annihilation_oracle(
@@ -930,7 +938,7 @@ def test_kernel_basis_is_built_only_when_read():
         assert build_polytope(rep, table).dim == 14
         kern = affine_kernel(rep)
         assert kern.dim == 33
-        assert kern._sparse_int is None
+        assert "sparse_int" not in vars(kern)
     # read later, the basis is kernel_sparse's on the sum's own sets
     a4 = FiniteGroup.from_cycle_strings(["(1 2 3)", "(2 3 4)"], 4)
     for rep in [rep1, rep2] + coset_sums(a4):
@@ -1145,9 +1153,8 @@ def test_coset_sum_constituents_match_their_action(sums):
             for summed in (rep, again):
                 cons = constituents(summed, table)
                 assert all(a.constituents[0] is table for a in summed._summands)
-                plain = constituents(PermRep(g, summed.action), table)
                 assert (cons.multiplicities, cons.character) \
-                    == (plain.multiplicities, plain.character)
+                    == cyclotomic_constituents(summed, table)
 
 
 def g48_equal_dimension_pairs():
@@ -1233,7 +1240,7 @@ def test_kernel_traces_build_no_kernel_vector():
     for rep in [PermRep.natural(g)] + coset_sums(g):
         kernel_traces(rep)
         assert verify_isotype(rep, table).ok
-        assert affine_kernel(rep)._sparse_int is None
+        assert "sparse_int" not in vars(affine_kernel(rep))
 
 
 def test_witnesses_match_the_divisor_filter_walk_on_relabelled_twins(
