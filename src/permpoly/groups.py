@@ -151,6 +151,16 @@ class Permutation(tuple):
         return "Permutation(%r)" % (list(self),)
 
 
+def _check_permutations(images, degree: int):
+    """ValueError unless each image is a permutation of range(degree),
+    a sequence of ints."""
+    points = list(range(degree))
+    for p in images:
+        if any(type(i) is not int for i in p) or sorted(p) != points:
+            raise ValueError("%r is not a permutation of range(%d)"
+                             % (tuple(p), degree))
+
+
 def count_orbits(perms, degree: int) -> int:
     """Orbits on {0..degree-1} of the group generated by perms, counted
     in one walk over their images."""
@@ -305,12 +315,13 @@ class FiniteGroup:
         # nodes, nodes at which each map was found), the image tuples of
         # the isomorphisms onto each other group, held weakly, and order
         # -> (subgroups, nodes); coset actions, kept per subgroup
-        # elements (see coset_action); generated subgroups, kept per
-        # generator tuple (see subgroup); the family of each coset
-        # action's incidence sets with the family's reduced rows, kept
-        # per family, so isomorphic G-sets share one elimination (see
-        # reps._summand_rows); affine kernels of representations, kept
-        # per set of summand families (see reps.affine_kernel)
+        # elements, the summands of every representation (see
+        # coset_action and reps._orbit_summands); generated subgroups,
+        # kept per generator tuple (see subgroup); the family of each
+        # coset action's incidence sets with the family's reduced rows,
+        # kept per family, so isomorphic G-sets share one elimination
+        # (see reps._summand_rows); affine kernels of representations,
+        # kept per set of summand families (see reps.affine_kernel)
         self._automorphisms = None
         self._isomorphisms = WeakKeyDictionary()
         self._subgroups = {}
@@ -348,11 +359,7 @@ class FiniteGroup:
             degree = len(gens[0])
         if any(len(g) != degree for g in gens):
             raise ValueError("generators have mixed degrees")
-        points = list(range(degree))
-        for g in gens:
-            if sorted(g) != points:
-                raise ValueError("generator %r is not a permutation of "
-                                 "range(%d)" % (tuple(g), degree))
+        _check_permutations(gens, degree)
         ident = Permutation.identity(degree)
         seen = {ident}
         ordered = [ident]
@@ -728,8 +735,8 @@ class CosetAction:
     Made and kept by FiniteGroup.coset_action, the only source of the
     summands a PermRep is kept as.  sets, divisors, family, rows and
     constituents start as None, and a representation reads each off
-    its summands.  reps keeps in sets the action's incidence sets and
-    each entry's set, as reps._action_sets gives them (see
+    its summands.  reps keeps in sets the action's distinct nonempty
+    incidence sets, as reps._action_sets gives them (see
     reps._summand_sets); in divisors the cycle divisors D(g) of its
     images as bitmasks (see reps._summand_divisors); in family the
     frozenset of its distinct nonempty incidence sets; and in rows the

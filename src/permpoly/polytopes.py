@@ -6,7 +6,7 @@ set S: every vertex whose 0/1 matrix has its ones only where some
 vertex of S has a one, i.e. the vertices on the smallest face of the
 Birkhoff polytope containing S.  The closure, the complementary vertex
 and the column counts below are AND/OR/popcount on a kept bitmask of
-vertices per incidence set, with a vertex scan's routes and
+vertices per matrix entry, with a vertex scan's routes and
 certificates.  Four routes then decide, each with a certificate that is
 checked exactly:
 
@@ -38,7 +38,7 @@ from .groups import _element_indices
 from .intlinalg import hermite_form, saturation, solve_in_lattice
 from .linalg import F0, F1, pivot_columns, rank
 from .lp import maximize
-from .reps import PermRep, _incidence_sets, affine_kernel
+from .reps import PermRep, affine_kernel
 
 
 class UnsupportedShapeError(ValueError):
@@ -55,11 +55,11 @@ class PermutationPolytope:
     M_g - M_e, and coords the vertices' coordinates in its basis.  Every
     M_g is a combination of the kernel's pivot vertices M_p with
     coefficients summing to 1, so the rows M_p - M_e, p != e, span the
-    same space and have the same reduced form; they are eliminated on
-    one column per incidence set (see reps._incidence_sets).  The face
-    tests' bit index, one int per entry with bit g set when M_g has a one
-    there, is built from those sets on the first face test and kept.
-    vertices reads through to the representation.
+    same space and have the same reduced form.  The entry index, one int
+    per entry with bit g set when M_g has a one there, is built from the
+    representation's action on the first face test or chart read and
+    kept; the chart eliminates one column per distinct nonzero int of
+    it.  vertices reads through to the representation.
     """
 
     def __init__(self, rep: PermRep):
@@ -75,7 +75,8 @@ class PermutationPolytope:
 
     @cached_property
     def pivots(self):
-        pivots = _chart_pivots(self.rep, affine_kernel(self.rep).pivots)
+        pivots = _chart_pivots(self._entry_masks,
+                               affine_kernel(self.rep).pivots)
         if len(pivots) != self.dim:
             raise RuntimeError("chart has %d pivots for dimension %d"
                                % (len(pivots), self.dim))
@@ -91,10 +92,16 @@ class PermutationPolytope:
 
     @cached_property
     def _entry_masks(self):
-        """Per entry k, the labels g with M_g[k] = 1 as bits of one int."""
-        sets, cls = _incidence_sets(self.rep)
-        masks = [sum(1 << g for g in elems) for elems in sets]
-        return [masks[c] if c >= 0 else 0 for c in cls]
+        """Per entry k = i*degree + j, the labels g with M_g[k] = 1, those
+        whose rep(g) sends j to i, as the bits of one int: one pass over
+        the action."""
+        n = self.degree
+        masks = [0] * (n * n)
+        for g, p in enumerate(self.rep.action):
+            bit = 1 << g
+            for j, i in enumerate(p):
+                masks[i * n + j] |= bit
+        return masks
 
     @property
     def vertex_count(self) -> int:
@@ -105,23 +112,20 @@ class PermutationPolytope:
             self.vertex_count, self.dim, self.degree)
 
 
-def _chart_pivots(rep: PermRep, vertex_pivots):
-    """Pivot entries of the rows M_p - M_e over the pivot vertices p != e."""
-    sets, cls = _incidence_sets(rep)
-    row_of = {g: k for k, g in enumerate(g for g in vertex_pivots if g)}
-    # -1 where the set holds the identity, +1 where it holds p, the two
-    # cancelling when it holds both
-    base = [-1 if elems[0] == 0 else 0 for elems in sets]
-    rows = [list(base) for _ in row_of]
-    for c, elems in enumerate(sets):
-        for g in elems:
-            k = row_of.get(g)
-            if k is not None:
-                rows[k][c] += 1
+def _chart_pivots(masks, vertex_pivots):
+    """Pivot entries of the rows M_p - M_e over the pivot vertices p != e,
+    given the entry masks.  Entry k of M_p - M_e depends only on its mask
+    m, as (m >> p & 1) - (m & 1), so the rows are eliminated on one
+    column per distinct nonzero mask, at its first entry: a repeated or
+    zero column is never a pivot."""
     first = {}
-    for k, c in enumerate(cls):
-        first.setdefault(c, k)
-    return [first[c] for c in pivot_columns(rows)]
+    for k, m in enumerate(masks):
+        if m and m not in first:
+            first[m] = k
+    rows = [[(m >> p & 1) - (m & 1) for m in first]
+            for p in vertex_pivots if p]
+    entries = list(first.values())
+    return [entries[c] for c in pivot_columns(rows)]
 
 
 def build_polytope(rep: PermRep, table=None) -> PermutationPolytope:

@@ -63,10 +63,11 @@ modulo 2^W times that field's place, so the packed sum is 0 exactly
 when every field is: the test is exact (_unannihilated).
 
 Every representation is kept as a direct sum of the group's own coset
-actions, the one FiniteGroup.coset_action keeps per subgroup, with a
-labelling of its points (PermRep): an orbit with base point b is
-G-isomorphic to G/Stab(b).  The sum acts on the disjoint union of its
-summands' points, so in the sum's labelling M_g is block diagonal: an
+actions, the one FiniteGroup.coset_action keeps per subgroup
+(PermRep): an orbit with base point b is G-isomorphic to G/Stab(b).
+Relabelling the points permutes the entries of every M_g alike, which
+changes neither the distinct incidence sets nor the cycle lengths, so
+a representation is read as that sum, whose M_g is block diagonal: an
 entry outside the diagonal blocks has the empty incidence set, and an
 entry inside block i has the set it has in the i-th summand.  The
 distinct sets are thus the union of the summands' sets, and the row
@@ -88,15 +89,15 @@ family's rows.
 
 The other data of a representation are its summands' too.  A point's
 cycle under rep(g) is its cycle in the summand it lies in, so D(g) is
-the union of the summands' D(g).  The incidence sets with each entry's
-set are put together block by block from the summands' own and read in
-the representation's own labelling (_summed_sets).  Each kept coset
-action computes its sets and cycle divisors once, and a representation
-only combines them.  So no step of the kernel route, the character
-route or effective equivalence (the cycle-divisor obstruction, the
-kernel traces and the kernel test on packed vertices) reads the action:
-a coset sum assembles it from its summands only when it is read
-(PermRep.action), by its vertices, the face tests or compose_with_map.
+the union of the summands' D(g), and the distinct incidence sets are
+the union of the summands' (_incidence_sets).  Each kept coset action
+computes its sets and cycle divisors once, and a representation only
+combines them.  So no step of the kernel route, the character route or
+effective equivalence (the cycle-divisor obstruction, the kernel traces
+and the kernel test on packed vertices) reads the action: a coset sum
+assembles it from its summands only when it is read (PermRep.action),
+by its vertices, the polytope's entry index and face tests, or
+compose_with_map.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ from math import gcd, lcm
 from operator import or_
 
 from .groups import (CosetAction, FiniteGroup, GroupMap, Permutation,
-                     SizeCapError, Subgroup, _find_generators,
-                     isomorphisms_iter)
+                     SizeCapError, Subgroup, _check_permutations,
+                     _element_indices, _find_generators, isomorphisms_iter)
 from .linalg import F0, _rref_int, kernel_from_rref
 
 
@@ -140,22 +141,20 @@ class PermRep:
     """A faithful permutation representation of an element-complete group.
 
     Every representation is kept as the direct sum of the group's own
-    coset actions with a point labelling: labels[p] is the place of the
-    representation's point p in that sum.  A coset sum keeps its
-    summands as given, repeats included, with the identity labelling;
-    natural and the constructor decompose their action, one summand per
-    orbit (_orbit_summands).  The vertex matrices and everything derived
-    (incidence sets, affine kernel, kernel traces, cycle divisors and
-    their counts, constituents, the packed vertices of the kernel test)
-    are computed on first read and kept, all but the vertices from the
-    summands: affine_kernel reads the kernel off the rows of their
-    distinct families, sharing it through the group with every
-    representation of the same families, characters.constituents adds
-    up all of them, and cycle_divisors and the incidence sets combine
-    theirs.  So neither stable nor effective equivalence reads the
-    action; a coset sum assembles it on first read and keeps it, like
-    the vertices.  The size cap on the vertex entries is checked at
-    construction all the same.
+    coset actions, G-isomorphic to its action.  A coset sum keeps its
+    summands as given, repeats included; natural and the constructor
+    decompose their action, one summand per orbit (_orbit_summands).
+    The vertex matrices and everything derived (affine kernel, kernel
+    traces, cycle divisors and their counts, constituents, the packed
+    vertices of the kernel test) are computed on first read and kept,
+    all but the vertices from the summands: affine_kernel reads the
+    kernel off the rows of their distinct families, sharing it through
+    the group with every representation of the same families,
+    characters.constituents adds up all of them, and cycle_divisors and
+    the incidence sets combine theirs.  So neither stable nor effective
+    equivalence reads the action; a coset sum assembles it on first read
+    and keeps it, like the vertices.  The size cap on the vertex entries
+    is checked at construction all the same.
     """
 
     def __init__(self, group: FiniteGroup, action):
@@ -166,13 +165,12 @@ class PermRep:
         if any(len(p) != degree for p in self.action):
             raise ValueError("action images have mixed degrees")
         self._validate(group)
-        self._start(group, *_orbit_summands(group, self.action))
+        self._start(group, _orbit_summands(group, self.action), degree)
 
-    def _start(self, group, summands, labels):
+    def _start(self, group, summands, degree):
         """Check the degree, the size cap and faithfulness, the kernel
         being the meet of the summands' (NotFaithfulError carries it);
-        then set the group, summands and labels, every memo empty."""
-        degree = len(labels)
+        then set the group, summands and degree, every memo empty."""
         if not degree:
             raise ValueError("a representation needs at least one point")
         entries = group.order * degree ** 2
@@ -188,8 +186,6 @@ class PermRep:
         self.group = group
         self.degree = degree
         self._summands = summands
-        self._labels = labels
-        self._sets = None
         self._kernel = None
         self._traces = None
         self._divisors = None
@@ -226,12 +222,17 @@ class PermRep:
         return verts
 
     def _validate(self, group):
-        """The action must respect every generator edge,
-        act[a*s] = act[a]*act[s], which makes it a homomorphism.
+        """The images of the stored generators must be permutations of
+        range(degree), and the action must respect every generator edge,
+        act[a*s] = act[a]*act[s]: the edges at the identity make act[e]
+        the identity, and then every image is a product of generator
+        images, so the action is a homomorphism into permutations.
+        ValueError otherwise, before anything is built or kept.
         from_coset_actions and natural do not call it: a sum of the
         group's own coset actions is one by construction, and so is the
         group's own action."""
         act = self.action
+        _check_permutations([act[s] for s in group.gens], len(act[0]))
         for s, col in zip(group.gens, group.gen_columns):
             ps = act[s]
             for a, y in enumerate(col):
@@ -246,16 +247,18 @@ class PermRep:
         homomorphism."""
         rep = cls.__new__(cls)
         rep.action = tuple(group.elements)
-        rep._start(group, *_orbit_summands(group, rep.action))
+        rep._start(group, _orbit_summands(group, rep.action), group.degree)
         return rep
 
     @classmethod
     def from_generator_images(cls, group: FiniteGroup, images) -> "PermRep":
         """Extend generator images, Permutations or plain tuples, along
-        the spanning tree; the constructor checks the generator edges."""
+        the spanning tree; ValueError first unless they are permutations
+        of one degree.  The constructor checks the generator edges."""
         images = list(images)
         if len(images) != len(group.gens):
             raise ValueError("need one image per generator")
+        _check_permutations(images, len(images[0]))
         act = [None] * group.order
         act[0] = Permutation.identity(len(images[0]))
         for y, x, pos in group.tree:
@@ -291,7 +294,7 @@ class PermRep:
                 raise ValueError("coset sums take only the actions returned "
                                  "by FiniteGroup.coset_action")
         rep = cls.__new__(cls)
-        rep._start(group, actions, range(sum(a.degree for a in actions)))
+        rep._start(group, actions, sum(a.degree for a in actions))
         return rep
 
     def cycle_divisors(self):
@@ -316,21 +319,14 @@ class PermRep:
 
 
 def _orbit_summands(group: FiniteGroup, action):
-    """(summands, labels) of a homomorphism's action: the kept coset
-    action on each orbit, in order of its least point b, and each
-    point's place in their sum.
-
-    The summand of b's orbit acts on G/Stab(b), G-isomorphic to the
-    orbit by gStab(b) -> g(b), and numbers the cosets by their least
-    element; so g(b) takes the place in its block at which it first
-    appears among the images of b, the elements taken in ascending
-    order.  Stab(b) is a subgroup, so its closure is not checked.
-    """
-    labels = [None] * len(action[0])
+    """The summands of a homomorphism's action: the kept coset action on
+    each orbit, in order of its least point b, which acts on G/Stab(b),
+    G-isomorphic to the orbit by gStab(b) -> g(b).  Stab(b) is a
+    subgroup, so its closure is not checked."""
+    seen = bytearray(len(action[0]))
     summands = []
-    offset = 0
-    for b in range(len(labels)):
-        if labels[b] is not None:
+    for b in range(len(seen)):
+        if seen[b]:
             continue
         images = [p[b] for p in action]
         stab = tuple(g for g, q in enumerate(images) if q == b)
@@ -338,11 +334,10 @@ def _orbit_summands(group: FiniteGroup, action):
         if summand is None:
             summand = group.coset_action(
                 Subgroup(group, stab, _find_generators(group.table, stab)))
-        for place, q in enumerate(dict.fromkeys(images), offset):
-            labels[q] = place
+        for q in images:
+            seen[q] = 1
         summands.append(summand)
-        offset += summand.degree
-    return summands, labels
+    return summands
 
 
 def _summand_divisors(action):
@@ -451,35 +446,27 @@ def _dense_vector(entries, order):
 
 
 def _incidence_sets(rep: PermRep):
-    """The distinct nonempty incidence sets and each entry's set.
+    """The distinct nonempty incidence sets of a representation, the
+    union of its summands' (_summand_sets) in summand order, so its
+    action is not read.
 
-    Entry (i, j), flattened to k = i*degree + j, has the incidence set
-    S_k = {g : rep(g) sends j to i}, so M_g[k] = [g in S_k].  Returns
-    (sets, cls) of _action_sets(rep.action), made once per
-    representation and kept, put together from its summands' own
-    (_summed_sets), so its action is not read.
-
-    affine_kernel eliminates one row per set in place of the all-ones
-    row and the degree^2 entry rows, which only adds zero and repeated
-    rows and the sum of one column's rows, so the reduced form does not
-    change.  Column k of the vertex differences M_g - M_e depends only
-    on S_k, so the polytope chart reads their pivots on one column per
-    set, the set's first entry: a repeated or zero column is never a
-    pivot.
+    Entry (i, j) has the incidence set S = {g : rep(g) sends j to i}, so
+    M_g has a one there exactly for g in S.  affine_kernel eliminates one
+    row per set in place of the all-ones row and the degree^2 entry
+    rows, which only adds zero and repeated rows and the sum of one
+    column's rows, so the reduced form does not change; the kernel test
+    packs one field per set, and is exact in any field order.
     """
-    if rep._sets is None:
-        rep._sets = _summed_sets(rep._summands, rep._labels)
-    return rep._sets
+    return list(dict.fromkeys(chain.from_iterable(
+        map(_summand_sets, rep._summands))))
 
 
 def _action_sets(action):
-    """(sets, cls) for an image list: one Permutation per group
-    element, a representation's action or a coset action's images.
-
-    sets are the distinct nonempty incidence sets as ascending tuples of
-    elements, numbered in order of their first entry; cls[k] is the
-    number of entry k's set, or -1 when no element covers entry k.  One
-    pass over the images, O(|G| * degree).
+    """The distinct nonempty incidence sets of an image list, one
+    Permutation per group element: a representation's action or a coset
+    action's images.  Each is an ascending tuple of elements, and they
+    come in order of their first entry (i, j), flattened to
+    i*degree + j.  One pass over the images, O(|G| * degree).
     """
     n = action[0].degree
     members = {}
@@ -490,15 +477,7 @@ def _action_sets(action):
                 members[k].append(g)
             else:
                 members[k] = [g]
-    index = {}
-    cls = [-1] * (n * n)
-    for k in sorted(members):
-        key = tuple(members[k])
-        c = index.get(key)
-        if c is None:
-            c = index[key] = len(index)
-        cls[k] = c
-    return list(index), cls
+    return list(dict.fromkeys(tuple(members[k]) for k in sorted(members)))
 
 
 def _summand_sets(action):
@@ -507,43 +486,6 @@ def _summand_sets(action):
     if action.sets is None:
         action.sets = _action_sets(action.images)
     return action.sets
-
-
-def _summed_sets(summands, labels):
-    """The (sets, cls) of _action_sets for a representation kept as the
-    direct sum of coset actions with a point labelling, from the
-    summands' own.
-
-    Summand b acts on the places from its offset o on, so its entry
-    (i, j) is the sum's entry (o + i, o + j), with the same set, and an
-    entry outside the diagonal blocks has none; a coset action is
-    transitive, so every entry of a block has one.  The
-    representation's own entry (i, j) is the sum's entry (labels[i],
-    labels[j]), and its sets are numbered in order of their first own
-    entry, as _action_sets numbers them.
-    """
-    degree = len(labels)
-    index = {}
-    placed = [-1] * (degree * degree)
-    offset = 0
-    for a in summands:
-        sets, part = _summand_sets(a)
-        number = [index.setdefault(s, len(index)) for s in sets]
-        n = a.degree
-        for i in range(n):
-            start = (offset + i) * degree + offset
-            placed[start:start + n] = map(number.__getitem__,
-                                          part[i * n:(i + 1) * n])
-        offset += n
-    own = []
-    for i in labels:
-        row = placed[i * degree:(i + 1) * degree]
-        own.extend([row[j] for j in labels])
-    first = [c for c in dict.fromkeys(own) if c >= 0]
-    renumber = dict(zip(first, range(len(first))))
-    renumber[-1] = -1
-    found = list(index)
-    return [found[c] for c in first], list(map(renumber.__getitem__, own))
 
 
 def _set_rows(sets, order):
@@ -565,7 +507,7 @@ def _summand_rows(action):
     rows object, and on the action as its family and rows."""
     if action.rows is None:
         group = action.group
-        sets = _summand_sets(action)[0]
+        sets = _summand_sets(action)
         family = frozenset(sets)
         kept = group._families.get(family)
         if kept is None:
@@ -611,7 +553,7 @@ def _packed_vertices(rep: PermRep, width: int):
     kept = rep._packed
     if kept is None or kept[0] < width:
         packed = [0] * rep.group.order
-        for s, elems in enumerate(_incidence_sets(rep)[0]):
+        for s, elems in enumerate(_incidence_sets(rep)):
             field = 1 << (width * s)
             for g in elems:
                 packed[g] += field
@@ -684,13 +626,16 @@ def kernel_traces(rep: PermRep):
 def compose_with_map(rep: PermRep, phi: GroupMap) -> PermRep:
     """The representation g -> rep(phi(g)) of phi's source group.
 
-    Always validated: raises ValueError when phi is not a homomorphism
-    and NotFaithfulError when it is not injective.
+    Always validated: raises ValueError when phi does not give one
+    element index of its target per source element, or is not a
+    homomorphism, and NotFaithfulError when it is not injective.
     """
     if phi.target is not rep.group:
         raise ValueError("map target does not match the representation's group")
-    action = [rep.action[phi.images[g]] for g in range(phi.source.order)]
-    return PermRep(phi.source, action)
+    if len(phi.images) != phi.source.order:
+        raise ValueError("need one image per source element")
+    images = _element_indices(phi.images, rep.group.order)
+    return PermRep(phi.source, [rep.action[h] for h in images])
 
 
 def _same_group(repA: PermRep, repB: PermRep) -> bool:

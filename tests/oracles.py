@@ -1,6 +1,8 @@
-"""Independent brute-force oracles used by the test suite only."""
+"""Independent brute-force oracles, and the checks that hold the library
+to them, used by the test suite only."""
 
 import copy
+import functools
 import itertools
 import random
 from bisect import bisect_left
@@ -24,10 +26,12 @@ from permpoly.intlinalg import (_hermite_left_block, hermite_form,
                                 solve_in_lattice)
 from permpoly.linalg import F0, F1, _rref_int, kernel_from_rref
 from permpoly.polytopes import (FaceResult, _checked_labels, _is_face_lp,
-                                _subset_dim, _vertex_sum, is_face)
+                                _subset_dim, _vertex_sum, build_polytope,
+                                is_face)
 from permpoly.reps import (AffineKernel, EquivariantMap, PermRep,
-                           _action_sets, _set_rows, affine_kernel,
-                           cycle_divisor_obstruction, kernel_traces)
+                           _action_sets, _dense_vector, _set_rows,
+                           affine_kernel, cycle_divisor_obstruction,
+                           kernel_traces)
 
 
 def kernel_sparse(rows):
@@ -852,7 +856,7 @@ def own_sets_kernel(rep: PermRep) -> AffineKernel:
     """The AffineKernel eliminated on the rows of the incidence sets read
     off rep.action itself, with no summand, family or memo."""
     order = rep.group.order
-    sets = _action_sets(rep.action)[0]
+    sets = _action_sets(rep.action)
     return AffineKernel(order, *_rref_int(_set_rows(sets, order), order))
 
 
@@ -1120,3 +1124,82 @@ def regularity_shape(poly, subset=None):
         if degree != a + b:
             return "unclassified"
     return "product(%d, %d)" % (a, b)
+
+
+@functools.lru_cache(maxsize=4)
+def vertex_entries(poly):
+    """The nonzero entries of each vertex, as (index, value) pairs."""
+    return [[(k, x) for k, x in enumerate(v) if x] for v in poly.vertices]
+
+
+def verify_face_result(poly, subset, res):
+    """A face test's certificate, checked exactly on the vertices: the
+    functional is tight on the subset and strictly below off it, or the
+    counterexample is a convex combination equal to the subset's
+    barycenter with weight off the subset."""
+    inside = set(subset)
+    entries = vertex_entries(poly)
+    if res.is_face:
+        a, beta = res.functional
+        # exact in integers: a and beta times their common denominator
+        scale = lcm(beta.denominator, *(x.denominator for x in a))
+        a = [x.numerator * (scale // x.denominator) for x in a]
+        beta *= scale
+        for g in range(poly.vertex_count):
+            val = sum(a[k] * x for k, x in entries[g])
+            if g in inside:
+                assert val == beta
+            else:
+                assert val < beta
+    else:
+        weights = dict(res.counterexample)
+        assert all(w > 0 for w in weights.values())
+        assert sum(weights.values()) == 1
+        assert any(g not in inside for g in weights)
+        n2 = poly.degree ** 2
+        bary = [Fraction(0)] * n2
+        for g in inside:
+            for k, x in entries[g]:
+                bary[k] += Fraction(x, len(inside))
+        mix = [Fraction(0)] * n2
+        for g, w in weights.items():
+            for k, x in entries[g]:
+                mix[k] += w * x
+        assert mix == bary
+
+
+def check_against_dense(rep, full=True):
+    """The affine kernel from the distinct incidence sets equals the one
+    eliminated on the dense system, and the polytope chart read off it
+    equals the dense difference space's pivots and dimension.  With
+    full, the kernel's pivots and the chart's coordinates are checked
+    too."""
+    kern = affine_kernel(rep)
+    dense = [_dense_vector(v, rep.group.order) for v in kern.sparse_int]
+    assert (kern.dim, kern.rank, dense, kern.sparse_int) == \
+        dense_affine_kernel(rep)
+    if full:
+        # the kernel's pivots are those of the matrix whose columns are
+        # the vertices: the greedy first independent vertices
+        assert kern.pivots == bareiss_rref(list(zip(*rep.vertices)))[1]
+    basis, pivots = integer_difference_space(rep)
+    poly = build_polytope(rep)
+    assert (poly.pivots, poly.dim) == (pivots, len(basis))
+    assert poly.dim == rep.group.order - 1 - kern.dim
+    if not full:
+        return
+    base = rep.vertices[0]
+    assert poly.coords == [
+        tuple(integer_rowspace_coords(basis, pivots,
+                                      [a - b for a, b in zip(v, base)]))
+        for v in rep.vertices]
+
+
+def assert_matches_scan(poly, subset):
+    """is_face and the vertex scan give one verdict, route and
+    certificate, and the certificate verifies; returns the route."""
+    res, old = is_face(poly, subset), scan_is_face(poly, subset)
+    assert (res.is_face, res.route, res.functional, res.counterexample) == \
+        (old.is_face, old.route, old.functional, old.counterexample), subset
+    verify_face_result(poly, subset, res)
+    return res.route

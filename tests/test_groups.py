@@ -855,7 +855,7 @@ def test_generate_takes_plain_image_tuples():
         [Permutation((1, 0, 2))]).elements
     assert FiniteGroup.generate([(1, 2, 0), (1, 0, 2)]).order == 6
     for bad in ([(1, 1, 2)], [(0, 3, 1)], [(0, 1, -1)],
-                [(1, 0, 2), (0, 0, 0)]):
+                [(1, 0, 2), (0, 0, 0)], [(1, None, 0)], [(1.0, 0, 2)]):
         with pytest.raises(ValueError, match="not a permutation"):
             FiniteGroup.generate(bad, degree=3)
     with pytest.raises(ValueError, match="mixed degrees"):

@@ -1,14 +1,12 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
-from oracles import (brute_force_faces, dense_lattice_structure,
-                     dense_point_membership, indecomposable, regularity_shape,
-                     scan_is_face)
+from oracles import (assert_matches_scan, brute_force_faces,
+                     dense_lattice_structure, dense_point_membership,
+                     indecomposable, regularity_shape, verify_face_result)
 import permpoly.polytopes as polytopes
 from permpoly.groups import FiniteGroup, Permutation, parse_cycles
 from permpoly.polytopes import (
@@ -25,44 +23,6 @@ from permpoly.polytopes import (
     subgroup_face_census,
 )
 from permpoly.reps import NotFaithfulError, PermRep, affine_kernel
-
-
-@functools.lru_cache(maxsize=4)
-def vertex_entries(poly):
-    """The nonzero entries of each vertex, as (index, value) pairs."""
-    return [[(k, x) for k, x in enumerate(v) if x] for v in poly.vertices]
-
-
-def verify_face_result(poly, subset, res):
-    inside = set(subset)
-    entries = vertex_entries(poly)
-    if res.is_face:
-        a, beta = res.functional
-        # exact in integers: a and beta times their common denominator
-        scale = lcm(beta.denominator, *(x.denominator for x in a))
-        a = [x.numerator * (scale // x.denominator) for x in a]
-        beta *= scale
-        for g in range(poly.vertex_count):
-            val = sum(a[k] * x for k, x in entries[g])
-            if g in inside:
-                assert val == beta
-            else:
-                assert val < beta
-    else:
-        weights = dict(res.counterexample)
-        assert all(w > 0 for w in weights.values())
-        assert sum(weights.values()) == 1
-        assert any(g not in inside for g in weights)
-        n2 = poly.degree ** 2
-        bary = [Fraction(0)] * n2
-        for g in inside:
-            for k, x in entries[g]:
-                bary[k] += Fraction(x, len(inside))
-        mix = [Fraction(0)] * n2
-        for g, w in weights.items():
-            for k, x in entries[g]:
-                mix[k] += w * x
-        assert mix == bary
 
 
 def test_face_tests_match_brute_force(small_polytopes):
@@ -168,16 +128,6 @@ def test_labels_that_are_not_integers_raise_value_error(klein, subset):
                  lambda: klein.subgroup(subset)):
         with pytest.raises(ValueError, match="must be integers"):
             call()
-
-
-def assert_matches_scan(poly, subset):
-    """is_face and the vertex scan give one verdict, route and
-    certificate, and the certificate verifies; returns the route."""
-    res, old = is_face(poly, subset), scan_is_face(poly, subset)
-    assert (res.is_face, res.route, res.functional, res.counterexample) == \
-        (old.is_face, old.route, old.functional, old.counterexample), subset
-    verify_face_result(poly, subset, res)
-    return res.route
 
 
 def test_bit_index_matches_the_scan(s3, klein, z4, a4, s4, d6, q8, main_pair):

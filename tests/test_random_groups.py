@@ -5,26 +5,33 @@ to 7, with order at most 120, so the draws include trivial, degree-1
 and intransitive groups and groups with repeated orbits that no
 hand-picked corpus holds.  Three representations of each are checked:
 the natural one, a sum of coset actions, and that sum with its points
-shuffled, given as a plain action.
+shuffled, given as a plain action.  Up to order 24 the polytope's chart
+is checked against the dense oracles, and its face tests on seeded
+subsets against the vertex scan and the LP, with every certificate
+verified.
 """
 
 import random
 
-from oracles import (brute_force_orbit_count, cycle_divisor_loop,
+from oracles import (assert_matches_scan, brute_force_orbit_count,
+                     check_against_dense, cycle_divisor_loop,
                      cyclotomic_constituents, exhaustive_effectively_equivalent,
                      own_sets_kernel)
 from permpoly.characters import (character_table, constituents,
                                  predicted_dimension)
 from permpoly.groups import FiniteGroup, Permutation, SizeCapError
-from permpoly.polytopes import build_polytope
+from permpoly.polytopes import _is_face_lp, build_polytope, is_face
 from permpoly.reps import (PermRep, _action_sets, _incidence_sets,
                            affine_kernel, effectively_equivalent)
 
 SEEDS = (1, 2)
 GROUPS_PER_SEED = 200
 MAX_ORDER = 120
-# effective equivalence is checked against every isomorphism up to here
+# effective equivalence, the chart and the face tests are checked against
+# their oracles up to here
 MAX_SEARCH_ORDER = 24
+# seeded vertex subsets of 1 to 6 labels face-tested per representation
+FACE_SUBSETS = 2
 MAX_SUBGROUP_INDEX = 12
 
 
@@ -80,7 +87,7 @@ def shuffled(rng, rep):
 
 
 def check_against_oracles(rep, table):
-    assert _incidence_sets(rep) == _action_sets(rep.action)
+    assert sorted(_incidence_sets(rep)) == sorted(_action_sets(rep.action))
     kernel, oracle = affine_kernel(rep), own_sets_kernel(rep)
     assert (kernel.rank, kernel.pivots, kernel.sparse_int) == \
         (oracle.rank, oracle.pivots, oracle.sparse_int)
@@ -94,12 +101,28 @@ def check_against_oracles(rep, table):
     assert build_polytope(rep).dim == predicted_dimension(rep, table)[0]
 
 
+def check_faces(rng, rep):
+    """The chart against the dense oracles; is_face on seeded subsets
+    against the vertex scan (route and certificate, verified) and the
+    LP (verdict)."""
+    check_against_dense(rep)
+    poly = build_polytope(rep)
+    order = rep.group.order
+    for _ in range(FACE_SUBSETS):
+        subset = sorted(rng.sample(range(order), rng.randint(1, min(6, order))))
+        assert_matches_scan(poly, subset)
+        assert is_face(poly, subset).is_face == \
+            _is_face_lp(poly, subset).is_face
+
+
 def witness_images(phi):
     return None if phi is None else phi.images
 
 
 def test_random_groups_match_the_oracles():
     for seed in SEEDS:
+        # face subsets are drawn apart, leaving the groups' draws as they are
+        subsets = random.Random(seed)
         for rng, group in random_groups(seed):
             table = character_table(group)
             summed = coset_sum(rng, group)
@@ -107,6 +130,8 @@ def test_random_groups_match_the_oracles():
             for rep in reps:
                 check_against_oracles(rep, table)
             if group.order <= MAX_SEARCH_ORDER:
+                for rep in reps:
+                    check_faces(subsets, rep)
                 for a, b in zip(reps, reps[1:] + reps[:1]):
                     assert witness_images(effectively_equivalent(a, b)) == \
                         witness_images(exhaustive_effectively_equivalent(a, b))

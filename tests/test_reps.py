@@ -9,8 +9,9 @@ import sympy
 
 import permpoly.reps as reps_module
 from oracles import (annihilation_stably_equivalent, bareiss_rref,
-                     brute_force_orbit_count, cycle_divisor_loop,
-                     cyclotomic_constituents, dense_affine_kernel,
+                     brute_force_orbit_count, check_against_dense,
+                     cycle_divisor_loop, cyclotomic_constituents,
+                     dense_affine_kernel,
                      dense_difference_space, dict_lambda_annihilates,
                      divisor_filter_effectively_equivalent,
                      eager_coset_sum_action, equivariant_apply,
@@ -229,6 +230,33 @@ def test_generator_images_inconsistent(klein):
         PermRep.from_generator_images(klein, images)
 
 
+
+def memo_state(group):
+    """Copies of the group's coset-action, subgroup, family and kernel
+    memos."""
+    return [dict(m) for m in (group._coset_actions, group._generated,
+                              group._families, group._kernels)]
+
+
+def test_images_must_be_permutations():
+    """Images that are not permutations of range(degree), with a point
+    repeated, past the degree or not an int, raise ValueError naming
+    them, not NotFaithfulError, IndexError or TypeError, in the
+    constructor and the generator-image route, and leave every memo of
+    the group as it was."""
+    z2 = FiniteGroup.generate([(1, 0)], degree=2)
+    PermRep.natural(z2)
+    kept = memo_state(z2)
+    for action in ([(0, 0), (0, 0)], [(0, 1, 2), (5, 6, 7)],
+                   [(0, 1), (1, 2)], [(0, 1), (None, 0)],
+                   [(0, 1), (1.0, 0)], [(0, 1), ("1", 0)]):
+        with pytest.raises(ValueError, match="not a permutation") as exc:
+            PermRep(z2, action)
+        assert not isinstance(exc.value, NotFaithfulError)
+        with pytest.raises(ValueError, match="not a permutation"):
+            PermRep.from_generator_images(z2, action[1:])
+    assert memo_state(z2) == kept
+
 def test_validate_matches_oracle_on_swaps(s3, q8, a4, klein, klein_pair):
     verdicts = set()
     for rep in (PermRep.natural(s3), regular(s3), PermRep.natural(q8),
@@ -423,6 +451,17 @@ def test_compose_with_map(s3, z4):
         compose_with_map(natural, swap)
 
 
+
+@pytest.mark.parametrize("images", [[0, 1], [0, 1, 2, 0], [0, 1, 3],
+                                    [0, 1, -1], [0, 1, 2.5]])
+def test_compose_with_map_rejects_malformed_maps(images):
+    """Images of the wrong length, out of range, negative or not integers
+    raise ValueError, not IndexError, and -1 does not wrap round."""
+    c3 = FiniteGroup.from_cycle_strings(["(1 2 3)"], 3)
+    with pytest.raises(ValueError) as exc:
+        compose_with_map(PermRep.natural(c3), GroupMap(c3, c3, images))
+    assert not isinstance(exc.value, NotFaithfulError)
+
 def equivariant_pairs(klein_pair, z4_family, s4):
     """((rep_A, rep_B), phi) for the Klein pair, every effectively
     equivalent pair of the Z4 family with its witness, and natural S4
@@ -589,7 +628,7 @@ def test_packed_check_is_exact_at_its_width(s4, d6, q8):
     for group in (s4, d6, q8):
         summed = regular(group)
         for rep in (summed, PermRep(group, summed.action)):
-            sets = _incidence_sets(rep)[0]
+            sets = _incidence_sets(rep)
             assert sorted(sets) == [(g,) for g in range(group.order)]
             for w in (1, 2, 3, 7, 30):
                 fields = {g: 1 << (w * s) for s, (g,) in enumerate(sets)}
@@ -716,33 +755,6 @@ def sums(s4, a4, d6, q8):
     return {g: coset_sums(g) for g in (s4, a4, d6, q8)}
 
 
-def check_against_dense(rep, full=True):
-    """The affine kernel from the distinct incidence sets equals the one
-    eliminated on the dense system, and the polytope chart read off it
-    equals the dense difference space's pivots and dimension.  With
-    full, the kernel's pivots and the chart's coordinates are checked
-    too."""
-    kern = affine_kernel(rep)
-    dense = [_dense_vector(v, rep.group.order) for v in kern.sparse_int]
-    assert (kern.dim, kern.rank, dense, kern.sparse_int) == \
-        dense_affine_kernel(rep)
-    if full:
-        # the kernel's pivots are those of the matrix whose columns are
-        # the vertices: the greedy first independent vertices
-        assert kern.pivots == bareiss_rref(list(zip(*rep.vertices)))[1]
-    basis, pivots = integer_difference_space(rep)
-    poly = build_polytope(rep)
-    assert (poly.pivots, poly.dim) == (pivots, len(basis))
-    assert poly.dim == rep.group.order - 1 - kern.dim
-    if not full:
-        return
-    base = rep.vertices[0]
-    assert poly.coords == [
-        tuple(integer_rowspace_coords(basis, pivots,
-                                      [a - b for a, b in zip(v, base)]))
-        for v in rep.vertices]
-
-
 @pytest.fixture(scope="module")
 def small_reps(s3, s4, d6, q8, a4, klein, a5):
     return [rep for g in (s3, s4, d6, q8, a4, klein, a5)
@@ -750,17 +762,19 @@ def small_reps(s3, s4, d6, q8, a4, klein, a5):
 
 
 def test_incidence_sets_reconstruct_vertices(small_reps, main_pair):
+    """The polytope's entry masks give back every vertex, and their
+    distinct nonzero masks are the representation's incidence sets:
+    distinct, nonempty and ascending."""
     for rep in small_reps + list(main_pair):
-        sets, cls = _incidence_sets(rep)
-        n2 = rep.degree ** 2
-        assert len(cls) == n2
+        masks = build_polytope(rep)._entry_masks
+        assert len(masks) == rep.degree ** 2
+        for g, v in enumerate(rep.vertices):
+            assert v == tuple(m >> g & 1 for m in masks)
+        sets = _incidence_sets(rep)
         assert len(set(sets)) == len(sets)
         assert all(list(s) == sorted(s) and s for s in sets)
-        # numbered in order of their first entry
-        firsts = [cls.index(c) for c in range(len(sets))]
-        assert firsts == sorted(firsts)
-        for g, v in enumerate(rep.vertices):
-            assert v == tuple(int(c >= 0 and g in sets[c]) for c in cls)
+        assert set(sets) == {tuple(g for g in range(rep.group.order)
+                                   if m >> g & 1) for m in masks if m}
 
 
 def test_kernel_and_chart_match_dense_on_small_groups(small_reps):
@@ -788,9 +802,9 @@ def test_kernel_and_chart_match_dense_on_coset_sums(sums):
         # summand at most the set of all elements
         everything = tuple(range(g.order))
         for rep, dup, triv in zip(reps[::3], reps[1::3], reps[2::3]):
-            sets = _incidence_sets(rep)[0]
-            assert _incidence_sets(dup)[0] == sets
-            assert set(_incidence_sets(triv)[0]) == set(sets) | {everything}
+            sets = _incidence_sets(rep)
+            assert _incidence_sets(dup) == sets
+            assert set(_incidence_sets(triv)) == set(sets) | {everything}
     assert counts == [3 * 174, 3 * 50, 3 * 94, 3 * 6]
 
 
@@ -943,7 +957,7 @@ def test_kernel_basis_is_built_only_when_read():
     a4 = FiniteGroup.from_cycle_strings(["(1 2 3)", "(2 3 4)"], 4)
     for rep in [rep1, rep2] + coset_sums(a4):
         kern = affine_kernel(rep)
-        rows = _set_rows(_incidence_sets(rep)[0], rep.group.order)
+        rows = _set_rows(_incidence_sets(rep), rep.group.order)
         assert kernel_sparse(rows) == (kern.rank, kern.sparse_int)
 
 
@@ -976,7 +990,7 @@ def test_conjugate_summands_share_their_family_kernel(sums):
             for a, b in zip(rep._summands, twin._summands):
                 assert _summand_rows(a)[1] is _summand_rows(b)[1]
                 assert a.family is b.family
-                assert b.family == frozenset(_action_sets(b.images)[0])
+                assert b.family == frozenset(_action_sets(b.images))
             kern = affine_kernel(rep)
             assert affine_kernel(twin) is kern
             dense = [_dense_vector(v, g.order) for v in kern.sparse_int]
@@ -1062,11 +1076,11 @@ def test_stable_route_leaves_the_summed_action_unassembled(sums, main_pair):
 
 def test_summed_sets_and_divisors_match_the_summed_action(sums, main_pair):
     """A coset sum's incidence sets and cycle divisors, put together from
-    its summands', are _action_sets and the per-element cycle loop on its
-    assembled action: on every sum of the corpus, repeats and the
-    degree-1 summand among them, the main pair, the A6 representations,
-    sums of conjugate summands, the degree-1 summand first, and the
-    trivial group's lone degree-1 summand."""
+    its summands', are _action_sets, as sorted lists, and the per-element
+    cycle loop on its assembled action: on every sum of the corpus,
+    repeats and the degree-1 summand among them, the main pair, the A6
+    representations, sums of conjugate summands, the degree-1 summand
+    first, and the trivial group's lone degree-1 summand."""
     _, _, _, _, a6_1, a6_2 = alt6_reps()
     reps = [rep for reps in sums.values() for rep in reps]
     reps += list(main_pair) + [a6_1, a6_2]
@@ -1084,7 +1098,7 @@ def test_summed_sets_and_divisors_match_the_summed_action(sums, main_pair):
         sets = _incidence_sets(fresh)
         divisors = fresh.cycle_divisors()
         assert "action" not in vars(fresh)
-        assert sets == _action_sets(rep.action)
+        assert sorted(sets) == sorted(_action_sets(rep.action))
         assert divisors == cycle_divisor_loop(rep)
     assert len(reps) == 1629
 
